@@ -102,9 +102,6 @@ class FamilyInstance:
     def all_ones(cls, family: str, n: int, field: Field) -> "FamilyInstance":
         return cls(family, n, field, {lab: 1 for lab in registry(family, n)})
 
-    def with_values(self, **_ignored) -> "FamilyInstance":
-        raise TypeError("use replace_values(dict) instead")
-
     def replace_values(self, overrides: dict[str, int]) -> "FamilyInstance":
         bad = [lab for lab in overrides if lab not in self.assignment]
         if bad:
@@ -164,39 +161,42 @@ def _eval_def(family: str, n: int, q: int, ring, val):
     return _def_tdm(n, ring, val, qm1)
 
 
+def _factors(ring, values, qm1: int) -> list:
+    """The (q-1)-th powers of ``values``, with None standing for the ring's
+    one, so each sum tests a factor once instead of once per term."""
+    one = ring.one
+    out = []
+    for v in values:
+        f = one if v == one else ring.pow(v, qm1)
+        out.append(None if f == one else f)
+    return out
+
+
+def _product(mul, factors):
+    """Product of the factors that are not None, or None if there are none."""
+    acc = None
+    for f in factors:
+        if f is not None:
+            acc = f if acc is None else mul(acc, f)
+    return acc
+
+
 def _def_sat(n: int, ring, val, qm1: int):
     lits = literals(n)
     L = len(lits)
     one = ring.one
     mul = ring.mul
-    Y = {}
-    for i in range(L):
-        for j in range(L):
-            for k in range(L):
-                Y[i, j, k] = ring.pow(val[yclause(lits[i], lits[j], lits[k])], qm1)
-    X = {i: ring.pow(val[xvar(i)], qm1) for i in range(1, n + 1)}
+    Y = dict(zip(product(range(L), repeat=3), _factors(
+        ring, [val[yclause(*c)] for c in product(lits, repeat=3)], qm1)))
+    X = _factors(ring, [val[xvar(i)] for i in range(1, n + 1)], qm1)
 
     # group the satisfied-clause product by the first true literal:
-    # row[i] covers clauses whose first literal i is true, pair[i][j] those
+    # row[i] covers clauses whose first literal i is true, pair[i, j] those
     # with i false and second literal j true, and bare Y entries the rest.
-    row = []
-    for i in range(L):
-        acc = one
-        for j in range(L):
-            for k in range(L):
-                f = Y[i, j, k]
-                if f != one:
-                    acc = mul(acc, f)
-        row.append(acc)
-    pair = {}
-    for i in range(L):
-        for j in range(L):
-            acc = one
-            for k in range(L):
-                f = Y[i, j, k]
-                if f != one:
-                    acc = mul(acc, f)
-            pair[i, j] = acc
+    row = [_product(mul, (Y[i, j, k] for j in range(L) for k in range(L)))
+           for i in range(L)]
+    pair = {(i, j): _product(mul, (Y[i, j, k] for k in range(L)))
+            for i in range(L) for j in range(L)}
 
     total = ring.zero
     for bits in range(1 << n):
@@ -209,22 +209,22 @@ def _def_sat(n: int, ring, val, qm1: int):
             else:
                 false_idx.append(pos)
         term = one
-        for i in range(1, n + 1):
-            if (bits >> (i - 1)) & 1 and X[i] != one:
+        for i in range(n):
+            if (bits >> i) & 1 and X[i] is not None:
                 term = mul(term, X[i])
         for i in true_idx:
-            if row[i] != one:
+            if row[i] is not None:
                 term = mul(term, row[i])
         for i in false_idx:
             for j in true_idx:
                 f = pair[i, j]
-                if f != one:
+                if f is not None:
                     term = mul(term, f)
         for i in false_idx:
             for j in false_idx:
                 for k in true_idx:
                     f = Y[i, j, k]
-                    if f != one:
+                    if f is not None:
                         term = mul(term, f)
         total = ring.add(total, term)
     return total
@@ -234,122 +234,101 @@ def _def_vc(n: int, ring, val, qm1: int):
     one = ring.one
     mul = ring.mul
     pairs = _pairs(n)
-    Xp = {e: ring.pow(val[xedge(*e)], qm1) for e in pairs}
-    Yp = {v: ring.pow(val[yvert(v)], qm1) for v in range(1, n + 1)}
+    X = _factors(ring, [val[xedge(*e)] for e in pairs], qm1)
+    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
     total = ring.zero
     for bits in range(1 << n):
         term = one
-        for (u, v) in pairs:
-            if (bits >> (u - 1)) & 1 or (bits >> (v - 1)) & 1:
-                f = Xp[(u, v)]
-                if f != one:
-                    term = mul(term, f)
-        for v in range(1, n + 1):
-            if (bits >> (v - 1)) & 1:
-                f = Yp[v]
-                if f != one:
-                    term = mul(term, f)
+        for (u, v), f in zip(pairs, X):
+            if f is not None and ((bits >> (u - 1)) & 1 or (bits >> (v - 1)) & 1):
+                term = mul(term, f)
+        for v in range(n):
+            if (bits >> v) & 1 and Y[v] is not None:
+                term = mul(term, Y[v])
         total = ring.add(total, term)
+    return total
+
+
+def _touch_sum(ring, edges, X, Y):
+    """Sum over every subset S of ``edges`` of the product of X[e] over e in S
+    times Y[v] over the vertices v that S touches (each vertex once).
+
+    ``edges`` lists distinct vertex indices into Y.  Subsets are walked
+    depth-first, so subsets that share a prefix share its product; every
+    subset still adds its own term.
+    """
+    mul = ring.mul
+    # step[idx][fresh]: X of edge idx times Y of the endpoints in bitmask
+    # ``fresh``, the ones that no earlier edge of the subset touched
+    masks, step = [], []
+    for x, e in zip(X, edges):
+        masks.append(sum(1 << v for v in e))
+        step.append({sum(1 << v for v in s): _product(mul, (x, *(Y[v] for v in s)))
+                     for r in range(len(e) + 1) for s in combinations(e, r)})
+    total = ring.zero
+
+    def walk(start: int, term, touched: int) -> None:
+        nonlocal total
+        total = ring.add(total, term)
+        for idx in range(start, len(edges)):
+            f = step[idx][masks[idx] & ~touched]
+            walk(idx + 1, term if f is None else mul(term, f), touched | masks[idx])
+
+    walk(0, ring.one, 0)
     return total
 
 
 def _def_cis(n: int, ring, val, qm1: int):
-    one = ring.one
-    mul = ring.mul
     pairs = _pairs(n)
-    Xp = [ring.pow(val[xedge(*e)], qm1) for e in pairs]
-    Yp = {v: ring.pow(val[yvert(v)], qm1) for v in range(1, n + 1)}
-    total = ring.zero
-    for bits in range(1 << len(pairs)):
-        term = one
-        touched = set()
-        for idx, e in enumerate(pairs):
-            if (bits >> idx) & 1:
-                touched.update(e)
-                f = Xp[idx]
-                if f != one:
-                    term = mul(term, f)
-        for v in touched:
-            f = Yp[v]
-            if f != one:
-                term = mul(term, f)
-        total = ring.add(total, term)
-    return total
+    X = _factors(ring, [val[xedge(*e)] for e in pairs], qm1)
+    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
+    return _touch_sum(ring, [(u - 1, v - 1) for (u, v) in pairs], X, Y)
 
 
 def _def_clow(n: int, ring, val, qm1: int):
-    one = ring.one
     mul = ring.mul
-    Xp = {}
-    for (u, v) in _pairs(n):
-        Xp[(u, v)] = Xp[(v, u)] = ring.pow(val[xedge(u, v)], qm1)
-    Yp = {v: ring.pow(val[yvert(v)], qm1) for v in range(1, n + 1)}
+    pairs = _pairs(n)
+    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
+    # X[u, w] is the factor for the move u -> w; step[u, w] also carries
+    # Y of w, for a move onto a vertex the walk has not visited yet
+    X, step = {}, {}
+    for (u, v), f in zip(pairs, _factors(ring, [val[xedge(*e)] for e in pairs], qm1)):
+        X[u, v] = X[v, u] = f
+        step[u, v] = _product(mul, (f, Y[v - 1]))
+        step[v, u] = _product(mul, (f, Y[u - 1]))
     total = ring.zero
     if n < 2:
         return total
 
-    def extend(head: int, cur: int, steps_left: int, term, visited: frozenset):
+    def extend(head: int, cur: int, steps_left: int, term, visited: int):
         nonlocal total
         if steps_left == 1:
-            f = Xp[(cur, head)]
-            if f != one:
-                term = mul(term, f)
-            total = ring.add(total, term)
+            f = X[cur, head]
+            total = ring.add(total, term if f is None else mul(term, f))
             return
         for w in range(head + 1, n + 1):
-            if w == cur:
-                continue
-            t2 = term
-            f = Xp[(cur, w)]
-            if f != one:
-                t2 = mul(t2, f)
-            if w not in visited:
-                f = Yp[w]
-                if f != one:
-                    t2 = mul(t2, f)
-                extend(head, w, steps_left - 1, t2, visited | {w})
-            else:
-                extend(head, w, steps_left - 1, t2, visited)
+            if w != cur:
+                f = X[cur, w] if (visited >> w) & 1 else step[cur, w]
+                extend(head, w, steps_left - 1, term if f is None else mul(term, f),
+                       visited | (1 << w))
 
     for head in range(1, n):
-        base = Yp[head] if Yp[head] != one else one
+        base = ring.one if Y[head - 1] is None else Y[head - 1]
         for w in range(head + 1, n + 1):
-            term = base
-            f = Xp[(head, w)]
-            if f != one:
-                term = mul(term, f)
-            f = Yp[w]
-            if f != one:
-                term = mul(term, f)
-            extend(head, w, n - 1, term, frozenset({head, w}))
+            f = step[head, w]
+            extend(head, w, n - 1, base if f is None else mul(base, f),
+                   (1 << head) | (1 << w))
     return total
 
 
 def _def_tdm(n: int, ring, val, qm1: int):
-    one = ring.one
-    mul = ring.mul
+    # vertex index: part A at 0..n-1, B at n..2n-1, C at 2n..3n-1
     triples = _triples(n)
-    Xp = [ring.pow(val[xhyper(*e)], qm1) for e in triples]
-    Yp = {}
-    for part_idx, part in enumerate(TDM_PARTS):
-        for i in range(1, n + 1):
-            Yp[(part_idx, i)] = ring.pow(val[yvert(tdm_vertex(part, i))], qm1)
-    total = ring.zero
-    for bits in range(1 << len(triples)):
-        term = one
-        touched = set()
-        for idx, (a, b, c) in enumerate(triples):
-            if (bits >> idx) & 1:
-                touched.update(((0, a), (1, b), (2, c)))
-                f = Xp[idx]
-                if f != one:
-                    term = mul(term, f)
-        for key in touched:
-            f = Yp[key]
-            if f != one:
-                term = mul(term, f)
-        total = ring.add(total, term)
-    return total
+    X = _factors(ring, [val[xhyper(*e)] for e in triples], qm1)
+    Y = _factors(ring, [val[yvert(tdm_vertex(part, i))]
+                        for part in TDM_PARTS for i in range(1, n + 1)], qm1)
+    edges = [(a - 1, n + b - 1, 2 * n + c - 1) for (a, b, c) in triples]
+    return _touch_sum(ring, edges, X, Y)
 
 
 # -- fast evaluation ----------------------------------------------------------
@@ -535,6 +514,7 @@ class CoefficientCount:
     z_degree: int
     t_degree: int
     field: Field
+    n: int
     note: str = ""
 
 
@@ -577,7 +557,11 @@ def count_via_coefficient(family: str, instance, field: Field,
     elif family == "clow":
         n = instance.n
         dz, dt = n * qm1, n * qm1
-        note = "coefficient equals 2 * (#Hamiltonian cycles) mod p"
+        if n < 3:
+            note = ("graphs with fewer than 3 vertices have no Hamiltonian "
+                    "cycle; the coefficient counts back-and-forth walks")
+        else:
+            note = "coefficient equals 2 * (#Hamiltonian cycles) mod p"
     elif family == "tdm":
         n = instance.n
         dz, dt = n * qm1, 3 * n * qm1
@@ -593,11 +577,17 @@ def count_via_coefficient(family: str, instance, field: Field,
     val = {lab: images[sym] for lab, sym in proj.output.items()}
     result = _eval_def(family, n, field.q, ring, val)
     coeff = result.coefficient(dz, dt)
-    return CoefficientCount(coeff, dz, dt, field, note)
+    return CoefficientCount(coeff, dz, dt, field, n, note)
 
 
 def hc_from_coefficient(cc: CoefficientCount) -> int:
-    """Recover #Hamiltonian cycles mod p from a clow coefficient."""
+    """Recover #Hamiltonian cycles mod p from a clow coefficient.
+
+    Below three vertices there is no Hamiltonian cycle, so the answer is 0
+    whatever the coefficient (which then counts the walks u -> v -> u).
+    """
+    if cc.n < 3:
+        return 0
     F = cc.field
     if F.p == 2:
         raise ValueError(

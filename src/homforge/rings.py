@@ -3,19 +3,15 @@
 Field elements are plain ints in range(q).  For k = 1 the int is the
 residue itself; for k > 1 it encodes a polynomial-basis coordinate vector
 (c_0, ..., c_{k-1}) as sum(c_i * p**i), and arithmetic goes through
-precomputed addition and multiplication tables.  A thin FieldElem wrapper
-is provided for code that wants operator syntax and cross-field checks.
+precomputed addition and multiplication tables, which reject ints outside
+range(q).
 
 TruncPoly models F_q[z, t] / (z^(Dz+1), t^(Dt+1)): addition is
 coordinate-wise and multiplication is a truncated 2-D convolution.  The
-coefficients are stored sparsely; grid() materialises the full
-(Dz+1) x (Dt+1) table.
+coefficients are stored sparsely, as a dict of nonzero entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,10 +145,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def elem(self, a: int) -> "FieldElem":
-        self._check(a)
-        return FieldElem(self, a)
-
     # -- arithmetic on raw ints ----------------------------------------------
 
     @property
@@ -169,11 +161,14 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
+        self._check(a)
+        self._check(b)
         return int(self._add_table[a, b])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        self._check(a)
         return int(self._neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
@@ -182,6 +177,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
+        self._check(a)
+        self._check(b)
         return int(self._mul_table[a, b])
 
     def pow(self, a: int, e: int) -> int:
@@ -267,52 +264,6 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Operator-friendly wrapper around a raw element index."""
-
-    field: Field
-    val: int
-
-    def __post_init__(self):
-        self.field._check(self.val)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.val)
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise ValueError(f"mixed fields: {self.field} vs {other.field}")
-            return other.val
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.val, self._peer(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.val, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.val, self._peer(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow(self.val, e))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field.inv(self.val))
-
-
 class TruncRing:
     """F_q[z, t] truncated at degrees (dz, dt); elements are TruncPoly."""
 
@@ -375,6 +326,8 @@ class TruncRing:
         return a == b
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, TruncRing)
             and self.field == other.field
@@ -404,14 +357,8 @@ class TruncPoly:
             )
         return self.coeffs.get((i, j), 0)
 
-    def grid(self) -> list[list[int]]:
-        g = [[0] * (self.ring.dt + 1) for _ in range(self.ring.dz + 1)]
-        for (i, j), c in self.coeffs.items():
-            g[i][j] = c
-        return g
-
     def _compat(self, other: "TruncPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
@@ -430,6 +377,17 @@ class TruncPoly:
         self._compat(other)
         fld = self.ring.field
         dz, dt = self.ring.dz, self.ring.dt
+        if fld.k == 1 and (len(self.coeffs) == 1 or len(other.coeffs) == 1):
+            # A monomial shifts the other operand's terms to distinct keys, and
+            # a product of nonzero residues mod a prime is nonzero, so nothing
+            # collides or cancels.
+            mono, poly = (self, other) if len(self.coeffs) == 1 else (other, self)
+            ((i0, j0), c0), = mono.coeffs.items()
+            p = fld.p
+            return TruncPoly(self.ring, {
+                (i + i0, j + j0): c * c0 % p
+                for (i, j), c in poly.coeffs.items()
+                if i + i0 <= dz and j + j0 <= dt})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
@@ -444,9 +402,11 @@ class TruncPoly:
         return TruncPoly(self.ring, out)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, TruncPoly)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.coeffs == other.coeffs
         )
 

@@ -156,6 +156,17 @@ def test_count_clow_reports_hc(capsys, k4_file):
     assert "hc_mod_p=3" in out
 
 
+def test_count_clow_below_three_vertices_has_no_hc(capsys, tmp_path):
+    # the K2 coefficient counts the walk 1 -> 2 -> 1, not a cycle
+    k2 = tmp_path / "k2.gr"
+    k2.write_text(Graph.complete(2).to_text())
+    code, out, _ = run(capsys, "count", "--family", "clow", "--graph", str(k2),
+                       "--field", "3")
+    assert code == 0
+    assert "coefficient=1" in out
+    assert "hc_mod_p=0" in out and "no Hamiltonian cycle" in out
+
+
 def test_count_needs_matching_input(capsys):
     code, _, err = run(capsys, "count", "--family", "sat", "--field", "3")
     assert code == 2 and "--cnf" in err

@@ -258,8 +258,14 @@ def test_clow_corner_degenerate_below_three_vertices():
     # at n = 2 the corner coefficient counts the single back-and-forth walk
     # per edge, not Hamiltonian cycles (there are none)
     K2 = Graph.complete(2)
-    assert count_via_coefficient("clow", K2, Field(3)).value == 1
+    cc = count_via_coefficient("clow", K2, Field(3))
+    assert cc.value == 1
     assert count_hc(K2, 3).exact == 0
+    assert hc_from_coefficient(cc) == 0 and "no Hamiltonian cycle" in cc.note
+    for G in (Graph.complete(1), K2):
+        for p in (2, 3, 5):
+            assert hc_from_coefficient(
+                count_via_coefficient("clow", G, Field(p))) == 0
 
 
 def test_count_budget_respected():

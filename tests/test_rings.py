@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from homforge.rings import Field, TruncRing
+from homforge.rings import Field, TruncPoly, TruncRing
 
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(7)]
@@ -75,6 +77,16 @@ def test_element_range_checked():
         F.pow(5, 2)
     with pytest.raises(ValueError):
         F.inv(-1)
+    # table lookups must not wrap negative or oversized ints
+    F4 = Field(2, 2)
+    for bad in (-1, 4):
+        for op in (F4.add, F4.mul):
+            with pytest.raises(ValueError):
+                op(bad, 3)
+            with pytest.raises(ValueError):
+                op(1, bad)
+        with pytest.raises(ValueError):
+            F4.neg(bad)
 
 
 def test_trunc_ring_monomials_and_caps():
@@ -127,3 +139,69 @@ def test_trunc_ring_from_int():
     assert R.from_int(3) == R.zero
     with pytest.raises(IndexError):
         R.one.coefficient(2, 0)
+
+
+def _schoolbook(F, dz, dt, a, b):
+    """Truncated 2-D convolution of two coefficient dicts, cell by cell."""
+    out = {}
+    for i in range(dz + 1):
+        for j in range(dt + 1):
+            acc = F.zero
+            for i1 in range(i + 1):
+                for j1 in range(j + 1):
+                    acc = F.add(acc, F.mul(a.get((i1, j1), 0),
+                                           b.get((i - i1, j - j1), 0)))
+            if acc:
+                out[i, j] = acc
+    return out
+
+
+@st.composite
+def _operand_pair(draw):
+    F = draw(st.sampled_from([Field(2), Field(3), Field(5), Field(2, 2)]))
+    R = TruncRing(F, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+    def coeffs():
+        # up to four terms, so zero, monomials and sums all occur
+        return draw(st.dictionaries(
+            st.tuples(st.integers(0, R.dz), st.integers(0, R.dt)),
+            st.integers(1, F.q - 1), max_size=4))
+
+    return R, coeffs(), coeffs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand_pair())
+@example((TruncRing(Field(5), 1, 1), {}, {(1, 1): 3}))
+@example((TruncRing(Field(3), 2, 1), {(1, 1): 2}, {(0, 0): 1, (2, 0): 2, (1, 1): 1}))
+@example((TruncRing(Field(2, 2), 1, 2), {(1, 0): 3}, {(0, 1): 2, (1, 2): 1}))
+def test_trunc_poly_ops_match_schoolbook(case):
+    R, a, b = case
+    F = R.field
+    A, B = TruncPoly(R, dict(a)), TruncPoly(R, dict(b))
+    want_sum = {}
+    for key in set(a) | set(b):
+        c = F.add(a.get(key, 0), b.get(key, 0))
+        if c:
+            want_sum[key] = c
+    want_prod = _schoolbook(F, R.dz, R.dt, a, b)
+    assert (A + B).coeffs == (B + A).coeffs == want_sum
+    assert (A * B).coeffs == (B * A).coeffs == want_prod
+    # the operands are left as they were
+    assert A.coeffs == a and B.coeffs == b
+
+
+def test_trunc_poly_ring_compatibility():
+    R = TruncRing(Field(3), 2, 2)
+    twin = TruncRing(Field(3), 2, 2)
+    assert twin is not R and twin == R
+    assert R.z * twin.t == R.monomial(1, 1)
+    assert R.z + twin.z == R.monomial(1, 0, 2)
+    for other in (TruncRing(Field(3), 2, 1), TruncRing(Field(5), 2, 2)):
+        for x, y in ((R.z, other.t), (other.t, R.z),
+                     (R.z + R.t, other.t), (R.z, other.t + other.z)):
+            with pytest.raises(ValueError):
+                x * y
+            with pytest.raises(ValueError):
+                x + y
+        assert R.z != other.z
