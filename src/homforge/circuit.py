@@ -10,6 +10,8 @@ a truncated polynomial ring, or the symbolic ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,45 +114,82 @@ class Circuit:
     def eval_batch(self, assignment: dict[str, np.ndarray], field: Field) -> np.ndarray:
         """Vectorised evaluation of many field assignments at once.
 
-        Each label maps to an int array; all arrays share one shape.  Prime
-        fields use modular arithmetic directly, extensions go through the
-        field's operation tables.
+        Each label maps to an int array; all arrays share one shape.  Live gates
+        fill one value matrix a ``_groups`` group at a time; extension fields
+        take inputs in range(q) only.  Returns a copy, not a view of the matrix.
         """
-        width = None
-        for arr in assignment.values():
-            width = np.shape(arr)
-            break
-        if width is None:
-            width = ()
-        vals: list[np.ndarray] = [None] * len(self.gates)  # type: ignore[list-item]
-        prime = field.k == 1
-        p = field.p
-        addt = None if prime else field._add_table
-        mult = None if prime else field._mul_table
-        for gid, g in enumerate(self.gates):
-            if g.op == CONST:
-                vals[gid] = np.full(width, field.from_int(g.value), dtype=np.int64)
-            elif g.op == INPUT:
-                if g.label not in assignment:
-                    raise ValueError(f"unassigned input {g.label!r}")
-                vals[gid] = np.asarray(assignment[g.label], dtype=np.int64)
-            elif g.op == ADD:
-                acc = vals[g.args[0]]
-                for a in g.args[1:]:
-                    acc = (acc + vals[a]) % p if prime else addt[acc, vals[a]]
-                vals[gid] = acc
-            else:
-                acc = vals[g.args[0]]
-                for a in g.args[1:]:
-                    acc = (acc * vals[a]) % p if prime else mult[acc, vals[a]]
-                vals[gid] = acc
-        return vals[self.output]
+        width = np.shape(next(iter(assignment.values()))) if assignment else ()
+        prime, p, q = field.k == 1, field.p, field.q
+        if prime and (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"eval_batch needs (p-1)^2 < 2^63; p = {p}")
+        tables = {} if prime else {ADD: field._add_table.ravel(), MUL: field._mul_table.ravel()}
+        n_rows, out, leaves, groups = self._groups
+        vals = np.empty((n_rows, *width), dtype=np.int64)
+        for op, key, rows in leaves:
+            if op == INPUT and key not in assignment:
+                raise ValueError(f"unassigned input {key!r}")
+            vals[rows] = field.from_int(key) if op == CONST else assignment[key]
+        leaf = vals[:leaves[-1][2].stop]
+        if prime:
+            leaf %= p
+        elif leaf.size and (leaf.min() < 0 or leaf.max() >= q):
+            raise ValueError(f"inputs over F_{q} must lie in range({q})")
+        for op, rows, args in groups:
+            acc = vals[rows]
+            vals.take(args[0], axis=0, out=acc)
+            # Over F_p rows are in range(p) and (p-1)^2 < 2^63: a sum needs one
+            # final reduction, a product one whenever a factor could overflow.
+            top = p - 1
+            for col in args[1:]:
+                if not prime:
+                    # indices are in range; "clip" skips the copy "raise" makes
+                    tables[op].take(acc * q + vals[col], out=acc, mode="clip")
+                elif op == ADD:
+                    acc += vals[col]
+                else:
+                    top *= p - 1
+                    if top >= 2**63:
+                        acc %= p
+                        top = (p - 1) ** 2
+                    acc *= vals[col]
+            if prime:
+                acc %= p
+        return vals[out].copy()
 
     def eval_symbolic(self, field: Field | None = None, bound: int = 10**6) -> SparsePoly:
         """Expand the circuit into a sparse polynomial (terms capped by bound)."""
         ring = SymbolicRing(field, bound)
         assignment = {name: ring.var(name) for name in self.input_labels()}
         return self.eval(assignment, ring)
+
+    @cached_property
+    def _groups(self) -> tuple[int, int, list[tuple], list[tuple]]:
+        """eval_batch's plan over the live gates: (rows, output row, leaves, groups).
+
+        Gates are grouped by (level, op, key): leaves have level 0, other gates
+        one more than their deepest argument; key is a constant's value, an
+        input's label or an arity.  Each group owns a run of rows, leaves first,
+        and the others read argument rows, shape (arity, gates), of earlier ones.
+        """
+        live = _live(self.gates, self.output)
+        level = [0] * len(self.gates)
+        members: dict[tuple[int, str, object], list[int]] = {}
+        for gid, g in enumerate(self.gates):
+            if live[gid]:
+                level[gid] = 1 + max(map(level.__getitem__, g.args), default=-1)
+                key = g.value if g.op == CONST else g.label if g.op == INPUT else len(g.args)
+                members.setdefault((level[gid], g.op, key), []).append(gid)
+        row: dict[int, int] = {}
+        leaves, groups = [], []
+        for (lv, op, key), gids in sorted(members.items()):
+            lo = len(row)
+            if lv:
+                args = np.array([[row[a] for a in self.gates[gid].args] for gid in gids]).T
+                groups.append((op, slice(lo, lo + len(gids)), args))
+            else:
+                leaves.append((op, key, slice(lo, lo + len(gids))))
+            row.update((gid, lo + i) for i, gid in enumerate(gids))
+        return len(row), row[self.output], leaves, groups
 
     # -- structural predicates ------------------------------------------------
 
@@ -345,19 +384,20 @@ class CircuitBuilder:
         return len(self.gates) - 1
 
     def build(self, output: int) -> Circuit:
-        return Circuit(self.gates, output)
+        """The gates that output reaches, in their order, renumbered from 0."""
+        live = _live(self.gates, output)
+        new_id = [n - 1 for n in accumulate(live)]
+        return Circuit([Gate(g.op, g.value, g.label, tuple([new_id[a] for a in g.args]))
+                        for g, keep in zip(self.gates, live) if keep], new_id[output])
 
 
-def check_skew(c: Circuit) -> bool:
-    """True when every mul gate has at most one non-leaf argument."""
-    return c.is_skew()
+def _live(gates: list[Gate], output: int) -> list[bool]:
+    """Per gate, whether output reaches it (one backward pass)."""
+    live = [False] * len(gates)
+    live[output] = True
+    for gid in range(output, -1, -1):
+        if live[gid]:
+            for a in gates[gid].args:
+                live[a] = True
+    return live
 
-
-def check_mult_disjoint(c: Circuit) -> bool:
-    """True when no mul gate's arguments share a reachable gate."""
-    return c.is_mult_disjoint()
-
-
-def enumerate_parse_trees(c: Circuit, bound: int = 10**4) -> "list[ParseTree]":
-    """All parse trees of the unwound circuit, capped at bound."""
-    return c.parse_trees(bound)

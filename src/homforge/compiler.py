@@ -9,7 +9,8 @@ by dynamic programming over the decomposition.  Each node t keeps one gate
 per partial mapping phi of its bag, plus a companion "stripped" gate whose
 value omits the Z/Y factors contributed by the current bag; the companion
 gates let Join nodes combine subtrees without double-counting shared
-factors.  Circuits built from Join-free decompositions are skew.
+factors.  Companions are emitted at every node, and ``CircuitBuilder.build``
+drops those that nothing reads.  Join-free decompositions give skew circuits.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class CompiledHom:
     wire_count: int
     size_bound: int
     skew: bool
-    tables: dict[int, dict[tuple[int, ...], tuple[int, int]]] | None = None
 
 
 def size_bound(G: Graph, H: Graph, width: int) -> int:
@@ -43,13 +43,8 @@ def size_bound(G: Graph, H: Graph, width: int) -> int:
     return 2 * G.n * H.n ** (width + 1) * (2 * H.n + 2 * H.m)
 
 
-def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph,
-                keep_tables: bool = False) -> CompiledHom:
-    """Run the bag dynamic program and emit the circuit.
-
-    ``keep_tables`` retains, for every decomposition node, the map from bag
-    assignments to (gate, stripped gate) ids — used by the structural tests.
-    """
+def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
+    """Run the bag dynamic program and emit the circuit of its live gates."""
     if H.n < 1:
         raise ValueError("target graph needs at least one vertex")
     errs = validate_nice(d, G)
@@ -144,10 +139,6 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph,
     if bad_consts:
         raise AssertionError(f"non-{{0,1}} constants emitted: {sorted(bad_consts)}")
 
-    tables = None
-    if keep_tables:
-        tables = {t: {phi: (main[t][phi], stripped[t][phi]) for phi in main[t]}
-                  for t in main}
     return CompiledHom(
         circuit=circuit,
         n_source=G.n,
@@ -157,7 +148,6 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph,
         wire_count=circuit.wire_count(),
         size_bound=bound,
         skew=circuit.is_skew(),
-        tables=tables,
     )
 
 

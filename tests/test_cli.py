@@ -15,6 +15,7 @@ from homforge.circuit import Circuit, Gate
 from homforge.cli import main, read_assignment_file
 from homforge.gadgets import dump_gadget
 from homforge.graphs import Graph
+from homforge.rings import Field
 
 K4_TEXT = Graph.complete(4).to_text()
 
@@ -185,9 +186,18 @@ def test_decomp_then_compile_round_trip(capsys, tmp_path, k4_file):
                        "--decomp", str(td), "--target-size", "3",
                        "--out", str(ct))
     assert code == 0
-    assert "skew=True" in out and "gates=" in out
+    assert "skew=True" in out and "gates=1 " in out
+    # K4 has no homomorphism into K3: the live circuit is the constant 0
+    c = Circuit.from_text(ct.read_text())
+    assert c.eval({}, Field(5)) == 0
+    code, out, _ = run(capsys, "compile", "--graph", k4_file,
+                       "--decomp", str(td), "--target-size", "4",
+                       "--out", str(ct))
+    assert code == 0 and "gates=" in out
     c = Circuit.from_text(ct.read_text())
     assert c.counts_by_op()["mul"] >= 1
+    # with every variable 1 it counts the 4! homomorphisms K4 -> K4
+    assert c.eval({lab: 1 for lab in c.input_labels()}, Field(29)) == 24
 
 
 def test_compile_rejects_invalid_decomposition(capsys, tmp_path, k4_file):

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from homforge.circuit import check_skew
+from homforge.circuit import Circuit, CircuitBuilder
 from homforge.compiler import compile_hom, hom_poly_oracle, project, specialize_z
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
 from homforge.randgen import (nice_path_decomp, random_assignment,
                               random_path_decomposed)
 from homforge.rings import Field
-from homforge.treedecomp import make_nice, treewidth_exact, validate_nice
+from homforge.treedecomp import TreeDecompInput, make_nice, treewidth_exact, validate_nice
 
 
 FIELDS = (Field(2), Field(3), Field(2, 2), Field(5))
@@ -50,6 +51,61 @@ def test_small_pairs_exact():
     ]
     for G, H in cases:
         check_pair(G, H, rng)
+
+
+def reachable(c: Circuit) -> set[int]:
+    seen, todo = set(), [c.output]
+    while todo:
+        gid = todo.pop()
+        if gid not in seen:
+            seen.add(gid)
+            todo.extend(c.gates[gid].args)
+    return seen
+
+
+def pruning_cases():
+    rng = random.Random(44)
+    for _ in range(6):
+        G, td, end = random_path_decomposed(rng.randint(3, 7), rng.randint(1, 2), rng)
+        yield G, nice_path_decomp(G, td, end), Graph.complete(rng.randint(2, 4))
+    tree = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
+    branching = TreeDecompInput(bags={0: {1, 2}, 1: {1, 3}, 2: {1, 4}, 3: {4, 5}},
+                                edges=[(0, 1), (0, 2), (2, 3)])
+    yield tree, make_nice(branching, tree), Graph.cycle(5)
+    G = Graph.cycle(6)
+    yield G, treewidth_exact(G)[1], Graph.complete(3)
+
+
+def test_compiled_gates_are_all_live(monkeypatch):
+    compiled = [(G, H, compile_hom(G, d, H)) for G, d, H in pruning_cases()]
+    for _, _, comp in compiled:
+        assert reachable(comp.circuit) == set(range(len(comp.circuit.gates)))
+    # the same compilations without pruning in CircuitBuilder.build
+    monkeypatch.setattr(CircuitBuilder, "build", lambda self, out: Circuit(self.gates, out))
+    rng = random.Random(5)
+    for (G, d, H), (_, _, pruned) in zip(pruning_cases(), compiled):
+        full = compile_hom(G, d, H)
+        assert pruned.gate_count <= full.gate_count
+        assert pruned.wire_count <= full.wire_count
+        assert pruned.skew or not full.skew
+        for F in FIELDS:
+            a = {lab: rng.randrange(F.q) for lab in all_labels(G, H)}
+            assert pruned.circuit.eval(a, F) == full.circuit.eval(a, F)
+
+
+def test_eval_batch_matches_eval_on_compiled_circuits():
+    rng = np.random.default_rng(8)
+    for G, d, H in pruning_cases():
+        c = compile_hom(G, d, H).circuit
+        labs = all_labels(G, H)
+        for F in FIELDS:
+            for width in ((), (1,), (25,)):
+                batch = {lab: rng.integers(0, F.q, size=width) for lab in labs}
+                out = np.asarray(c.eval_batch(batch, F))
+                assert out.shape == width
+                for j in np.ndindex(width):
+                    a = {lab: int(arr[j]) for lab, arr in batch.items()}
+                    assert int(out[j]) == c.eval(a, F)
 
 
 def test_hom_count_via_all_ones():
@@ -105,14 +161,13 @@ def test_join_free_is_skew():
         H = Graph.complete(rng.randint(2, 4))
         compiled = compile_hom(G, nice, H)
         assert compiled.skew
-        assert check_skew(compiled.circuit)
+        assert compiled.circuit.is_skew()
 
 
 def test_join_vs_path_same_polynomial():
     # a star compiled from a branching decomposition and from a path-shaped
     # one computes the same polynomial
     G = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    from homforge.treedecomp import TreeDecompInput
     branching = TreeDecompInput(
         bags={0: {1, 2}, 1: {1, 3}, 2: {1, 4}},
         edges=[(0, 1), (0, 2)])
