@@ -94,10 +94,6 @@ class LayeredBP:
         """Arcs that can appear on a path (constant-0 arcs are dead)."""
         return [a for a in self.arcs if a.label != 0]
 
-    def arcs_from(self, layer: int, idx: int) -> list[Arc]:
-        out = [a for a in self.live_arcs() if a.layer == layer and a.src == idx]
-        return sorted(out, key=lambda a: a.dst)
-
     def variables(self) -> list[str]:
         return sorted({a.label for a in self.live_arcs()
                        if isinstance(a.label, str)})

@@ -322,6 +322,8 @@ class Circuit:
                     raise ValueError(f"line {ln}: gate ids must be consecutive from 0")
                 op = toks[2]
                 if op == CONST:
+                    if len(toks) != 4:
+                        raise ValueError(f"line {ln}: const gate takes one value")
                     gates.append(Gate(CONST, value=int(toks[3])))
                 elif op == INPUT:
                     if len(toks) != 4:

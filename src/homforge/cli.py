@@ -219,7 +219,10 @@ def cmd_eval(args, rep: Reporter) -> int:
             raise ValueError(
                 f"labels not in the {args.family} n={args.n} registry: "
                 f"{unknown[:3]}")
-    assignment = {lab: F.from_int(values.get(lab, default)) for lab in labels}
+    # values are reduced mod p over F_p but are element indices over F_q,
+    # where FamilyInstance refuses any outside range(q)
+    value = F.from_int if F.k == 1 else int
+    assignment = {lab: value(values.get(lab, default)) for lab in labels}
     inst = FamilyInstance(args.family, args.n, F, assignment)
     if args.method == "fast":
         val = eval_fast(inst)

@@ -5,12 +5,18 @@ The produced circuit evaluates the generalized homomorphism polynomial
     f(Z, Y) = sum over homomorphisms phi: G -> H of
               prod_u Z[u, phi(u)] * prod_{(u,v) in E(G)} Ye[phi(u), phi(v)]
 
-by dynamic programming over the decomposition.  Each node t keeps one gate
-per partial mapping phi of its bag, plus a companion "stripped" gate whose
-value omits the Z/Y factors contributed by the current bag; the companion
-gates let Join nodes combine subtrees without double-counting shared
-factors.  Companions are emitted at every node, and ``CircuitBuilder.build``
-drops those that nothing reads.  Join-free decompositions give skew circuits.
+by the H-colouring dynamic program over the decomposition (Diaz, Serna,
+Thilikos, TCS 2002).  Each node t keeps one gate per mapping phi of its bag:
+the sum, over extensions of phi to the vertices forgotten below t, of the
+factors charged so far.  A vertex's factors are charged once, at the Forget
+node that removes it: its Z factor and the Ye factor of every edge to a
+vertex still in the bag.  The root bag is empty and vertex subtrees are
+connected, so every vertex is forgotten exactly once, and of the two
+endpoints of an edge the first one forgotten still has the other in its
+bag.  Leaf and Introduce nodes emit no gate (Introduce only zeroes the
+mappings that break an H edge), and a Join multiplies its children's
+gates, whose factors are disjoint.  Join-free decompositions give skew
+circuits.
 """
 
 from __future__ import annotations
@@ -53,80 +59,47 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
 
     b = CircuitBuilder()
     hs = list(H.vertices())
-    # per node: sorted bag, map phi-tuple -> gate id, map phi-tuple -> stripped id
+    zero = b.const(0)
+    # per node: sorted bag, and map phi-tuple -> gate id
     bag_sorted: dict[int, list[int]] = {}
-    main: dict[int, dict[tuple[int, ...], int]] = {}
-    stripped: dict[int, dict[tuple[int, ...], int]] = {}
+    table: dict[int, dict[tuple[int, ...], int]] = {}
 
     for t in d.postorder():
         nd = d.nodes[t]
         bs = sorted(nd.bag)
         bag_sorted[t] = bs
         if nd.kind == "leaf":
-            u = bs[0]
-            main[t] = {(h,): b.input(zvar(u, h)) for h in hs}
-            stripped[t] = {(h,): b.const(1) for h in hs}
+            table[t] = {(h,): b.const(1) for h in hs}
         elif nd.kind == "intro":
             t1 = nd.children[0]
-            u = nd.vertex
-            pos = bs.index(u)
+            pos = bs.index(nd.vertex)
             child_bs = bag_sorted[t1]
-            nbrs = [v for v in child_bs if G.has_edge(u, v)]
-            nbr_pos = [child_bs.index(v) for v in nbrs]
-            zero = b.const(0)
-            mt: dict[tuple[int, ...], int] = {}
-            st: dict[tuple[int, ...], int] = {}
-            for phi1, g1 in main[t1].items():
-                for h in hs:
-                    phi = phi1[:pos] + (h,) + phi1[pos:]
-                    if all(H.has_edge(phi1[i], h) for i in nbr_pos):
-                        factors = [b.input(zvar(u, h))]
-                        factors += [b.input(yedge(phi1[i], h)) for i in nbr_pos]
-                        factors.append(g1)
-                        mt[phi] = b.mul(factors)
-                        st[phi] = stripped[t1][phi1]
-                    else:
-                        mt[phi] = zero
-                        st[phi] = zero
-            main[t] = mt
-            stripped[t] = st
+            nbr_pos = [i for i, v in enumerate(child_bs) if G.has_edge(nd.vertex, v)]
+            table[t] = {phi1[:pos] + (h,) + phi1[pos:]:
+                        g1 if all(H.has_edge(phi1[i], h) for i in nbr_pos) else zero
+                        for phi1, g1 in table[t1].items() for h in hs}
         elif nd.kind == "forget":
             t1 = nd.children[0]
             u = nd.vertex
-            child_bs = bag_sorted[t1]
-            pos = child_bs.index(u)
-            nbrs = [v for v in bs if G.has_edge(u, v)]
-            nbr_pos = [bs.index(v) for v in nbrs]
-            groups: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-            for phi1, g1 in main[t1].items():
-                phi = phi1[:pos] + phi1[pos + 1:]
-                groups.setdefault(phi, []).append(
-                    (phi1[pos], g1, stripped[t1][phi1]))
-            mt = {}
-            st = {}
-            for phi, entries in groups.items():
-                mt[phi] = b.add([g1 for _, g1, _ in entries])
-                terms = []
-                for h, _, s1 in entries:
-                    if all(H.has_edge(phi[i], h) for i in nbr_pos):
-                        factors = [b.input(zvar(u, h))]
-                        factors += [b.input(yedge(phi[i], h)) for i in nbr_pos]
-                        factors.append(s1)
-                        terms.append(b.mul(factors))
-                st[phi] = b.add(terms)
-            main[t] = mt
-            stripped[t] = st
+            pos = bag_sorted[t1].index(u)
+            nbr_pos = [i for i, v in enumerate(bs) if G.has_edge(u, v)]
+            terms: dict[tuple[int, ...], list[int]] = {}
+            for phi1, g1 in table[t1].items():
+                phi, h = phi1[:pos] + phi1[pos + 1:], phi1[pos]
+                acc = terms.setdefault(phi, [])
+                # a term breaking an H edge is zero (and yedge(h, h) is no label)
+                if all(H.has_edge(phi[i], h) for i in nbr_pos):
+                    factors = [b.input(zvar(u, h))]
+                    factors += [b.input(yedge(phi[i], h)) for i in nbr_pos]
+                    factors.append(g1)
+                    acc.append(b.mul(factors))
+            table[t] = {phi: b.add(ts) for phi, ts in terms.items()}
         else:  # join
             t1, t2 = nd.children
-            mt = {}
-            st = {}
-            for phi, g1 in main[t1].items():
-                mt[phi] = b.mul([g1, stripped[t2][phi]])
-                st[phi] = b.mul([stripped[t1][phi], stripped[t2][phi]])
-            main[t] = mt
-            stripped[t] = st
+            table[t] = {phi: b.mul([g1, table[t2][phi]])
+                        for phi, g1 in table[t1].items()}
 
-    out = main[d.root][()]
+    out = table[d.root][()]
     circuit = b.build(out)
 
     width = d.width()

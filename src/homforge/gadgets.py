@@ -124,6 +124,8 @@ def _graph_json(g: Graph) -> dict:
 
 
 def _graph_from_json(d: dict) -> Graph:
+    if not isinstance(d, dict) or not {"n", "edges"} <= d.keys():
+        raise ValueError('a gadget block is {"n": ..., "edges": [...]}')
     return Graph.from_edges(d["n"], [tuple(e) for e in d["edges"]])
 
 
@@ -137,14 +139,19 @@ def dump_gadget(g: GadgetPair | GadgetTriple) -> dict:
 
 
 def load_gadget(d: dict) -> GadgetPair | GadgetTriple:
+    if not isinstance(d, dict):
+        raise ValueError(f"a gadget is a JSON object, not a {type(d).__name__}")
     kind = d.get("kind")
     if kind == "triple":
-        return GadgetTriple(_graph_from_json(d["i0"]), _graph_from_json(d["i1"]),
-                            _graph_from_json(d["i2"]), d["c_max"])
-    if kind == "pair":
-        return GadgetPair(_graph_from_json(d["i1"]), _graph_from_json(d["i2"]),
-                          d["c_max"])
-    raise ValueError(f"unknown gadget kind {kind!r}")
+        cls, names = GadgetTriple, ("i0", "i1", "i2")
+    elif kind == "pair":
+        cls, names = GadgetPair, ("i1", "i2")
+    else:
+        raise ValueError(f"unknown gadget kind {kind!r}")
+    missing = [key for key in (*names, "c_max") if key not in d]
+    if missing:
+        raise ValueError(f"{kind} gadget lacks {', '.join(missing)}")
+    return cls(*(_graph_from_json(d[name]) for name in names), d["c_max"])
 
 
 @dataclass

@@ -79,12 +79,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def add_edges(self, extra) -> "Graph":
-        return Graph.from_edges(self.n, list(self.edges) + list(extra))
-
-    def relabel_offset(self, off: int, new_n: int) -> list[tuple[int, int]]:
-        return [(u + off, v + off) for u, v in self.edges]
-
     # -- standard predicates --------------------------------------------------
 
     def components(self) -> list[set[int]]:

@@ -203,9 +203,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         return self.pow(a, self.q - 2)
 
-    def eq(self, a: int, b: int) -> bool:
-        return a == b
-
     def _check(self, a: int) -> None:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element index of F_{self.q}")
@@ -321,9 +318,6 @@ class TruncRing:
             base = base * base
             e >>= 1
         return acc
-
-    def eq(self, a: "TruncPoly", b: "TruncPoly") -> bool:
-        return a == b
 
     def __eq__(self, other) -> bool:
         if self is other:

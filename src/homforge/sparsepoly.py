@@ -223,6 +223,3 @@ class SymbolicRing:
 
     def pow(self, a: SparsePoly, e: int) -> SparsePoly:
         return self._checked(a.pow(e))
-
-    def eq(self, a: SparsePoly, b: SparsePoly) -> bool:
-        return a == b

@@ -59,12 +59,6 @@ class NiceTreeDecomp:
     def has_join(self) -> bool:
         return any(nd.kind == "join" for nd in self.nodes)
 
-    def kind_counts(self) -> dict[str, int]:
-        out = {k: 0 for k in KINDS}
-        for nd in self.nodes:
-            out[nd.kind] = out.get(nd.kind, 0) + 1
-        return out
-
     def postorder(self) -> list[int]:
         """Node indices, children always before their parent."""
         out = []

@@ -70,23 +70,6 @@ def hom_monomial(G: Graph, phi: tuple[int, ...], target: GadgetGraph) -> Monomia
     return mono(*pairs)
 
 
-def hom_poly(G: Graph, homs, target: GadgetGraph) -> SparsePoly:
-    counts = Counter(hom_monomial(G, phi, target) for phi in homs)
-    return SparsePoly(dict(counts), None)
-
-
-def reduce_poly(p: SparsePoly, F: Field) -> SparsePoly:
-    """Reduce an integer-coefficient polynomial into a finite field."""
-    if p.field is not None:
-        raise ValueError("expected integer coefficients")
-    out = {}
-    for m, c in p.terms.items():
-        r = F.from_int(c)
-        if r:
-            out[m] = r
-    return SparsePoly(out, F)
-
-
 @dataclass
 class CycleIdentityReport:
     ok: bool
@@ -153,7 +136,7 @@ def verify_cycle_identity(bp: LayeredBP, *, hom_cap: int = 10 ** 6,
                          f"characteristic {F.p}; no inverse, g not recoverable")
             continue
         inv = F.inv(F.from_int(factor))
-        rec_ok = reduce_poly(f, F).scale(inv) == reduce_poly(yg, F)
+        rec_ok = f.reduce_mod(F).scale(inv) == yg.reduce_mod(F)
         recovery[F.q] = rec_ok
         notes.append(f"F_{F.q}: scaling by {factor}^-1 = {inv} recovers y*g: {rec_ok}")
 

@@ -130,6 +130,19 @@ def test_eval_rejects_unknown_label(capsys, tmp_path):
     assert code == 2 and "registry" in err
 
 
+def test_eval_extension_field_values_are_element_indices(capsys, tmp_path):
+    # over F_4 the values are element indices, not integers reduced mod 2
+    f = tmp_path / "a.txt"
+    args = ("eval", "--family", "cis", "--n", "2", "--field", "2^2", "--assign", str(f))
+    for value, want in ((0, 1), (1, 0), (2, 0), (3, 0)):
+        f.write_text(f"X:1:2 {value}\n")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and f"value={want}" in out
+    f.write_text("X:1:2 4\n")
+    code, _, err = run(capsys, *args)
+    assert code == 2 and "element index of F_4" in err
+
+
 def test_read_assignment_file_parsing():
     vals = read_assignment_file("# comment\nA 3\n\nB 0 # trailing\n", 1)
     assert vals == {"A": 3, "B": 0, "__default__": 1}
@@ -266,6 +279,29 @@ def test_verify_missing_inputs(capsys, bp_file):
     code, _, err = run(capsys, "verify", "--theorem", "gadget-bp",
                        "--bp", bp_file)
     assert code == 2 and "--pair or --triple" in err
+
+
+def test_verify_circuit_const_without_value_is_input_error(capsys, tmp_path,
+                                                          triple_file):
+    f = tmp_path / "bad.ct"
+    f.write_text("gate 0 const\noutput 0\n")
+    code, _, err = run(capsys, "verify", "--theorem", "parse-hom",
+                       "--circuit", str(f), "--triple", triple_file)
+    assert code == 2 and "error: line 1:" in err
+
+
+@pytest.mark.parametrize("gad, message", [
+    ({"kind": "triple", "c_max": 9}, "triple gadget lacks i0, i1, i2"),
+    ([1, 2], "a gadget is a JSON object"),
+    ({"kind": "pair", "c_max": 9, "i1": 3, "i2": {"n": 3}}, "a gadget block is"),
+])
+def test_verify_malformed_gadget_is_input_error(capsys, tmp_path, bp_file,
+                                                gad, message):
+    f = tmp_path / "bad.gad"
+    f.write_text(json.dumps(gad))
+    code, _, err = run(capsys, "verify", "--theorem", "gadget-bp",
+                       "--bp", bp_file, "--triple", str(f))
+    assert code == 2 and f"error: {message}" in err
 
 
 # -- search -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from homforge.labels import yedge, zvar
 from homforge.randgen import (nice_path_decomp, random_assignment,
                               random_path_decomposed)
 from homforge.rings import Field
+from homforge.sparsepoly import SymbolicRing
 from homforge.treedecomp import TreeDecompInput, make_nice, treewidth_exact, validate_nice
 
 
@@ -182,6 +183,27 @@ def test_join_vs_path_same_polynomial():
         for _ in range(10):
             a = {lab: rng.randrange(F.q) for lab in all_labels(G, H)}
             assert c1.circuit.eval(a, F) == c2.circuit.eval(a, F)
+
+
+def test_nested_joins_give_the_exact_polynomial():
+    # compared over the integers: a factor charged twice (Z^2) would pass for
+    # Z at every point over F_2
+    G = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
+    td = TreeDecompInput(bags={0: {1, 2}, 1: {1, 3}, 2: {1, 4}, 3: {4, 5}, 4: {4, 6}},
+                         edges=[(0, 1), (0, 2), (2, 3), (2, 4)])
+    d = make_nice(td, G)
+    inner, outer = [t for t in d.postorder() if d.nodes[t].kind == "join"]
+    below, todo = set(), [outer]
+    while todo:
+        t = todo.pop()
+        below.add(t)
+        todo.extend(d.nodes[t].children)
+    assert inner in below
+    ring = SymbolicRing()
+    for H in (Graph.complete(3), Graph.cycle(5), Graph.path(3)):
+        got = compile_hom(G, d, H).circuit.eval_symbolic()
+        want = hom_poly_oracle(G, H, {lab: ring.var(lab) for lab in all_labels(G, H)}, ring)
+        assert got == want and len(got) == len(enumerate_homs(G, H))
 
 
 def test_size_bound_formula():
