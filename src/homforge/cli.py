@@ -3,7 +3,8 @@
 Subcommands: compile, eval, count, oracle, verify, search, decomp.
 Every run echoes a reproducibility header (seed, field, content hashes
 of the input files).  Exit codes: 0 success/verified, 1 verification
-mismatch, 2 usage or input error.
+mismatch, 2 usage or input error, or an exceeded budget (homomorphism
+cap or expansion bound).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from .formulas import CNF
 from .bp import LayeredBP
 from .gadget_search import search_gadgets
 from .gadgets import GadgetPair, GadgetTriple, dump_gadget, load_gadget
-from .graphs import Graph, Hypergraph3
+from .graphs import Graph, HomCapExceeded, Hypergraph3
 from .intermediates import (FAMILIES, FamilyInstance, count_via_coefficient,
                             eval_definitional, eval_fast, hc_from_coefficient,
                             registry)
 from .oracles import (count_3dm, count_clique, count_clows, count_hc,
                       count_sat3, count_vc)
 from .rings import Field
+from .sparsepoly import BoundExceeded
 from .treedecomp import (NiceTreeDecomp, heuristic_decomp, make_nice,
                          treewidth_exact, validate_nice)
 from .verify import (verify_cycle_identity, verify_gadget_bijection,
@@ -391,7 +393,7 @@ def main(argv=None) -> int:
     rep = Reporter(args.format, args.seed)
     try:
         return _DISPATCH[args.cmd](args, rep)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, HomCapExceeded, BoundExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,10 +15,12 @@ deterministic only through its seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from itertools import combinations, permutations
 
 from .gadgets import GadgetPair, GadgetTriple
-from .graphs import Graph, HomCapExceeded, are_incomparable, enumerate_homs, is_rigid
+from .graphs import (Graph, HomCapExceeded, are_incomparable, enumerate_homs, is_rigid,
+                     neighbourhood)
 
 # per-size sample budgets chosen so the default search reliably reaches a
 # triple of 8-vertex blocks in seconds while still honestly probing n=7
@@ -26,23 +28,48 @@ SAMPLE_BUDGETS = {7: 1500, 8: 25000, 9: 25000, 10: 25000}
 EXHAUSTIVE_MAX = 6
 
 
-def _prefilter(g: Graph) -> bool:
+def _prefilter(nbr: Sequence[int]) -> bool:
     """Cheap necessary conditions for a rigid non-bipartite block.
 
-    A degree-<=1 vertex or a vertex whose neighbourhood is contained in a
-    non-neighbour's always yields a nontrivial endomorphism.
+    ``nbr[v]`` is the neighbour mask of vertex v (entry 0 unused), as in
+    ``Graph.nbr_masks``.  A degree-<=1 vertex or a vertex whose
+    neighbourhood is contained in a non-neighbour's always yields a
+    nontrivial endomorphism; a block must also be connected and not
+    bipartite.
     """
-    if not g.is_connected() or g.is_bipartite():
+    n = len(nbr) - 1
+    if n < 3:  # too small for an odd cycle
         return False
-    adj = g.adj
-    for v in g.vertices():
-        if len(adj[v]) < 2:
+    for m in nbr[1:]:
+        if not m & (m - 1):
             return False
-    for v in g.vertices():
-        for w in g.vertices():
-            if w != v and w not in adj[v] and adj[v] <= adj[w]:
-                return False
-    return True
+    for v in range(1, n + 1):
+        # the vertices adjacent to every neighbour of v: v itself and any
+        # vertex whose neighbourhood contains v's
+        common = -1
+        m = nbr[v]
+        while m:
+            low = m & -m
+            common &= nbr[low.bit_length() - 1]
+            m ^= low
+        if common & ~nbr[v] & ~(1 << v):
+            return False
+    # breadth-first from vertex 1: an edge inside one level closes an odd
+    # cycle, and a connected graph reaches every vertex
+    seen = frontier = 2
+    odd = False
+    while frontier:
+        reach = neighbourhood(nbr, frontier)
+        odd = odd or bool(reach & frontier)
+        frontier = reach & ~seen
+        seen |= frontier
+    return odd and seen == (1 << (n + 1)) - 2
+
+
+def _graph(nbr: Sequence[int]) -> Graph:
+    n = len(nbr) - 1
+    return Graph.from_edges(n, [(u, w) for u in range(1, n + 1)
+                                for w in range(u + 1, n + 1) if nbr[u] >> w & 1])
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -68,11 +95,15 @@ def rigid_blocks_exhaustive(n: int) -> list[Graph]:
     pairs = list(combinations(range(1, n + 1), 2))
     found: list[Graph] = []
     seen: set[tuple] = set()
+    nbr = [0] * (n + 1)  # the neighbour masks of edge set ``bits``
     for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
-        g = Graph.from_edges(n, edges)
-        if not _prefilter(g):
+        # counting up to bits flips the pairs at its lowest set bit and below
+        for u, v in pairs[:(bits & -bits).bit_length()]:
+            nbr[u] ^= 1 << v
+            nbr[v] ^= 1 << u
+        if not _prefilter(nbr):
             continue
+        g = _graph(nbr)
         if not is_rigid(g):
             continue
         key = canonical_form(g)
@@ -82,9 +113,15 @@ def rigid_blocks_exhaustive(n: int) -> list[Graph]:
     return found
 
 
-def _sample_graph(n: int, rng: random.Random) -> Graph:
-    edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
-    return Graph.from_edges(n, edges)
+def _sample_masks(n: int, rng: random.Random) -> list[int]:
+    """Neighbour masks of G(n, 1/2), one draw per vertex pair in
+    lexicographic order."""
+    nbr = [0] * (n + 1)
+    for u, v in combinations(range(1, n + 1), 2):
+        if rng.random() < 0.5:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+    return nbr
 
 
 def sample_rigid_blocks(n: int, rng: random.Random, want: int,
@@ -92,9 +129,10 @@ def sample_rigid_blocks(n: int, rng: random.Random, want: int,
     """Up to ``want`` rigid non-bipartite blocks found by random sampling."""
     found: list[Graph] = []
     for _ in range(max_samples):
-        g = _sample_graph(n, rng)
-        if not _prefilter(g):
+        nbr = _sample_masks(n, rng)
+        if not _prefilter(nbr):
             continue
+        g = _graph(nbr)
         if is_rigid(g):
             found.append(g)
             if len(found) >= want:

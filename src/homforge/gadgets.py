@@ -123,10 +123,21 @@ def _graph_json(g: Graph) -> dict:
     return {"n": g.n, "edges": sorted([u, v] for (u, v) in g.edges)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _graph_from_json(d: dict) -> Graph:
     if not isinstance(d, dict) or not {"n", "edges"} <= d.keys():
         raise ValueError('a gadget block is {"n": ..., "edges": [...]}')
-    return Graph.from_edges(d["n"], [tuple(e) for e in d["edges"]])
+    if not _is_int(d["n"]):
+        raise ValueError(f"gadget block key 'n' must be an int, not {d['n']!r}")
+    edges = d["edges"]
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges):
+        raise ValueError("gadget block key 'edges' must be a list of [u, v] int pairs")
+    return Graph.from_edges(d["n"], [tuple(e) for e in edges])
 
 
 def dump_gadget(g: GadgetPair | GadgetTriple) -> dict:
@@ -151,6 +162,8 @@ def load_gadget(d: dict) -> GadgetPair | GadgetTriple:
     missing = [key for key in (*names, "c_max") if key not in d]
     if missing:
         raise ValueError(f"{kind} gadget lacks {', '.join(missing)}")
+    if not _is_int(d["c_max"]):
+        raise ValueError(f"gadget key 'c_max' must be an int, not {d['c_max']!r}")
     return cls(*(_graph_from_json(d[name]) for name in names), d["c_max"])
 
 

@@ -9,6 +9,7 @@ of vertex i+1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -18,6 +19,19 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise ValueError(f"self-loop at {u}")
     return (u, v) if u < v else (v, u)
+
+
+UNREACHABLE = 10**9  # the distance between vertices in different components
+
+
+def neighbourhood(nbr: Sequence[int], mask: int) -> int:
+    """The union of the neighbour masks ``nbr[v]`` over the bits v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nbr[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,8 @@ class Graph:
 
     @cached_property
     def distances(self) -> list[list[int]]:
-        """All-pairs BFS distances, table indexed [u][v], unreachable = big."""
-        big = 10**9
-        dist = [[big] * (self.n + 1) for _ in range(self.n + 1)]
+        """All-pairs BFS distances, table indexed [u][v], unreachable = UNREACHABLE."""
+        dist = [[UNREACHABLE] * (self.n + 1) for _ in range(self.n + 1)]
         for s in self.vertices():
             d = dist[s]
             d[s] = 0
@@ -137,6 +150,31 @@ class Graph:
                         d[y] = d[x] + 1
                         queue.append(y)
         return dist
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """nbr_masks[v] has bit w set for each neighbour w of v (entry 0 unused)."""
+        masks = [0] * (self.n + 1)
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @cached_property
+    def balls(self) -> tuple[tuple[int, ...], ...]:
+        """balls[h][d] is the mask of vertices within distance d of h, for d
+        from 0 to the eccentricity of h in its component, so balls[h][-1]
+        is the whole component of h (entry 0 unused)."""
+        nbr = self.nbr_masks
+        out: list[tuple[int, ...]] = [()]
+        for h in self.vertices():
+            ball = frontier = 1 << h
+            rings = [ball]
+            while frontier := neighbourhood(nbr, frontier) & ~ball:
+                ball |= frontier
+                rings.append(ball)
+            out.append(tuple(rings))
+        return tuple(out)
 
     # -- text format ----------------------------------------------------------
 
@@ -242,20 +280,18 @@ def is_homomorphism(G: Graph, H: Graph, phi) -> bool:
 def _search_order(G: Graph) -> list[int]:
     """Max-degree seed, then grow connected (BFS by degree); disconnected
     components follow in the same fashion."""
+    rank = {v: (-G.degree(v), v) for v in G.vertices()}.__getitem__
     remaining = set(G.vertices())
     order: list[int] = []
-    placed: set[int] = set()
     while remaining:
-        seed = max(remaining, key=lambda v: (G.degree(v), -v))
-        frontier = [seed]
+        frontier = [min(remaining, key=rank)]
         while frontier:
-            frontier.sort(key=lambda v: (-G.degree(v), v))
+            frontier.sort(key=rank)
             v = frontier.pop(0)
             if v not in remaining:
                 continue
             remaining.discard(v)
             order.append(v)
-            placed.add(v)
             frontier += [w for w in G.adj[v] if w in remaining]
     return order
 
@@ -274,11 +310,12 @@ def enumerate_homs(
     cap aborts the search with HomCapExceeded once more than cap maps have
     been found.  distance_prune additionally rejects images that would
     force some pair of vertices closer together than they are in H.
+
+    Candidate images are bit masks over H's vertices: the AND of the
+    neighbour masks of the images of v's earlier neighbours and, with
+    distance_prune, of the balls of radius dG(v, w) around the image of
+    every earlier w.  They are tried in ascending order.
     """
-    if H.n == 0:
-        if G.n == 0:
-            return [()]
-        return []
     order = order if order is not None else _search_order(G)
     if sorted(order) != list(G.vertices()):
         raise ValueError("order must be a permutation of the source vertices")
@@ -288,28 +325,13 @@ def enumerate_homs(
     earlier_nbrs: list[list[int]] = []
     for i, v in enumerate(order):
         earlier_nbrs.append([w for w in G.adj[v] if pos_of[w] < i])
+    nbr = H.nbr_masks
+    every = (1 << (H.n + 1)) - 2  # bits 1..H.n
     dG = G.distances if distance_prune else None
-    dH = H.distances if distance_prune else None
+    balls = H.balls if distance_prune else None
 
     results: list[tuple[int, ...]] = []
     image = [0] * (n + 1)  # image[v] for assigned v
-    assigned: list[int] = []
-
-    def candidates(v: int, i: int):
-        nbrs = earlier_nbrs[i]
-        if nbrs:
-            cand = set(H.adj[image[nbrs[0]]])
-            for w in nbrs[1:]:
-                cand &= H.adj[image[w]]
-        else:
-            cand = set(H.vertices())
-        if distance_prune and cand:
-            dv = dG[v]
-            cand = {
-                h for h in cand
-                if all(dH[image[w]][h] <= dv[w] for w in assigned)
-            }
-        return sorted(cand)
 
     def rec(i: int) -> bool:
         if i == n:
@@ -318,13 +340,23 @@ def enumerate_homs(
                 raise HomCapExceeded(cap, len(results))
             return first_only
         v = order[i]
-        for h in candidates(v, i):
-            image[v] = h
-            assigned.append(v)
-            done = rec(i + 1)
-            assigned.pop()
-            image[v] = 0
-            if done:
+        cand = every
+        for w in earlier_nbrs[i]:
+            cand &= nbr[image[w]]
+        if distance_prune and cand:
+            dv = dG[v]
+            for w in order[:i]:
+                d = dv[w]
+                ball = balls[image[w]]
+                if d < len(ball):
+                    cand &= ball[d]
+                elif d < UNREACHABLE:
+                    cand &= ball[-1]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[v] = low.bit_length() - 1
+            if rec(i + 1):
                 return True
         return False
 

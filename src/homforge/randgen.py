@@ -15,7 +15,7 @@ from .formulas import CNF
 from .graphs import Graph, Hypergraph3
 from .intermediates import FamilyInstance, registry
 from .rings import Field
-from .treedecomp import NiceTreeDecomp, TreeDecompInput, make_nice
+from .treedecomp import TreeDecompInput
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
@@ -92,10 +92,6 @@ def random_path_decomposed(n: int, width: int, rng: random.Random,
     allowed = {e for win in windows for e in combinations(sorted(win), 2)}
     kept = sorted(e for e in allowed if rng.random() < keep)
     return Graph.from_edges(n, kept), TreeDecompInput(bags, bag_edges), len(bags) - 1
-
-
-def nice_path_decomp(G: Graph, td: TreeDecompInput, end: int) -> NiceTreeDecomp:
-    return make_nice(td, G, root=end)
 
 
 def random_cnf(n: int, m: int, rng: random.Random) -> CNF:

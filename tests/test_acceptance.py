@@ -35,7 +35,6 @@ from homforge.oracles import (
 )
 from homforge.randgen import (
     gnp,
-    nice_path_decomp,
     random_cnf,
     random_hypergraph,
     random_instance,
@@ -178,7 +177,7 @@ def test_criterion_03_skewness(acceptance_log):
         for _ in range(50):
             n, w = rng.randint(3, 9), rng.randint(1, 3)
             G, td, end = random_path_decomposed(n, w, rng)
-            nice = nice_path_decomp(G, td, end)
+            nice = make_nice(td, G, root=end)
             assert not nice.has_join()
             H = gnp(rng.randint(2, 4), 0.3 + 0.5 * rng.random(), rng)
             compiled = compile_hom(G, nice, H)

@@ -14,8 +14,9 @@ from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.cli import main, read_assignment_file
 from homforge.gadgets import dump_gadget
-from homforge.graphs import Graph
+from homforge.graphs import Graph, HomCapExceeded
 from homforge.rings import Field
+from homforge.sparsepoly import BoundExceeded
 
 K4_TEXT = Graph.complete(4).to_text()
 
@@ -290,10 +291,19 @@ def test_verify_circuit_const_without_value_is_input_error(capsys, tmp_path,
     assert code == 2 and "error: line 1:" in err
 
 
+K3_BLOCK = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
+
+
 @pytest.mark.parametrize("gad, message", [
     ({"kind": "triple", "c_max": 9}, "triple gadget lacks i0, i1, i2"),
     ([1, 2], "a gadget is a JSON object"),
     ({"kind": "pair", "c_max": 9, "i1": 3, "i2": {"n": 3}}, "a gadget block is"),
+    ({"kind": "pair", "c_max": "9", "i1": K3_BLOCK, "i2": K3_BLOCK},
+     "gadget key 'c_max' must be an int"),
+    ({"kind": "pair", "c_max": 9, "i1": {"n": "3", "edges": []}, "i2": K3_BLOCK},
+     "gadget block key 'n' must be an int"),
+    ({"kind": "pair", "c_max": 9, "i1": {"n": 3, "edges": 5}, "i2": K3_BLOCK},
+     "gadget block key 'edges' must be a list"),
 ])
 def test_verify_malformed_gadget_is_input_error(capsys, tmp_path, bp_file,
                                                 gad, message):
@@ -302,6 +312,17 @@ def test_verify_malformed_gadget_is_input_error(capsys, tmp_path, bp_file,
     code, _, err = run(capsys, "verify", "--theorem", "gadget-bp",
                        "--bp", bp_file, "--triple", str(f))
     assert code == 2 and f"error: {message}" in err
+
+
+@pytest.mark.parametrize("exc", [HomCapExceeded(10, 11),
+                                 BoundExceeded("expansion exceeds 100 terms")])
+def test_verify_budget_error_is_exit_2(capsys, monkeypatch, bp_file, exc):
+    def over_budget(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("homforge.cli.verify_cycle_identity", over_budget)
+    code, _, err = run(capsys, "verify", "--theorem", "cycle", "--bp", bp_file)
+    assert code == 2 and f"error: {exc}" in err
 
 
 # -- search -------------------------------------------------------------------

@@ -9,8 +9,7 @@ from homforge.circuit import Circuit, CircuitBuilder
 from homforge.compiler import compile_hom, hom_poly_oracle, project, specialize_z
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
-from homforge.randgen import (nice_path_decomp, random_assignment,
-                              random_path_decomposed)
+from homforge.randgen import random_assignment, random_path_decomposed
 from homforge.rings import Field
 from homforge.sparsepoly import SymbolicRing
 from homforge.treedecomp import TreeDecompInput, make_nice, treewidth_exact, validate_nice
@@ -68,7 +67,7 @@ def pruning_cases():
     rng = random.Random(44)
     for _ in range(6):
         G, td, end = random_path_decomposed(rng.randint(3, 7), rng.randint(1, 2), rng)
-        yield G, nice_path_decomp(G, td, end), Graph.complete(rng.randint(2, 4))
+        yield G, make_nice(td, G, root=end), Graph.complete(rng.randint(2, 4))
     tree = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
     branching = TreeDecompInput(bags={0: {1, 2}, 1: {1, 3}, 2: {1, 4}, 3: {4, 5}},
                                 edges=[(0, 1), (0, 2), (2, 3)])
@@ -156,7 +155,7 @@ def test_join_free_is_skew():
     for _ in range(15):
         G, td, end = random_path_decomposed(rng.randint(2, 8),
                                             rng.randint(1, 3), rng)
-        nice = nice_path_decomp(G, td, end)
+        nice = make_nice(td, G, root=end)
         assert validate_nice(nice, G) == []
         assert not nice.has_join()
         H = Graph.complete(rng.randint(2, 4))

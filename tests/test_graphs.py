@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homforge.graphs import (Graph, HomCapExceeded, Hypergraph3,
                              are_incomparable, count_homs, enumerate_homs,
@@ -101,17 +103,80 @@ def test_first_only_and_has_hom():
     assert len(out) == 1
 
 
+def random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(1, n + 1)
+                                for v in range(u + 1, n + 1) if rng.random() < p])
+
+
+# disconnected sources and targets with isolated vertices: a pair of
+# vertices at distance "unreachable" in G, and a G-distance beyond the
+# eccentricity of an image in H
+DISCONNECTED_CASES = [
+    (Graph.from_edges(5, [(1, 2), (3, 4)]), Graph.from_edges(4, [(1, 2), (2, 3)])),
+    (Graph.path(4), Graph.complete(3)),
+    (Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]), Graph.from_edges(5, [(1, 2), (4, 5)])),
+    (Graph.from_edges(5, [(1, 2), (2, 3), (1, 3)]),
+     Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (4, 5)])),
+    (Graph.empty(3), Graph.from_edges(3, [(1, 2)])),
+    (Graph.from_edges(3, [(1, 2)]), Graph.empty(2)),
+]
+
+
+def check_against_brute_force(G: Graph, H: Graph) -> None:
+    want = brute_homs(G, H)
+    for prune in (False, True):
+        assert enumerate_homs(G, H, distance_prune=prune) == want
+        first = enumerate_homs(G, H, distance_prune=prune, first_only=True)
+        assert len(first) == min(1, len(want)) and set(first) <= set(want)
+        # in vertex order with candidates tried in ascending order, the
+        # first map found is the lexicographically smallest
+        lex = enumerate_homs(G, H, order=list(G.vertices()),
+                             distance_prune=prune, first_only=True)
+        assert lex == want[:1]
+        for cap in (0, 1, 3):
+            if len(want) > cap:
+                with pytest.raises(HomCapExceeded) as exc:
+                    enumerate_homs(G, H, cap, distance_prune=prune)
+                assert (exc.value.cap, exc.value.partial) == (cap, cap + 1)
+            else:
+                assert enumerate_homs(G, H, cap, distance_prune=prune) == want
+
+
 def test_distance_prune_preserves_results():
+    for G, H in DISCONNECTED_CASES:
+        check_against_brute_force(G, H)
     rng = random.Random(4)
-    for _ in range(30):
-        nG, nH = rng.randint(2, 5), rng.randint(2, 5)
-        G = Graph.from_edges(nG, [(u, v) for u in range(1, nG + 1)
-                                  for v in range(u + 1, nG + 1)
-                                  if rng.random() < 0.6])
-        H = Graph.from_edges(nH, [(u, v) for u in range(1, nH + 1)
-                                  for v in range(u + 1, nH + 1)
-                                  if rng.random() < 0.6])
-        assert enumerate_homs(G, H, distance_prune=True) == enumerate_homs(G, H)
+    for _ in range(60):
+        nG, nH = rng.randint(1, 5), rng.randint(1, 5)
+        check_against_brute_force(random_graph(nG, rng.choice((0.3, 0.6)), rng),
+                                  random_graph(nH, rng.choice((0.3, 0.6)), rng))
+
+
+@st.composite
+def small_graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(5), small_graphs(4))
+def test_enumerate_homs_matches_brute_force_hypothesis(G, H):
+    check_against_brute_force(G, H)
+
+
+def test_masks_and_balls_match_distances():
+    rng = random.Random(9)
+    for G in [g for g, _ in DISCONNECTED_CASES] + [random_graph(7, 0.3, rng)
+                                                   for _ in range(20)]:
+        dist = G.distances
+        for v in G.vertices():
+            assert G.nbr_masks[v] == sum(1 << w for w in G.adj[v])
+            reach = [w for w in G.vertices() if dist[v][w] < 10**9]
+            ecc = max(dist[v][w] for w in reach)
+            assert len(G.balls[v]) == ecc + 1
+            for d, ball in enumerate(G.balls[v]):
+                assert ball == sum(1 << w for w in reach if dist[v][w] <= d)
 
 
 def test_custom_order_checked():

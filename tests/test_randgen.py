@@ -9,7 +9,6 @@ import pytest
 from homforge.intermediates import registry
 from homforge.randgen import (
     gnp,
-    nice_path_decomp,
     random_assignment,
     random_cnf,
     random_connected,
@@ -54,7 +53,7 @@ def test_path_decomposed_is_join_free_when_rooted_at_end():
     for _ in range(25):
         n, w = rng.randint(2, 10), rng.randint(1, 3)
         G, td, end = random_path_decomposed(n, w, rng)
-        nice = nice_path_decomp(G, td, end)
+        nice = make_nice(td, G, root=end)
         assert validate_nice(nice, G) == []
         assert nice.width() <= w
         assert not nice.has_join()
