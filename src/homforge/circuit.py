@@ -115,46 +115,65 @@ class Circuit:
         """Vectorised evaluation of many field assignments at once.
 
         Each label maps to an int array; all arrays share one shape.  Live gates
-        fill one value matrix a ``_groups`` group at a time; extension fields
-        take inputs in range(q) only.  Returns a copy, not a view of the matrix.
+        fill one value matrix a ``_groups`` group at a time.  The matrix has the
+        narrowest unsigned dtype that holds every intermediate value: over F_p
+        (p-1)^2 + (p-1), with a sum or product reduced mod p just before it
+        could overflow and once at the end of its group; over F_q the largest
+        add/mul table index q*q - 1.  Inputs are reduced mod p over F_p and
+        must lie in range(q) over F_q before they are narrowed, so every value
+        is exact.  Returns a new int64 array, not a view of the matrix.
         """
         width = np.shape(next(iter(assignment.values()))) if assignment else ()
         prime, p, q = field.k == 1, field.p, field.q
         if prime and (p - 1) ** 2 >= 2**63:
             raise ValueError(f"eval_batch needs (p-1)^2 < 2^63; p = {p}")
-        tables = {} if prime else {ADD: field._add_table.ravel(), MUL: field._mul_table.ravel()}
+        need = (p - 1) ** 2 + p - 1 if prime else q * q - 1
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if need <= np.iinfo(t).max)
+        cap = np.iinfo(dtype).max
+        tables = {} if prime else {ADD: field._add_table.ravel().astype(dtype),
+                                   MUL: field._mul_table.ravel().astype(dtype)}
         n_rows, out, leaves, groups = self._groups
-        vals = np.empty((n_rows, *width), dtype=np.int64)
+        # leaves are filled and checked in int64, so 257 cannot wrap into range
+        leaf = np.empty((leaves[-1][2].stop, *width), dtype=np.int64)
         for op, key, rows in leaves:
             if op == INPUT and key not in assignment:
                 raise ValueError(f"unassigned input {key!r}")
-            vals[rows] = field.from_int(key) if op == CONST else assignment[key]
-        leaf = vals[:leaves[-1][2].stop]
+            leaf[rows] = field.from_int(key) if op == CONST else assignment[key]
         if prime:
             leaf %= p
         elif leaf.size and (leaf.min() < 0 or leaf.max() >= q):
             raise ValueError(f"inputs over F_{q} must lie in range({q})")
+        vals = np.empty((n_rows, *width), dtype=dtype)
+        vals[:len(leaf)] = leaf
+        buf = np.empty((max((r.stop - r.start for _, r, _ in groups), default=0), *width), dtype)
+        p_, q_ = dtype(p), dtype(q)
         for op, rows, args in groups:
-            acc = vals[rows]
-            vals.take(args[0], axis=0, out=acc)
-            # Over F_p rows are in range(p) and (p-1)^2 < 2^63: a sum needs one
-            # final reduction, a product one whenever a factor could overflow.
-            top = p - 1
+            acc, arg = vals[rows], buf[:rows.stop - rows.start]
+            # the plan's rows are in range; "clip" skips the copy "raise" makes,
+            # and gathering into arg skips the one an overlap with vals makes
+            vals.take(args[0], axis=0, out=arg, mode="clip")
+            acc[...] = arg
+            top = p - 1  # the largest value acc can hold, over F_p
             for col in args[1:]:
+                vals.take(col, axis=0, out=arg, mode="clip")
                 if not prime:
-                    # indices are in range; "clip" skips the copy "raise" makes
-                    tables[op].take(acc * q + vals[col], out=acc, mode="clip")
-                elif op == ADD:
-                    acc += vals[col]
+                    acc *= q_
+                    acc += arg
+                    tables[op].take(acc, out=acc, mode="clip")
+                    continue
+                if (top + p - 1 if op == ADD else top * (p - 1)) > cap:
+                    acc %= p_
+                    top = p - 1
+                if op == ADD:
+                    acc += arg
+                    top += p - 1
                 else:
+                    acc *= arg
                     top *= p - 1
-                    if top >= 2**63:
-                        acc %= p
-                        top = (p - 1) ** 2
-                    acc *= vals[col]
-            if prime:
-                acc %= p
-        return vals[out].copy()
+            if top >= p:
+                acc %= p_
+        return vals[out].astype(np.int64)
 
     def eval_symbolic(self, field: Field | None = None, bound: int = 10**6) -> SparsePoly:
         """Expand the circuit into a sparse polynomial (terms capped by bound)."""

@@ -272,14 +272,14 @@ def cmd_oracle(args, rep: Reporter) -> int:
     inst = _count_instance(args, rep)
     if args.what == "sat":
         res = count_sat3(inst, p)
-    elif args.what == "vc":
+    elif args.what in ("vc", "clique"):
+        # the same refusal as count --family vc|cis, not a count of 0
         if args.k is None:
-            raise ValueError("vc needs --k")
-        res = count_vc(inst, args.k, p)
-    elif args.what == "clique":
-        if args.k is None:
-            raise ValueError("clique needs --k")
-        res = count_clique(inst, args.k, p)
+            raise ValueError(f"{args.what} needs --k")
+        if not 0 <= args.k <= inst.n:
+            size = "cover" if args.what == "vc" else "clique"
+            raise ValueError(f"{size} size {args.k} out of range 0..{inst.n}")
+        res = (count_vc if args.what == "vc" else count_clique)(inst, args.k, p)
     elif args.what == "hc":
         res = count_hc(inst, p)
     elif args.what == "3dm":

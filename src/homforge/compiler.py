@@ -124,15 +124,6 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
     )
 
 
-def specialize_z(c: "CompiledHom | Circuit") -> Circuit:
-    """Replace every Z input by the constant 1, leaving Ye inputs alone."""
-    circuit = c.circuit if isinstance(c, CompiledHom) else c
-    sigma = {}
-    for lab in circuit.input_labels():
-        sigma[lab] = 1 if lab.startswith("Z:") else lab
-    return project(circuit, sigma)
-
-
 def project(c: Circuit, sigma: dict[str, int | str]) -> Circuit:
     """Substitute inputs per ``sigma`` (0, 1, or a replacement label).
 

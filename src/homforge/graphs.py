@@ -365,10 +365,6 @@ def enumerate_homs(
     return results
 
 
-def count_homs(G: Graph, H: Graph, cap: int | None = None) -> int:
-    return len(enumerate_homs(G, H, cap))
-
-
 def has_hom(G: Graph, H: Graph) -> bool:
     return bool(enumerate_homs(G, H, first_only=True))
 

@@ -27,7 +27,6 @@ from .formulas import CNF
 from .graphs import Graph, Hypergraph3
 from .labels import xedge, xhyper, xvar, yclause, yvert
 from .rings import Field, TruncRing
-from .sparsepoly import SparsePoly, SymbolicRing
 
 FAMILIES = ("sat", "vc", "cis", "clow", "tdm")
 
@@ -137,15 +136,6 @@ def eval_definitional(inst: FamilyInstance, ring=None):
     else:
         raise TypeError("ring must be None or a TruncRing over the same field")
     return _eval_def(inst.family, inst.n, inst.field.q, ring, val)
-
-
-def definitional_polynomial(family: str, n: int, q: int,
-                            bound: int = 500_000) -> SparsePoly:
-    """Symbolic expansion of the family polynomial with integer coefficients."""
-    _budget_check(family, n)
-    ring = SymbolicRing(None, bound=bound)
-    val = {lab: ring.var(lab) for lab in registry(family, n)}
-    return _eval_def(family, n, q, ring, val)
 
 
 def _eval_def(family: str, n: int, q: int, ring, val):

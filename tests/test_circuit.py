@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from math import isqrt, log
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homforge.circuit import Circuit, CircuitBuilder, Gate
-from homforge.rings import Field
+from homforge.rings import Field, is_prime
 from homforge.sparsepoly import ONE_MON, mono
 
 
@@ -52,12 +53,14 @@ FIELDS = (Field(2), Field(3), Field(5), Field(2, 2))
 
 
 def assert_batch_matches_scalar(c: Circuit, F: Field, batch: dict[str, np.ndarray]):
+    """eval_batch against Circuit.eval, inputs reduced mod p over F_p."""
     out = c.eval_batch(batch, F)
     width = np.shape(next(iter(batch.values())))
-    assert np.shape(out) == width
+    assert out.dtype == np.int64 and np.shape(out) == width
     for j in np.ndindex(width):
-        a = {lab: int(arr[j]) for lab, arr in batch.items()}
-        assert int(np.asarray(out)[j]) == c.eval(a, F)
+        a = {lab: F.from_int(int(arr[j])) if F.k == 1 else int(arr[j])
+             for lab, arr in batch.items()}
+        assert int(np.asarray(out)[j]) == c.eval(a, F), (F.q, c.output, j)
 
 
 def test_eval_batch_matches_scalar():
@@ -81,8 +84,10 @@ def _random_circuit(draw):
         args = draw(st.lists(st.integers(0, gid - 1), min_size=1, max_size=7))
         gates.append(Gate(draw(st.sampled_from(["add", "mul"])), args=tuple(args)))
     c = Circuit(gates, draw(st.integers(0, len(gates) - 1)))
-    # the two large primes make products overflow int64 unless reduced
-    F = draw(st.sampled_from(FIELDS + (Field(65521), Field(2**31 - 1))))
+    # primes on both sides of each value-dtype switch, and two extension fields
+    F = draw(st.sampled_from(FIELDS + (Field(13), Field(17), Field(251), Field(257),
+                                       Field(65521), Field(65537), Field(2**31 - 1),
+                                       Field(2, 4), Field(7, 2))))
     width = draw(st.sampled_from([(), (1,), (3,)]))
     n = width[0] if width else 1
     batch = {f"x{i}": np.array(draw(st.lists(st.integers(0, F.q - 1), min_size=n,
@@ -100,12 +105,13 @@ def test_eval_batch_matches_scalar_on_random_circuits(case):
 
 def test_eval_batch_returns_a_copy():
     c = Circuit.from_text(DEAD_GATES_TEXT)
-    F = Field(5)
-    for width in ((), (1,), (25,)):
-        batch = {lab: np.full(width, 2) for lab in c.input_labels()}
-        out = c.eval_batch(batch, F)
-        assert out.base is None
-        assert np.shape(out) == width
+    for F in (Field(5), Field(257), Field(65537), Field(2, 4)):
+        for width in ((), (1,), (25,)):
+            batch = {lab: np.full(width, 2) for lab in c.input_labels()}
+            out = c.eval_batch(batch, F)
+            assert out.base is None
+            assert out.dtype == np.int64
+            assert np.shape(out) == width
 
 
 def test_eval_batch_rejects_out_of_range_extension_values():
@@ -122,6 +128,13 @@ def test_eval_batch_rejects_out_of_range_extension_values():
         c.eval_batch({"a": np.array([1, 2]), "b": np.array([3, 4])}, F)
     got = c.eval_batch({"a": np.array([1, 2]), "b": np.array([3, 3])}, F)
     assert list(got) == [F.mul(1, 3), F.mul(2, 3)]
+    # 256 and 257 would wrap to 0 and 1 in a uint8 value matrix
+    for F in (Field(2, 2), Field(2, 4), Field(7, 2)):
+        for bad in (256, 257, -1, F.q):
+            with pytest.raises(ValueError, match="range"):
+                c.eval_batch({"a": np.array([bad, 0]), "b": np.array([0, 0])}, F)
+            with pytest.raises(ValueError, match="range"):
+                c.eval_batch({"a": np.array(0), "b": np.array(bad)}, F)
 
 
 def test_eval_batch_prime_fields():
@@ -137,6 +150,78 @@ def test_eval_batch_prime_fields():
         assert_batch_matches_scalar(c, F, batch)
     with pytest.raises(ValueError):
         c.eval_batch({"a": np.array([1]), "b": np.array([1])}, Field(3037000507))
+
+
+def _largest_accepted_prime() -> int:
+    """The largest p with (p-1)^2 < 2^63, the widest prime eval_batch takes."""
+    return next(p for p in range(isqrt(2**63 - 1) + 1, 1, -1) if is_prime(p))
+
+
+def long_gates_circuit(n_sum: int, n_prod: int) -> list[Gate]:
+    """Gates whose sums and products are long enough to need lazy reduction.
+
+    Three inputs and a large constant feed an n_sum-argument sum and an
+    n_prod-argument product, each also in a second group of the same level;
+    the next levels multiply and add those four.
+    """
+    gates = [Gate("input", label=f"x{i}") for i in range(3)] + [Gate("const", value=10**6 + 3)]
+    leaves = range(len(gates))
+    gates += [Gate("add", args=tuple(leaves[i % 4] for i in range(n_sum))),
+              Gate("add", args=tuple(leaves[(i + 1) % 4] for i in range(n_sum + 1))),
+              Gate("mul", args=tuple(leaves[i % 4] for i in range(n_prod))),
+              Gate("mul", args=tuple(leaves[(i + 2) % 4] for i in range(n_prod + 1)))]
+    gates += [Gate("mul", args=(4, 6, 5, 7) * 12), Gate("add", args=(4, 5, 6, 7) * 30)]
+    gates += [Gate("add", args=(8, 9, 8, 9, 3)), Gate("mul", args=(8, 9, 10, 2))]
+    return gates
+
+
+def assert_every_gate_matches_scalar(gates: list[Gate], F: Field, batch: dict[str, np.ndarray]):
+    for out in range(len(gates)):
+        assert_batch_matches_scalar(Circuit(gates, out), F, batch)
+
+
+# Each pair straddles a switch of eval_batch's value dtype, which must hold
+# p(p-1): uint8 up to p = 13, uint16 up to 251, uint32 up to 65521, then uint64.
+BOUNDARY_PRIMES = (2, 3, 13, 17, 251, 257, 65521, 65537, 2**31 - 1)
+
+
+def edge_batch(p: int, n_random: int = 6) -> dict[str, np.ndarray]:
+    """Inputs x0..x2 over F_p: negative, >= p, the wrap points of the narrow
+    dtypes, p - 1 in every input at once, and random values in [-2p, 3p)."""
+    rng = np.random.default_rng(p % 1000)
+    edge = [-1, -p, p, p + 1, 256, 257, 65536, 2**32 + 1, p - 1, 0, 1]
+    return {f"x{i}": np.concatenate([np.roll(edge, i), np.full(3, p - 1),
+                                     rng.integers(-2 * p, 3 * p, size=n_random)])
+            for i in range(3)}
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES + (_largest_accepted_prime(),))
+def test_eval_batch_exact_across_dtype_boundaries(p):
+    # products of 40+ factors pass the dtype's max in every dtype; a sum can pass
+    # it after cap / (p-1) terms: 128 at p = 3, 21 at p = 13 and 263 at p = 251,
+    # where the all-(p-1) inputs make 400 terms overflow uint16
+    assert_every_gate_matches_scalar(long_gates_circuit(400, 45), Field(p), edge_batch(p))
+
+
+def test_eval_batch_reduces_long_sums_in_uint32():
+    # at p = 65521 the uint32 matrix overflows after 65,553 terms of p - 1;
+    # uint64 would need 2^48 or more terms at any accepted p
+    p = 65521
+    c = Circuit([Gate("input", label="x0"), Gate("input", label="x1"),
+                 Gate("add", args=(0, 1) * 33_000)], 2)
+    batch = {k: v for k, v in edge_batch(p, n_random=2).items() if k != "x2"}
+    assert_batch_matches_scalar(c, Field(p), batch)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
+def test_eval_batch_exact_over_extension_fields(q):
+    # table indices run to q*q - 1: 255 at q = 16 (uint8), 2400 at q = 49 (uint16)
+    p = next(p for p in (2, 3, 5, 7) if q % p == 0)
+    F = Field(p, round(log(q, p)))
+    rng = np.random.default_rng(q)
+    batch = {f"x{i}": np.concatenate([np.arange(q), rng.integers(0, q, size=8)])
+             for i in range(3)}
+    assert_every_gate_matches_scalar(long_gates_circuit(120, 45), F, batch)
 
 
 def test_builder_prunes_dead_gates():

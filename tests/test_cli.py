@@ -89,6 +89,21 @@ def test_oracle_missing_k_is_usage_error(capsys, k4_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("what,size", [("vc", "cover"), ("clique", "clique")])
+@pytest.mark.parametrize("k", [-1, 5])
+def test_oracle_size_out_of_range_is_usage_error(capsys, k4_file, what, size, k):
+    # k = -1 and k = n + 1 used to print exact=0 and exit 0
+    code, out, err = run(capsys, "oracle", "--what", what, "--graph", k4_file,
+                         "--k", str(k), "--mod", "3")
+    assert code == 2
+    assert "exact=" not in out
+    assert f"error: {size} size {k} out of range 0..4" in err
+    if what == "vc":  # count refuses the same way
+        code, _, count_err = run(capsys, "count", "--family", "vc", "--graph",
+                                 k4_file, "--field", "3", "--k", str(k))
+        assert code == 2 and f"error: {size} size {k} out of range 0..4" in count_err
+
+
 def test_oracle_kv_format_header(capsys, k4_file):
     code, out, _ = run(capsys, "oracle", "--what", "clique", "--graph", k4_file,
                        "--k", "2", "--mod", "7", "--format", "kv")

@@ -7,14 +7,14 @@ import pytest
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
-                                    clause_space, count_via_coefficient,
-                                    definitional_polynomial, eval_definitional,
-                                    eval_fast, hc_from_coefficient, literals,
-                                    registry, standard_projection)
+                                    _eval_def, clause_space, count_via_coefficient,
+                                    eval_definitional, eval_fast, hc_from_coefficient,
+                                    literals, registry, standard_projection)
 from homforge.labels import xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
 from homforge.rings import Field, TruncRing
+from homforge.sparsepoly import SparsePoly, SymbolicRing
 
 
 def test_literal_order():
@@ -137,6 +137,12 @@ def test_definitional_budget_error_mentions_fast_path():
     big = FamilyInstance.all_ones("cis", 7, F)
     with pytest.raises(ValueError, match="eval_fast"):
         eval_definitional(big)
+
+
+def definitional_polynomial(family: str, n: int, q: int) -> SparsePoly:
+    """Symbolic expansion of the family polynomial with integer coefficients."""
+    ring = SymbolicRing(None, bound=500_000)
+    return _eval_def(family, n, q, ring, {lab: ring.var(lab) for lab in registry(family, n)})
 
 
 def test_definitional_polynomial_vc2():
