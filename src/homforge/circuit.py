@@ -98,7 +98,10 @@ class Circuit:
             elif g.op == INPUT:
                 if g.label not in assignment:
                     raise ValueError(f"unassigned input {g.label!r}")
-                vals[gid] = assignment[g.label]
+                v = assignment[g.label]
+                if isinstance(ring, Field):  # reduced or range-checked, as in eval_batch
+                    v = ring.from_int(v) if ring.k == 1 else ring._check(v)
+                vals[gid] = v
             elif g.op == ADD:
                 acc = vals[g.args[0]]
                 for a in g.args[1:]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .labels import int_tokens
+
 Clause = tuple[int, int, int]
 
 
@@ -64,14 +66,11 @@ class CNF:
                     raise ValueError(f"line {lineno}: malformed problem line {line!r}")
                 if n is not None:
                     raise ValueError(f"line {lineno}: repeated problem line")
-                n, want = int(parts[2]), int(parts[3])
+                n, want = int_tokens(parts[2:], lineno)
                 continue
             if n is None:
                 raise ValueError(f"line {lineno}: clause before problem line")
-            try:
-                lits = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer literal in {line!r}") from None
+            lits = int_tokens(line.split(), lineno)
             if not lits or lits[-1] != 0:
                 raise ValueError(f"line {lineno}: clause must end with 0")
             lits = lits[:-1]

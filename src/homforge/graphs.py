@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+from .labels import int_tokens
+
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
@@ -197,13 +199,13 @@ class Graph:
                     raise ValueError(f"line {ln}: duplicate header")
                 if len(toks) != 3:
                     raise ValueError(f"line {ln}: expected 'p <n> <m>'")
-                n, m = int(toks[1]), int(toks[2])
+                n, m = int_tokens(toks[1:], ln)
             elif toks[0] == "e":
                 if n is None:
                     raise ValueError(f"line {ln}: edge before header")
                 if len(toks) != 3:
                     raise ValueError(f"line {ln}: expected 'e <u> <v>'")
-                edges.append((int(toks[1]), int(toks[2])))
+                edges.append(tuple(int_tokens(toks[1:], ln)))
             else:
                 raise ValueError(f"line {ln}: unrecognised directive {toks[0]!r}")
         if n is None:
@@ -250,13 +252,13 @@ class Hypergraph3:
             if toks[0] == "h":
                 if len(toks) != 2:
                     raise ValueError(f"line {ln}: expected 'h <n>'")
-                n = int(toks[1])
+                n, = int_tokens(toks[1:], ln)
             elif toks[0] == "t":
                 if n is None:
                     raise ValueError(f"line {ln}: hyperedge before header")
                 if len(toks) != 4:
                     raise ValueError(f"line {ln}: expected 't <a> <b> <c>'")
-                edges.append((int(toks[1]), int(toks[2]), int(toks[3])))
+                edges.append(tuple(int_tokens(toks[1:], ln)))
             else:
                 raise ValueError(f"line {ln}: unrecognised directive {toks[0]!r}")
         if n is None:

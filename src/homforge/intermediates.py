@@ -26,7 +26,7 @@ import numpy as np
 from .formulas import CNF
 from .graphs import Graph, Hypergraph3
 from .labels import xedge, xhyper, xvar, yclause, yvert
-from .rings import Field, TruncRing
+from .rings import CountRing, Field, TruncRing
 
 FAMILIES = ("sat", "vc", "cis", "clow", "tdm")
 
@@ -511,8 +511,12 @@ class CoefficientCount:
 def count_via_coefficient(family: str, instance, field: Field,
                           k: int | None = None,
                           strict_recipe: bool = False) -> CoefficientCount:
-    """Evaluate the projected family sum in a truncated ring and read off
-    the corner coefficient.
+    """Evaluate the projected family sum and read off the corner coefficient.
+
+    Every projected variable is 0, 1, z or t, so every term of the sum is 0
+    or one monomial z^i t^j with coefficient 1, and the coefficient at
+    (dz, dt) is the number of terms landing there, mod p.  The sum runs in
+    a CountRing, which counts those terms per monomial.
 
     sat: #satisfying assignments;  vc: #size-k vertex covers;
     cis: #size-k cliques (k >= 2);  tdm: #perfect matchings;
@@ -562,11 +566,11 @@ def count_via_coefficient(family: str, instance, field: Field,
     _budget_check(family, n)
 
     proj = standard_projection(family, n, instance, strict_recipe=strict_recipe)
-    ring = TruncRing(field, dz, dt)
-    images = {"0": ring.zero, "1": ring.one, "z": ring.z, "t": ring.t}
+    ring = CountRing(dz, dt)
+    images = {"0": ring.dead, "1": ring.one, "z": ring.z, "t": ring.t}
     val = {lab: images[sym] for lab, sym in proj.output.items()}
-    result = _eval_def(family, n, field.q, ring, val)
-    coeff = result.coefficient(dz, dt)
+    total = _eval_def(family, n, field.q, ring, val)
+    coeff = field.from_int(total[dz << ring.shift | dt])
     return CoefficientCount(coeff, dz, dt, field, n, note)
 
 

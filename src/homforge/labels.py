@@ -22,6 +22,14 @@ from __future__ import annotations
 SCALARS = ("z", "t", "y")
 
 
+def int_tokens(toks, ln: int) -> list[int]:
+    """The tokens of text line ``ln`` as ints; an error names the line and token."""
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError as e:
+        raise ValueError(f"line {ln}: {e}") from None
+
+
 def zvar(u: int, a: int) -> str:
     return f"Z:{u}:{a}"
 

@@ -9,6 +9,11 @@ range(q).
 TruncPoly models F_q[z, t] / (z^(Dz+1), t^(Dt+1)): addition is
 coordinate-wise and multiplication is a truncated 2-D convolution.  The
 coefficients are stored sparsely, as a dict of nonzero entries.
+
+CountRing serves sums whose every term is 0 or one monomial z^i t^j with
+coefficient 1, as under the standard projections: a term is one packed
+int, a product adds two, and a sum counts how many terms land on each
+monomial, so a coefficient is a count mod p.
 """
 
 from __future__ import annotations
@@ -90,7 +95,6 @@ class Field:
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        red = self.modulus
         add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         coeffs = [self.coeffs(a) for a in range(q)]
@@ -104,16 +108,7 @@ class Field:
                     if x:
                         for j, y in enumerate(cb):
                             prod[i + j] = (prod[i + j] + x * y) % p
-                # reduce modulo the defining polynomial
-                for d in range(len(prod) - 1, k - 1, -1):
-                    c = prod[d]
-                    if c:
-                        prod[d] = 0
-                        inv_lead = pow(red[-1], p - 2, p)
-                        scale = (c * inv_lead) % p
-                        for j in range(k):
-                            prod[d - k + j] = (prod[d - k + j] - scale * red[j]) % p
-                mul[a, b] = self.from_coeffs(prod[:k])
+                mul[a, b] = self.from_coeffs(_poly_mod(prod, self.modulus, p))
         self._add_table = add
         self._mul_table = mul
         self._neg_table = np.array(
@@ -161,15 +156,12 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        self._check(a)
-        self._check(b)
-        return int(self._add_table[a, b])
+        return int(self._add_table[self._check(a), self._check(b)])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        self._check(a)
-        return int(self._neg_table[a])
+        return int(self._neg_table[self._check(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -177,9 +169,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        self._check(a)
-        self._check(b)
-        return int(self._mul_table[a, b])
+        return int(self._mul_table[self._check(a), self._check(b)])
 
     def pow(self, a: int, e: int) -> int:
         """Square-and-multiply; e < 0 inverts first."""
@@ -203,9 +193,11 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         return self.pow(a, self.q - 2)
 
-    def _check(self, a: int) -> None:
+    def _check(self, a: int) -> int:
+        """a itself, if it is an element index of this field."""
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element index of F_{self.q}")
+        return a
 
     # -- misc -----------------------------------------------------------------
 
@@ -272,10 +264,6 @@ class TruncRing:
         self.dt = dt
 
     @property
-    def caps(self) -> tuple[int, int]:
-        return (self.dz, self.dt)
-
-    @property
     def zero(self) -> "TruncPoly":
         return TruncPoly(self, {})
 
@@ -320,16 +308,14 @@ class TruncRing:
         return acc
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         return (
             isinstance(other, TruncRing)
             and self.field == other.field
-            and self.caps == other.caps
+            and (self.dz, self.dt) == (other.dz, other.dt)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.caps))
+        return hash((self.field, self.dz, self.dt))
 
     def __repr__(self) -> str:
         return f"TruncRing({self.field!r}, dz={self.dz}, dt={self.dt})"
@@ -352,7 +338,7 @@ class TruncPoly:
         return self.coeffs.get((i, j), 0)
 
     def _compat(self, other: "TruncPoly") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
@@ -371,17 +357,6 @@ class TruncPoly:
         self._compat(other)
         fld = self.ring.field
         dz, dt = self.ring.dz, self.ring.dt
-        if fld.k == 1 and (len(self.coeffs) == 1 or len(other.coeffs) == 1):
-            # A monomial shifts the other operand's terms to distinct keys, and
-            # a product of nonzero residues mod a prime is nonzero, so nothing
-            # collides or cancels.
-            mono, poly = (self, other) if len(self.coeffs) == 1 else (other, self)
-            ((i0, j0), c0), = mono.coeffs.items()
-            p = fld.p
-            return TruncPoly(self.ring, {
-                (i + i0, j + j0): c * c0 % p
-                for (i, j), c in poly.coeffs.items()
-                if i + i0 <= dz and j + j0 <= dt})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
@@ -396,16 +371,11 @@ class TruncPoly:
         return TruncPoly(self.ring, out)
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         return (
             isinstance(other, TruncPoly)
-            and (self.ring is other.ring or self.ring == other.ring)
+            and self.ring == other.ring
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -419,3 +389,40 @@ class TruncPoly:
                 term += f"*t^{j}" if j > 1 else "*t"
             bits.append(term)
         return " + ".join(bits)
+
+
+class CountRing:
+    """Sums of coefficient-1 monomials z^i t^j, truncated at (dz, dt).
+
+    A term is the int ``i << shift | j``; the shift leaves room for
+    j1 + j2 <= 2*dt, so ``mul`` adds two terms without carrying a t-degree
+    into the z-degree.  A term past either cap is the single value ``dead``,
+    which also stands for 0.  A sum is a list of term counts (``zero`` is a
+    fresh one) that ``add`` bumps in place, skipping dead terms.
+    """
+
+    def __init__(self, dz: int, dt: int):
+        self.dz, self.dt = dz, dt
+        self.shift = (2 * dt + 1).bit_length()
+        self.mask, self.dead = (1 << self.shift) - 1, (dz + 1) << self.shift
+        self.one = 0
+        self.z, self.t = self.mul(0, 1 << self.shift), self.mul(0, 1)  # dead at a 0 cap
+
+    @property
+    def zero(self) -> list[int]:
+        return [0] * self.dead
+
+    def add(self, total: list[int], term: int) -> list[int]:
+        if term != self.dead:
+            total[term] += 1
+        return total
+
+    def mul(self, a: int, b: int) -> int:
+        s = a + b
+        return s if s < self.dead and s & self.mask <= self.dt else self.dead
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative powers are not defined in a truncated ring")
+        i, j = (a >> self.shift) * e, (a & self.mask) * e
+        return i << self.shift | j if i <= self.dz and j <= self.dt else self.dead

@@ -53,13 +53,12 @@ FIELDS = (Field(2), Field(3), Field(5), Field(2, 2))
 
 
 def assert_batch_matches_scalar(c: Circuit, F: Field, batch: dict[str, np.ndarray]):
-    """eval_batch against Circuit.eval, inputs reduced mod p over F_p."""
+    """eval_batch against Circuit.eval on the same raw inputs."""
     out = c.eval_batch(batch, F)
     width = np.shape(next(iter(batch.values())))
     assert out.dtype == np.int64 and np.shape(out) == width
     for j in np.ndindex(width):
-        a = {lab: F.from_int(int(arr[j])) if F.k == 1 else int(arr[j])
-             for lab, arr in batch.items()}
+        a = {lab: int(arr[j]) for lab, arr in batch.items()}
         assert int(np.asarray(out)[j]) == c.eval(a, F), (F.q, c.output, j)
 
 
@@ -135,6 +134,21 @@ def test_eval_batch_rejects_out_of_range_extension_values():
                 c.eval_batch({"a": np.array([bad, 0]), "b": np.array([0, 0])}, F)
             with pytest.raises(ValueError, match="range"):
                 c.eval_batch({"a": np.array(0), "b": np.array(bad)}, F)
+
+
+def test_eval_reduces_inputs_like_eval_batch():
+    # an input read straight to the output, or through a one-argument sum or
+    # product, is reduced mod p over F_p and range-checked over F_q
+    for out in (Gate("add", args=(0,)), Gate("mul", args=(0,)), None):
+        gates = [Gate("input", label="a")] + ([out] if out else [])
+        c = Circuit(gates, len(gates) - 1)
+        for v in (257, -3, 12):
+            assert c.eval({"a": v}, Field(13)) == v % 13
+            assert_batch_matches_scalar(c, Field(13), {"a": np.array([v])})
+        for bad in (7, -1, 4):
+            with pytest.raises(ValueError):
+                c.eval({"a": bad}, Field(2, 2))
+        assert c.eval({"a": 3}, Field(2, 2)) == 3
 
 
 def test_eval_batch_prime_fields():

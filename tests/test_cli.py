@@ -89,6 +89,21 @@ def test_oracle_missing_k_is_usage_error(capsys, k4_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("what, flag, text, message", [
+    ("hc", "--graph", "p x 1\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("hc", "--graph", "p 2 1\ne 1 y\n", "line 2: invalid literal for int() with base 10: 'y'"),
+    ("3dm", "--hyper", "# part size\nh z\n", "line 2: invalid literal for int() with base 10: 'z'"),
+    ("sat", "--cnf", "p cnf x 1\n1 0\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("sat", "--cnf", "p cnf 2 1\n1 -q 0\n", "line 2: invalid literal for int() with base 10: '-q'"),
+], ids=["gr-header", "gr-edge", "hg-header", "dimacs-header", "dimacs-clause"])
+def test_non_integer_token_is_input_error_with_line(capsys, tmp_path, what, flag,
+                                                    text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code, _, err = run(capsys, "oracle", "--what", what, flag, str(f), "--mod", "3")
+    assert code == 2 and f"error: {message}" in err
+
+
 @pytest.mark.parametrize("what,size", [("vc", "cover"), ("clique", "clique")])
 @pytest.mark.parametrize("k", [-1, 5])
 def test_oracle_size_out_of_range_is_usage_error(capsys, k4_file, what, size, k):

@@ -13,7 +13,8 @@ from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
 from homforge.labels import xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
-from homforge.rings import Field, TruncRing
+from homforge.randgen import gnp, random_cnf, random_hypergraph
+from homforge.rings import CountRing, Field, TruncRing
 from homforge.sparsepoly import SparsePoly, SymbolicRing
 
 
@@ -258,6 +259,45 @@ def test_count_via_coefficient_random_vs_oracles():
             count_clique(G, k, p).modp
         assert count_via_coefficient("clow", G, Field(p)).value == \
             (2 * count_hc(G, p).exact) % p
+
+
+def projected_sum(family, instance, q, ring, zero, strict_recipe=False):
+    """The family sum over F_q under the standard projection, summed in ``ring``."""
+    images = {"0": zero, "1": ring.one, "z": ring.z, "t": ring.t}
+    proj = standard_projection(family, instance.n, instance, strict_recipe)
+    val = {lab: images[sym] for lab, sym in proj.output.items()}
+    return _eval_def(family, instance.n, q, ring, val)
+
+
+def test_count_via_coefficient_matches_trunc_ring():
+    # the counting ring against TruncPoly sums, over prime and extension
+    # fields: the corner count_via_coefficient reads, and every other cell of
+    # the count table mod p; tdm with strict_recipe off sends absent
+    # hyperedges to 0
+    rng = random.Random(77)
+    fields = (Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(2, 3), Field(3, 2))
+    for F in fields:
+        for _ in range(4):
+            n = rng.randint(2, 4)
+            cases = [("sat", random_cnf(n + 1, rng.randint(1, 4), rng), None, False),
+                     ("vc", gnp(n + 1, 0.6, rng), rng.randint(0, n + 1), False),
+                     ("cis", gnp(n, 0.7, rng), rng.randint(2, n), False),
+                     ("clow", gnp(n + 1, 0.7, rng), None, False)]
+            hyper = random_hypergraph(2, rng.randint(1, 5), rng)
+            cases += [("tdm", hyper, None, True), ("tdm", hyper, None, False)]
+            for family, inst, k, strict in cases:
+                cc = count_via_coefficient(family, inst, F, k=k, strict_recipe=strict)
+                dz, dt, where = cc.z_degree, cc.t_degree, (family, F, inst, k, strict)
+                R = TruncRing(F, dz, dt)
+                poly = projected_sum(family, inst, F.q, R, R.zero, strict)
+                assert cc.value == poly.coefficient(dz, dt), where
+                C = CountRing(dz, dt)
+                counts = projected_sum(family, inst, F.q, C, C.dead, strict)
+                cells = {(i, j): counts[i << C.shift | j]
+                         for i in range(dz + 1) for j in range(dt + 1)}
+                assert sum(cells.values()) == sum(counts), where
+                assert {key: F.from_int(c) for key, c in cells.items()
+                        if c % F.p} == poly.coeffs, where
 
 
 def test_clow_corner_degenerate_below_three_vertices():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homforge.rings import Field, TruncPoly, TruncRing
+from homforge.rings import CountRing, Field, TruncPoly, TruncRing
 
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(7)]
@@ -205,3 +205,57 @@ def test_trunc_poly_ring_compatibility():
             with pytest.raises(ValueError):
                 x + y
         assert R.z != other.z
+
+
+def test_count_ring_dead_terms():
+    # at dt = 1, t*t has t-degree 2: dead, not carried into a z
+    R = CountRing(1, 1)
+    assert R.mul(R.t, R.t) == R.dead != R.z
+    zt = R.mul(R.z, R.t)
+    assert zt != R.dead
+    assert R.mul(zt, R.z) == R.mul(zt, R.t) == R.dead
+    # pow past either cap is dead, also when the other degree stays in its cap
+    wide = CountRing(1, 4)
+    zt = wide.mul(wide.z, wide.t)
+    assert wide.pow(zt, 2) == wide.pow(wide.t, 5) == wide.pow(wide.z, 2) == wide.dead
+    t4 = wide.pow(wide.t, 4)
+    assert t4 != wide.dead and wide.pow(zt, 0) == wide.one
+    with pytest.raises(ValueError):
+        wide.pow(wide.t, -1)
+    # t^4 * t^4 sums to 8 in the t field: dead, not a z with a 3-bit field
+    assert wide.mul(t4, t4) == wide.mul(t4, wide.t) == wide.dead != wide.z
+    # at a zero cap, z or t itself is dead
+    flat = CountRing(0, 0)
+    assert flat.z == flat.t == flat.dead != flat.one
+    # dead times anything is dead, and pow of dead is dead
+    for R in (CountRing(1, 1), wide, CountRing(0, 3)):
+        for x in (R.one, R.z, R.t, R.mul(R.z, R.t), R.dead):
+            assert R.mul(R.dead, x) == R.mul(x, R.dead) == R.dead
+        assert R.pow(R.dead, 1) == R.pow(R.dead, 3) == R.dead
+        # a dead term adds nothing to a sum
+        assert not any(R.add(R.add(R.zero, R.dead), R.dead))
+
+
+@pytest.mark.parametrize("dz, dt", [(0, 0), (0, 1), (1, 1), (2, 1), (1, 4), (3, 3), (2, 8)])
+def test_count_ring_matches_degree_arithmetic(dz, dt):
+    # every in-cap pair of terms against (i1 + i2, j1 + j2) and every power
+    # against (e*i, e*j); a degree past its cap must give the dead term
+    R = CountRing(dz, dt)
+    term = {(i, j): R.mul(R.pow(R.z, i), R.pow(R.t, j))
+            for i in range(dz + 1) for j in range(dt + 1)}
+    assert len(set(term.values()) | {R.dead}) == len(term) + 1
+
+    def want(i, j):
+        return term.get((i, j), R.dead)
+
+    total, counts = R.zero, {}
+    for (i1, j1), a in term.items():
+        for e in range(5):
+            assert R.pow(a, e) == want(e * i1, e * j1)
+        for (i2, j2), b in term.items():
+            assert R.mul(a, b) == want(i1 + i2, j1 + j2), (i1, j1, i2, j2)
+            R.add(total, R.mul(a, b))
+            if (i1 + i2, j1 + j2) in term:
+                counts[i1 + i2, j1 + j2] = counts.get((i1 + i2, j1 + j2), 0) + 1
+    assert {key: total[t] for key, t in term.items() if total[t]} == counts
+    assert sum(total) == sum(counts.values())
