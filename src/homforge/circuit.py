@@ -332,31 +332,34 @@ class Circuit:
             if not line:
                 continue
             toks = line.split()
-            if toks[0] == "output":
-                if len(toks) != 2:
-                    raise ValueError(f"line {ln}: malformed output line")
-                output = int(toks[1])
-            elif toks[0] == "gate":
-                if len(toks) < 3:
-                    raise ValueError(f"line {ln}: malformed gate line")
-                gid = int(toks[1])
-                if gid != len(gates):
-                    raise ValueError(f"line {ln}: gate ids must be consecutive from 0")
-                op = toks[2]
-                if op == CONST:
-                    if len(toks) != 4:
-                        raise ValueError(f"line {ln}: const gate takes one value")
-                    gates.append(Gate(CONST, value=int(toks[3])))
-                elif op == INPUT:
-                    if len(toks) != 4:
-                        raise ValueError(f"line {ln}: input gate takes one label")
-                    gates.append(Gate(INPUT, label=toks[3]))
-                elif op in (ADD, MUL):
-                    gates.append(Gate(op, args=tuple(int(t) for t in toks[3:])))
+            try:
+                if toks[0] == "output":
+                    if len(toks) != 2:
+                        raise ValueError("malformed output line")
+                    output = int(toks[1])
+                elif toks[0] == "gate":
+                    if len(toks) < 3:
+                        raise ValueError("malformed gate line")
+                    gid = int(toks[1])
+                    if gid != len(gates):
+                        raise ValueError("gate ids must be consecutive from 0")
+                    op = toks[2]
+                    if op == CONST:
+                        if len(toks) != 4:
+                            raise ValueError("const gate takes one value")
+                        gates.append(Gate(CONST, value=int(toks[3])))
+                    elif op == INPUT:
+                        if len(toks) != 4:
+                            raise ValueError("input gate takes one label")
+                        gates.append(Gate(INPUT, label=toks[3]))
+                    elif op in (ADD, MUL):
+                        gates.append(Gate(op, args=tuple(int(t) for t in toks[3:])))
+                    else:
+                        raise ValueError(f"unknown gate op {op!r}")
                 else:
-                    raise ValueError(f"line {ln}: unknown gate op {op!r}")
-            else:
-                raise ValueError(f"line {ln}: unrecognised directive {toks[0]!r}")
+                    raise ValueError(f"unrecognised directive {toks[0]!r}")
+            except ValueError as e:  # int() on a bad token does not name the line
+                raise ValueError(f"line {ln}: {e}") from None
         if output is None:
             raise ValueError("missing output line")
         return cls(gates, output)

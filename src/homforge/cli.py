@@ -4,7 +4,7 @@ Subcommands: compile, eval, count, oracle, verify, search, decomp.
 Every run echoes a reproducibility header (seed, field, content hashes
 of the input files).  Exit codes: 0 success/verified, 1 verification
 mismatch, 2 usage or input error, or an exceeded budget (homomorphism
-cap or expansion bound).
+cap or expansion bound), 3 internal error.
 """
 
 from __future__ import annotations
@@ -396,6 +396,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, HomCapExceeded, BoundExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # not 1, which means a verification mismatch
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -36,6 +36,43 @@ def neighbourhood(nbr: Sequence[int], mask: int) -> int:
     return out
 
 
+def ball_rings(nbr: Sequence[int], h: int) -> list[int]:
+    """rings[d] is the mask of vertices within distance d of h under the
+    neighbour masks nbr, for d from 0 to the eccentricity of h in its
+    component, so rings[-1] is the whole component of h."""
+    ball = frontier = 1 << h
+    rings = [ball]
+    while frontier := neighbourhood(nbr, frontier) & ~ball:
+        ball |= frontier
+        rings.append(ball)
+    return rings
+
+
+def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int, int]]:
+    """The ball tests (w, d) for placing v after the vertex mask earlier:
+    each earlier w at distance d >= 2 from v that no other earlier vertex
+    lies between on a shortest path.  The rest are implied: at d = 1 by
+    the neighbour mask, and through such a u by induction on distance, as
+    d_H(phi v, phi w) <= d(v, u) + d(u, w) = d(v, w).  One BFS by layers
+    carries the shadow, the layer's vertices with an earlier vertex on a
+    shortest path back to v."""
+    tests = []
+    seen = layer = 1 << v
+    shadow = d = 0
+    while earlier & ~seen and layer:
+        cast = shadow | (layer & earlier)
+        layer = neighbourhood(nbr, layer) & ~seen
+        shadow = neighbourhood(nbr, cast) & layer
+        seen |= layer
+        d += 1
+        keep = layer & earlier & ~shadow if d >= 2 else 0
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            tests.append((low.bit_length() - 1, d))
+    return tests
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -161,22 +198,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def balls(self) -> tuple[tuple[int, ...], ...]:
-        """balls[h][d] is the mask of vertices within distance d of h, for d
-        from 0 to the eccentricity of h in its component, so balls[h][-1]
-        is the whole component of h (entry 0 unused)."""
-        nbr = self.nbr_masks
-        out: list[tuple[int, ...]] = [()]
-        for h in self.vertices():
-            ball = frontier = 1 << h
-            rings = [ball]
-            while frontier := neighbourhood(nbr, frontier) & ~ball:
-                ball |= frontier
-                rings.append(ball)
-            out.append(tuple(rings))
-        return tuple(out)
 
     # -- text format ----------------------------------------------------------
 
@@ -316,7 +337,9 @@ def enumerate_homs(
     Candidate images are bit masks over H's vertices: the AND of the
     neighbour masks of the images of v's earlier neighbours and, with
     distance_prune, of the balls of radius dG(v, w) around the image of
-    every earlier w.  They are tried in ascending order.
+    each earlier w that unimplied_balls keeps.  A depth's tests are built
+    when the search first reaches it, an image's ball_rings when it is
+    first tested.  Candidates are tried in ascending order.
     """
     order = order if order is not None else _search_order(G)
     if sorted(order) != list(G.vertices()):
@@ -329,8 +352,9 @@ def enumerate_homs(
         earlier_nbrs.append([w for w in G.adj[v] if pos_of[w] < i])
     nbr = H.nbr_masks
     every = (1 << (H.n + 1)) - 2  # bits 1..H.n
-    dG = G.distances if distance_prune else None
-    balls = H.balls if distance_prune else None
+    if distance_prune:
+        tests_at: list[list[tuple[int, int]] | None] = [None] * n
+        rings_of: dict[int, list[int]] = {}
 
     results: list[tuple[int, ...]] = []
     image = [0] * (n + 1)  # image[v] for assigned v
@@ -346,14 +370,16 @@ def enumerate_homs(
         for w in earlier_nbrs[i]:
             cand &= nbr[image[w]]
         if distance_prune and cand:
-            dv = dG[v]
-            for w in order[:i]:
-                d = dv[w]
-                ball = balls[image[w]]
-                if d < len(ball):
-                    cand &= ball[d]
-                elif d < UNREACHABLE:
-                    cand &= ball[-1]
+            tests = tests_at[i]
+            if tests is None:
+                earlier = sum(1 << w for w in order[:i])
+                tests = tests_at[i] = unimplied_balls(G.nbr_masks, v, earlier)
+            for w, d in tests:
+                h = image[w]
+                rings = rings_of.get(h)
+                if rings is None:
+                    rings = rings_of[h] = ball_rings(nbr, h)
+                cand &= rings[d] if d < len(rings) else rings[-1]
         while cand:
             low = cand & -cand
             cand ^= low

@@ -39,7 +39,9 @@ def _blocks_first_order(g: GadgetGraph) -> list[int]:
     All block vertices come first (each block in breadth-first order from
     its designated vertex), then the connecting-path interiors.  With
     every path's two endpoints already pinned, distance pruning confines
-    path images to geodesics instead of letting them wander.
+    path images to geodesics instead of letting them wander.  A path
+    vertex keeps at most one ball test, around the pinned far end: its
+    placed path neighbour lies on every shortest path back to the rest.
     """
     order: list[int] = []
     for blk in g.blocks:

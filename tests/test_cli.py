@@ -321,6 +321,22 @@ def test_verify_circuit_const_without_value_is_input_error(capsys, tmp_path,
     assert code == 2 and "error: line 1:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gate x input a\noutput 0\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("gate 0 input a\noutput y\n", "line 2: invalid literal for int() with base 10: 'y'"),
+    ("gate 0 const q\noutput 0\n", "line 1: invalid literal for int() with base 10: 'q'"),
+    ("gate 0 input a\ngate 1 add 0 z\noutput 1\n",
+     "line 2: invalid literal for int() with base 10: 'z'"),
+])
+def test_verify_circuit_bad_token_names_its_line(capsys, tmp_path, triple_file,
+                                                 text, message):
+    f = tmp_path / "bad.ct"
+    f.write_text(text)
+    code, _, err = run(capsys, "verify", "--theorem", "parse-hom",
+                       "--circuit", str(f), "--triple", triple_file)
+    assert code == 2 and f"error: {message}" in err
+
+
 K3_BLOCK = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
 
 
@@ -353,6 +369,15 @@ def test_verify_budget_error_is_exit_2(capsys, monkeypatch, bp_file, exc):
     monkeypatch.setattr("homforge.cli.verify_cycle_identity", over_budget)
     code, _, err = run(capsys, "verify", "--theorem", "cycle", "--bp", bp_file)
     assert code == 2 and f"error: {exc}" in err
+
+
+def test_verify_unexpected_exception_is_exit_3(capsys, monkeypatch, bp_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no such state")
+
+    monkeypatch.setattr("homforge.cli.verify_cycle_identity", broken)
+    code, _, err = run(capsys, "verify", "--theorem", "cycle", "--bp", bp_file)
+    assert code == 3 and "internal error: RuntimeError: no such state" in err
 
 
 # -- search -------------------------------------------------------------------

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homforge.circuit import Circuit, Gate
+from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import (Graph, HomCapExceeded, Hypergraph3,
-                             are_incomparable, enumerate_homs,
-                             has_hom, is_homomorphism, is_rigid)
+                             are_incomparable, ball_rings, enumerate_homs,
+                             has_hom, is_homomorphism, is_rigid, unimplied_balls)
+from homforge.randgen import random_layered_bp
+from homforge.verify import _blocks_first_order
 
 
 def brute_homs(G: Graph, H: Graph) -> list[tuple[int, ...]]:
@@ -144,6 +148,9 @@ def check_against_brute_force(G: Graph, H: Graph) -> None:
                 assert (exc.value.cap, exc.value.partial) == (cap, cap + 1)
             else:
                 assert enumerate_homs(G, H, cap, distance_prune=prune) == want
+    shuffled = list(G.vertices())
+    random.Random(G.n + 7 * H.n).shuffle(shuffled)
+    assert enumerate_homs(G, H, order=shuffled, distance_prune=True) == want
 
 
 def test_distance_prune_preserves_results():
@@ -178,9 +185,85 @@ def test_masks_and_balls_match_distances():
             assert G.nbr_masks[v] == sum(1 << w for w in G.adj[v])
             reach = [w for w in G.vertices() if dist[v][w] < 10**9]
             ecc = max(dist[v][w] for w in reach)
-            assert len(G.balls[v]) == ecc + 1
-            for d, ball in enumerate(G.balls[v]):
+            rings = ball_rings(G.nbr_masks, v)
+            assert len(rings) == ecc + 1
+            for d, ball in enumerate(rings):
                 assert ball == sum(1 << w for w in reach if dist[v][w] <= d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(8), st.randoms(use_true_random=False))
+def test_unimplied_balls_drops_only_implied_tests(G, rnd):
+    order = list(G.vertices())
+    rnd.shuffle(order)
+    dist = G.distances
+    for i, v in enumerate(order):
+        earlier = order[:i]
+        tests = unimplied_balls(G.nbr_masks, v, sum(1 << w for w in earlier))
+        kept = dict(tests)
+        assert len(kept) == len(tests) and set(kept) <= set(earlier)
+        for w in earlier:
+            d = dist[v][w]
+            implied = any(dist[v][u] + dist[u][w] == d for u in earlier if u != w)
+            if w in kept:
+                assert kept[w] == d and 2 <= d < 10**9 and not implied
+            elif 2 <= d < 10**9:
+                assert implied
+
+
+def all_pairs_homs(G: Graph, H: Graph, order: list[int]) -> list[tuple[int, ...]]:
+    """The search with a ball test for every earlier vertex: the image of v
+    lies within d_G(v, w) of the image of each earlier w in its component,
+    at distance exactly 1 for a neighbour w."""
+    dG, dH = G.distances, H.distances
+    balls: dict[tuple[int, int], int] = {}
+
+    def ball(h: int, d: int) -> int:
+        if (h, d) not in balls:
+            balls[h, d] = sum(1 << x for x in H.vertices() if dH[h][x] <= d)
+        return balls[h, d]
+
+    out: list[tuple[int, ...]] = []
+    image: dict[int, int] = {}
+
+    def rec(i: int) -> None:
+        if i == len(order):
+            out.append(tuple(image[v] for v in G.vertices()))
+            return
+        v = order[i]
+        cand = (1 << (H.n + 1)) - 2
+        for w in order[:i]:
+            if dG[v][w] < 10**9:
+                cand &= ball(image[w], dG[v][w])
+            if w in G.adj[v]:
+                cand &= ~(1 << image[w])
+        for x in H.vertices():
+            if cand >> x & 1:
+                image[v] = x
+                rec(i + 1)
+
+    rec(0)
+    return sorted(out)
+
+
+def test_reduced_kernel_matches_all_pairs_kernel(certified_triple):
+    pair = certified_triple.pair()
+    rng = random.Random(31)
+    cases = []
+    for ell in (3, 4):
+        bp = random_layered_bp(ell, 2, rng)
+        cases.append((build_Gk(ell, pair), embed_bp(bp, "gadget", pair)[1]))
+    gates = [Gate("input", label=lab) for lab in "abca"]
+    gates += [Gate("add", args=(0, 1)), Gate("add", args=(2, 3)), Gate("mul", args=(4, 5))]
+    c = Circuit(tuple(gates), 6)
+    for fault in (None, 1):
+        J = build_Jn(c, certified_triple, fault_swap_level=fault)
+        cases.append((build_Gm(J.meta["m"], certified_triple), J))
+    for g, target in cases:
+        order = _blocks_first_order(g)
+        want = all_pairs_homs(g.graph, target.graph, order)
+        assert enumerate_homs(g.graph, target.graph, order=order,
+                              distance_prune=True) == want
 
 
 def test_custom_order_checked():
