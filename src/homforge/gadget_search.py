@@ -140,27 +140,19 @@ def sample_rigid_blocks(n: int, rng: random.Random, want: int,
     return found
 
 
-def _find_pair(pool: list[Graph]) -> GadgetPair | None:
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if are_incomparable(pool[i], pool[j]):
-                return GadgetPair(pool[i], pool[j])
-    return None
+def _find(pool: list[Graph], want: int,
+          inc: dict[tuple[int, int], bool]) -> GadgetPair | GadgetTriple | None:
+    """The first ``want`` pool blocks, in index order, that are pairwise
+    incomparable.  ``inc`` memoizes ``are_incomparable`` by index pair
+    across the calls of one search."""
+    def incomparable(i: int, j: int) -> bool:
+        if (i, j) not in inc:
+            inc[i, j] = are_incomparable(pool[i], pool[j])
+        return inc[i, j]
 
-
-def _find_triple(pool: list[Graph]) -> GadgetTriple | None:
-    k = len(pool)
-    inc = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            inc[i][j] = inc[j][i] = are_incomparable(pool[i], pool[j])
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not inc[i][j]:
-                continue
-            for l in range(j + 1, k):
-                if inc[i][l] and inc[j][l]:
-                    return GadgetTriple(pool[i], pool[j], pool[l])
+    for idx in combinations(range(len(pool)), want):
+        if all(incomparable(i, j) for i, j in combinations(idx, 2)):
+            return (GadgetPair if want == 2 else GadgetTriple)(*(pool[i] for i in idx))
     return None
 
 
@@ -176,33 +168,22 @@ def search_gadgets(max_n: int, need: str = "triple",
         raise ValueError("need must be 'pair' or 'triple'")
     rng = random.Random(seed)
     pool: list[Graph] = []
-    finder = _find_pair if need == "pair" else _find_triple
+    inc: dict[tuple[int, int], bool] = {}
     want = 2 if need == "pair" else 3
     for n in range(3, max_n + 1):
         if n <= EXHAUSTIVE_MAX:
-            pool.extend(rigid_blocks_exhaustive(n))
+            batches = [rigid_blocks_exhaustive(n)]
         else:
             budget = SAMPLE_BUDGETS.get(n, SAMPLE_BUDGETS[max(SAMPLE_BUDGETS)])
-            # keep sampling this size until the budget runs out or the
-            # pool supports the requested gadget
-            spent = 0
-            while spent < budget:
-                step = min(500, budget - spent)
-                got = sample_rigid_blocks(n, rng, want, step)
-                spent += step
-                pool.extend(got)
-                if len(pool) >= want:
-                    result = finder(pool)
-                    if result is not None:
-                        failures = result.certify()
-                        assert not failures, failures
-                        return result
-        if len(pool) >= want:
-            result = finder(pool)
-            if result is not None:
-                failures = result.certify()
-                assert not failures, failures
-                return result
+            # keep sampling this size, 500 draws at a time, until the
+            # budget runs out or the pool supports the requested gadget
+            batches = (sample_rigid_blocks(n, rng, want, min(500, budget - spent))
+                       for spent in range(0, budget, 500))
+        for batch in batches:
+            pool.extend(batch)
+            found = _find(pool, want, inc)
+            if found is not None:
+                return found
     raise ValueError(
         f"no {need} of rigid incomparable non-bipartite blocks found with at "
         f"most {max_n} vertices (none exist below 8; sampling budgets "

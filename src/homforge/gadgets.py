@@ -10,6 +10,10 @@ homomorphism sets between these gadgets are in bijection with
 combinatorial objects of interest: source-to-sink paths of a branching
 program, or parse trees of a circuit in normal form.
 
+Block properties are checked once, when a ``GadgetPair`` or
+``GadgetTriple`` is constructed (also by ``load_gadget``, the search and
+``GadgetTriple.pair``); the builders take their blocks as certified.
+
 Two path-length conventions coexist and are recorded in metadata:
 
 * tree-shaped gadgets (``build_Gm``, ``build_Jn``) expand every block
@@ -62,28 +66,40 @@ def certify_blocks(blocks: dict[str, Graph]) -> list[str]:
     return failures
 
 
-def _default_cmax(*blocks: Graph) -> int:
-    return max(b.n for b in blocks) + 1
+def _settle(gadget: GadgetPair | GadgetTriple, *blocks: Graph) -> None:
+    """Fill in the default ``c_max``, then refuse a short one or blocks
+    that fail certification.
+
+    A certified block is non-bipartite, so it has at least three vertices
+    and every marked vertex (``ATTACH``, ``L_MARK``, ``R_MARK``,
+    ``P_MARK``) exists.
+    """
+    least = max(b.n for b in blocks) + 1
+    if gadget.c_max == 0:
+        object.__setattr__(gadget, "c_max", least)
+    if gadget.c_max < least:
+        raise ValueError(
+            f"c_max must exceed the largest block size (need >= {least})")
+    failures = gadget.certify()
+    if failures:
+        raise ValueError("gadget blocks failed certification: "
+                         + "; ".join(failures))
 
 
 @dataclass(frozen=True)
 class GadgetPair:
-    """Two incomparable rigid blocks plus the path-length calibration."""
+    """Two incomparable rigid blocks plus the path-length calibration.
+
+    Construction certifies the blocks and raises ``ValueError`` if they
+    fail, so every ``GadgetPair`` in hand is certified.
+    """
 
     i1: Graph
     i2: Graph
     c_max: int = 0
 
     def __post_init__(self):
-        if self.c_max == 0:
-            object.__setattr__(self, "c_max", _default_cmax(self.i1, self.i2))
-        if self.c_max < _default_cmax(self.i1, self.i2):
-            raise ValueError(
-                f"c_max must exceed the largest block size "
-                f"(need >= {_default_cmax(self.i1, self.i2)})")
-        for name, g in (("i1", self.i1), ("i2", self.i2)):
-            if g.n < ATTACH:
-                raise ValueError(f"{name} too small for its marked vertex")
+        _settle(self, self.i1, self.i2)
 
     def certify(self) -> list[str]:
         return certify_blocks({"I1": self.i1, "I2": self.i2})
@@ -91,7 +107,10 @@ class GadgetPair:
 
 @dataclass(frozen=True)
 class GadgetTriple:
-    """Root block plus two alternating-level blocks for tree gadgets."""
+    """Root block plus two alternating-level blocks for tree gadgets.
+
+    Certified on construction, like ``GadgetPair``.
+    """
 
     i0: Graph
     i1: Graph
@@ -99,18 +118,7 @@ class GadgetTriple:
     c_max: int = 0
 
     def __post_init__(self):
-        if self.c_max == 0:
-            object.__setattr__(
-                self, "c_max", _default_cmax(self.i0, self.i1, self.i2))
-        if self.c_max < _default_cmax(self.i0, self.i1, self.i2):
-            raise ValueError(
-                f"c_max must exceed the largest block size "
-                f"(need >= {_default_cmax(self.i0, self.i1, self.i2)})")
-        if self.i0.n < R_MARK:
-            raise ValueError("i0 needs at least the two child-attachment vertices")
-        for name, g in (("i1", self.i1), ("i2", self.i2)):
-            if g.n < P_MARK:
-                raise ValueError(f"{name} needs the three marked vertices")
+        _settle(self, self.i0, self.i1, self.i2)
 
     def certify(self) -> list[str]:
         return certify_blocks({"I0": self.i0, "I1": self.i1, "I2": self.i2})
@@ -260,25 +268,15 @@ class _Assembler:
                            self.labels, anchors, self.c_max, meta)
 
 
-def _require_certified(g: GadgetPair | GadgetTriple, skip: bool) -> None:
-    if skip:
-        return
-    failures = g.certify()
-    if failures:
-        raise ValueError("gadget blocks failed certification: "
-                         + "; ".join(failures))
-
-
-def build_Gk(k: int, pair: GadgetPair, *,
-             skip_certification: bool = False) -> GadgetGraph:
+def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
     """Path gadget: I_1 and I_2 joined by a path with (k-1)+2*c_max edges.
 
     The designated vertices a and b sit at distances c_max and
     c_max+(k-1) from the I_1 attachment vertex u; for k=1 they coincide.
+    ``pair`` was certified when it was constructed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_certified(pair, skip_certification)
     c_max = pair.c_max
     asm = _Assembler(c_max, "path")
     b1 = asm.block(("I1",), "I1", pair.i1)
@@ -314,15 +312,14 @@ def _tree_template(level: int, triple: GadgetTriple) -> tuple[str, Graph]:
     return "I2", triple.i2
 
 
-def build_Gm(m: int, triple: GadgetTriple, *,
-             skip_certification: bool = False) -> GadgetGraph:
+def build_Gm(m: int, triple: GadgetTriple) -> GadgetGraph:
     """Tree gadget: a complete binary tree with m leaves, each node blown
     up into a block (I_0 at the root, then I_1/I_2 alternating by level)
     and each tree edge expanded into a path with c_max interior vertices.
+    ``triple`` was certified when it was constructed.
     """
     if m < 1 or m & (m - 1):
         raise ValueError("m must be a power of 2")
-    _require_certified(triple, skip_certification)
     depth = m.bit_length() - 1
     c_max = triple.c_max
     asm = _Assembler(c_max, "tree")
@@ -372,8 +369,7 @@ def _complete_assignment(g: GadgetGraph, target_size: int | None):
 
 
 def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
-             target_size: int | None = None,
-             skip_certification: bool = False):
+             target_size: int | None = None):
     """Turn a branching program into a weighted target graph.
 
     cycle mode: the undirected program graph plus an (s,t) edge carrying
@@ -382,7 +378,8 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
 
     gadget mode: I_1 -(c_max edges)- s ... program ... t -(c_max edges)- I_2,
     pinning path endpoints so homomorphisms from the matching path gadget
-    trace source-to-sink paths.
+    trace source-to-sink paths.  ``pair`` was certified when it was
+    constructed.
 
     Returns ``(assignment, B)``: an edge-variable assignment for the
     complete graph on ``target_size`` (default: exactly |V(B)|) vertices
@@ -404,7 +401,6 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
     if mode == "gadget":
         if pair is None:
             raise ValueError("gadget mode needs a block pair")
-        _require_certified(pair, skip_certification)
         c_max = pair.c_max
         asm = _Assembler(c_max, "bp_gadget")
         b1 = asm.block(("I1",), "I1", pair.i1)
@@ -496,8 +492,7 @@ def check_normal_form(c: Circuit) -> list[str]:
 
 
 def build_Jn(c: Circuit, triple: GadgetTriple, *,
-             fault_swap_level: int | None = None,
-             skip_certification: bool = False) -> GadgetGraph:
+             fault_swap_level: int | None = None) -> GadgetGraph:
     """Gadget encoding of a normal-form circuit.
 
     Each retained gate (x gates and inputs) is doubled into an L and an R
@@ -509,12 +504,12 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
     block carries that input's label.
 
     ``fault_swap_level`` deliberately assembles one level with the wrong
-    block template (for negative controls).
+    block template (for negative controls).  ``triple`` was certified when
+    it was constructed.
     """
     problems = check_normal_form(c)
     if problems:
         raise ValueError("circuit is not in normal form: " + "; ".join(problems))
-    _require_certified(triple, skip_certification)
 
     root_copy = (c.output, "L")
     depth = {root_copy: 0}

@@ -248,6 +248,8 @@ class Hypergraph3:
     edges: frozenset[tuple[int, int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"part size {self.n} is negative")
         for e in self.edges:
             if len(e) != 3 or not all(1 <= x <= self.n for x in e):
                 raise ValueError(f"hyperedge {e} out of range")
@@ -271,6 +273,8 @@ class Hypergraph3:
                 continue
             toks = line.split()
             if toks[0] == "h":
+                if n is not None:
+                    raise ValueError(f"line {ln}: duplicate header")
                 if len(toks) != 2:
                     raise ValueError(f"line {ln}: expected 'h <n>'")
                 n, = int_tokens(toks[1:], ln)

@@ -100,6 +100,9 @@ class NiceTreeDecomp:
             parts = line.split()
             try:
                 if parts[0] == "bag":
+                    if len(parts) < 3:
+                        raise ValueError(
+                            "expected: bag <id> <kind> [<vertex> ...]")
                     idx = int(parts[1])
                     if idx in bags:
                         raise ValueError(f"duplicate bag id {idx}")
@@ -123,7 +126,7 @@ class NiceTreeDecomp:
                     root = int(parts[1])
                 else:
                     raise ValueError(f"unknown directive {parts[0]!r}")
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if root is None:
             raise ValueError("missing root directive")

@@ -176,15 +176,12 @@ class GadgetBijectionReport:
 def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair, *,
                             hom_cap: int = 10 ** 6) -> GadgetBijectionReport:
     """Check Hom(G_ell, B_ell) <-> s-t paths with pinned blocks/endpoints."""
-    failures = pair.certify()
-    if failures:
-        raise ValueError("pair failed certification: " + "; ".join(failures))
     ell = bp.n_layers
     if ell <= bp.width():
         raise ValueError(
             f"need more layers ({ell}) than program width ({bp.width()})")
-    Gk = build_Gk(ell, pair, skip_certification=True)
-    _assignment, B = embed_bp(bp, "gadget", pair, skip_certification=True)
+    Gk = build_Gk(ell, pair)
+    _assignment, B = embed_bp(bp, "gadget", pair)
 
     order = _blocks_first_order(Gk)
     homs = enumerate_homs(Gk.graph, B.graph, cap=hom_cap,
@@ -247,13 +244,9 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
     ``fault_inject`` assembles J_n with one level's blocks swapped; a
     correct verifier must then report a mismatch.
     """
-    failures = triple.certify()
-    if failures:
-        raise ValueError("triple failed certification: " + "; ".join(failures))
-    J = build_Jn(c, triple, skip_certification=True,
-                 fault_swap_level=1 if fault_inject else None)
+    J = build_Jn(c, triple, fault_swap_level=1 if fault_inject else None)
     m = J.meta["m"]
-    Gm = build_Gm(m, triple, skip_certification=True)
+    Gm = build_Gm(m, triple)
 
     trees = c.parse_trees()
     parse_mons: Counter = Counter()

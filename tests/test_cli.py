@@ -104,6 +104,23 @@ def test_non_integer_token_is_input_error_with_line(capsys, tmp_path, what, flag
     assert code == 2 and f"error: {message}" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("h -1\n", "part size -1 is negative"),
+    ("h 2\nh 3\n", "line 2: duplicate header"),
+], ids=["negative-part", "duplicate-header"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--family", "tdm", "--field", "3"),
+    ("oracle", "--what", "3dm", "--mod", "3"),
+], ids=["count", "oracle"])
+def test_bad_hypergraph_header_is_input_error(capsys, tmp_path, argv, text, message):
+    # "h -1" made count exit 3 and oracle print exact=1; "h 2\nh 3" read as n = 3
+    f = tmp_path / "bad.hg"
+    f.write_text(text)
+    code, out, err = run(capsys, *argv, "--hyper", str(f))
+    assert code == 2 and f"error: {message}" in err
+    assert "coefficient=" not in out and "exact=" not in out
+
+
 @pytest.mark.parametrize("what,size", [("vc", "cover"), ("clique", "clique")])
 @pytest.mark.parametrize("k", [-1, 5])
 def test_oracle_size_out_of_range_is_usage_error(capsys, k4_file, what, size, k):
@@ -358,6 +375,19 @@ def test_verify_malformed_gadget_is_input_error(capsys, tmp_path, bp_file,
     code, _, err = run(capsys, "verify", "--theorem", "gadget-bp",
                        "--bp", bp_file, "--triple", str(f))
     assert code == 2 and f"error: {message}" in err
+
+
+@pytest.mark.parametrize("theorem", ["gadget-bp", "parse-hom"])
+def test_verify_uncertified_gadget_is_input_error(capsys, tmp_path, bp_file,
+                                                  circuit_file, theorem):
+    # well-formed, but triangles are neither rigid nor pairwise incomparable
+    f = tmp_path / "k3s.gad"
+    f.write_text(json.dumps({"kind": "triple", "c_max": 4, "i0": K3_BLOCK,
+                             "i1": K3_BLOCK, "i2": K3_BLOCK}))
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--bp", bp_file,
+                         "--circuit", circuit_file, "--triple", str(f))
+    assert code == 2 and "error: gadget blocks failed certification" in err
+    assert "verdict" not in out
 
 
 @pytest.mark.parametrize("exc", [HomCapExceeded(10, 11),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -160,6 +161,21 @@ def test_search_results_are_pinned(certified_triple):
                  else search_gadgets(8, need, seed))
         text = json.dumps(dump_gadget(found), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (need, seed, text)
+
+
+def test_search_compares_each_pool_pair_once(monkeypatch):
+    calls: Counter = Counter()
+    real = gadget_search.are_incomparable
+
+    def counting(a, b):
+        calls[frozenset((id(a), id(b)))] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(gadget_search, "are_incomparable", counting)
+    for need, seed in SEARCH_PINS:
+        calls.clear()
+        search_gadgets(8, need, seed)
+        assert calls and max(calls.values()) == 1, (need, seed, calls)
 
 
 def test_certified_triple_properties(certified_triple):

@@ -91,6 +91,13 @@ def test_nice_from_text_errors():
         NiceTreeDecomp.from_text("bag 0 shrug 1\nroot 0\n")
 
 
+def test_nice_from_text_names_the_bag_shape():
+    # a bag line without its kind used to report "list index out of range"
+    with pytest.raises(ValueError,
+                       match=r"line 1: expected: bag <id> <kind> \[<vertex> \.\.\.\]"):
+        NiceTreeDecomp.from_text("bag 0\nroot 0\n")
+
+
 def test_gadget_decomp_cycle():
     d = gadget_decomp(Graph.cycle(7))
     assert validate_nice(d, Graph.cycle(7)) == []
@@ -99,14 +106,14 @@ def test_gadget_decomp_cycle():
 
 
 def test_gadget_decomp_structures(certified_pair, certified_triple):
-    gk = build_Gk(3, certified_pair, skip_certification=True)
+    gk = build_Gk(3, certified_pair)
     d = gadget_decomp(gk)
     assert validate_nice(d, gk.graph) == []
     assert not d.has_join()
     # path gadgets stay narrow no matter the block size
     assert d.width() <= max(b.template.n for b in gk.blocks) + 1
 
-    gm = build_Gm(2, certified_triple, skip_certification=True)
+    gm = build_Gm(2, certified_triple)
     d2 = gadget_decomp(gm)
     assert validate_nice(d2, gm.graph) == []
 
@@ -116,7 +123,7 @@ def test_gadget_decomp_structures(certified_pair, certified_triple):
     assert validate_nice(d3, bcycle.graph) == []
     assert not d3.has_join()
 
-    _, bg = embed_bp(bp, "gadget", pair=certified_pair, skip_certification=True)
+    _, bg = embed_bp(bp, "gadget", pair=certified_pair)
     d4 = gadget_decomp(bg)
     assert validate_nice(d4, bg.graph) == []
     assert not d4.has_join()
@@ -128,7 +135,6 @@ def test_gadget_decomp_rejects_parse_graphs(certified_triple):
              Gate("input", label="u"), Gate("input", label="v"),
              Gate("add", args=(0, 1)), Gate("add", args=(2, 3)),
              Gate("mul", args=(4, 5))]
-    J = build_Jn(Circuit(tuple(gates), 6), certified_triple,
-                 skip_certification=True)
+    J = build_Jn(Circuit(tuple(gates), 6), certified_triple)
     with pytest.raises(ValueError):
         gadget_decomp(J)

@@ -132,8 +132,8 @@ def test_gadget_bijection_needs_enough_layers(certified_pair):
 
 
 def test_gadget_bijection_rejects_uncertified_pair():
-    bogus = GadgetPair(Graph.cycle(5), Graph.cycle(5))
     with pytest.raises(ValueError, match="certification"):
+        bogus = GadgetPair(Graph.cycle(5), Graph.cycle(5))
         verify_gadget_bijection(single_path_bp(3), bogus)
 
 
