@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labels import SCALARS, is_valid_label
+from .labels import SCALARS, is_valid_label, read_lines
 from .sparsepoly import SparsePoly
 
 
@@ -164,50 +164,38 @@ class LayeredBP:
 
     @classmethod
     def from_text(cls, text: str) -> "LayeredBP":
-        n_layers = None
+        single: dict[str, int] = {}  # the layers, source and sink values
         declared: dict[int, set[int]] = {}
         arcs: list[Arc] = []
-        source = sink = None
 
-        def err(lineno: int, msg: str):
-            return ValueError(f"line {lineno}: {msg}")
-
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        def line(parts):
             head = parts[0]
-            try:
-                if head == "layers":
-                    if n_layers is not None:
-                        raise err(lineno, "duplicate layers line")
-                    n_layers = int(parts[1])
-                elif head == "node":
-                    l, i = int(parts[1]), int(parts[2])
-                    declared.setdefault(l, set()).add(i)
-                elif head == "arc":
-                    if len(parts) != 5:
-                        raise err(lineno, "arc needs: arc <layer> <src> <dst> <label>")
-                    l, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-                    lab: str | int = parts[4]
-                    if lab in ("0", "1"):
-                        lab = int(lab)
-                    arcs.append(Arc(l, i, j, lab))
-                elif head == "source":
-                    source = int(parts[1])
-                elif head == "sink":
-                    sink = int(parts[1])
-                else:
-                    raise err(lineno, f"unknown directive {head!r}")
-            except (IndexError, ValueError) as e:
-                if isinstance(e, ValueError) and str(e).startswith("line "):
-                    raise
-                raise err(lineno, f"cannot parse {line!r}") from e
-        if n_layers is None:
+            if head in ("layers", "source", "sink"):
+                if len(parts) < 2:
+                    raise ValueError(f"expected: {head} <int>")
+                if head in single:
+                    raise ValueError(f"duplicate {head} line")
+                single[head] = int(parts[1])
+            elif head == "node":
+                if len(parts) < 3:
+                    raise ValueError("expected: node <layer> <index>")
+                declared.setdefault(int(parts[1]), set()).add(int(parts[2]))
+            elif head == "arc":
+                if len(parts) != 5:
+                    raise ValueError("expected: arc <layer> <src> <dst> <label>")
+                lab: str | int = parts[4]
+                if lab in ("0", "1"):
+                    lab = int(lab)
+                arcs.append(Arc(int(parts[1]), int(parts[2]), int(parts[3]), lab))
+            else:
+                raise ValueError(f"unknown directive {head!r}")
+
+        read_lines(text, line)
+        if "layers" not in single:
             raise ValueError("missing 'layers' line")
-        if source is None or sink is None:
+        if "source" not in single or "sink" not in single:
             raise ValueError("missing source or sink line")
+        n_layers = single["layers"]
         sizes = []
         for l in range(n_layers):
             idxs = declared.get(l, set())
@@ -219,4 +207,4 @@ class LayeredBP:
         extra = set(declared) - set(range(n_layers))
         if extra:
             raise ValueError(f"nodes declared in nonexistent layers {sorted(extra)}")
-        return cls(sizes, arcs, source, sink)
+        return cls(sizes, arcs, single["source"], single["sink"])

@@ -327,39 +327,37 @@ class Circuit:
     def from_text(cls, text: str) -> "Circuit":
         gates: list[Gate] = []
         output = None
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            try:
-                if toks[0] == "output":
-                    if len(toks) != 2:
-                        raise ValueError("malformed output line")
-                    output = int(toks[1])
-                elif toks[0] == "gate":
-                    if len(toks) < 3:
-                        raise ValueError("malformed gate line")
-                    gid = int(toks[1])
-                    if gid != len(gates):
-                        raise ValueError("gate ids must be consecutive from 0")
-                    op = toks[2]
-                    if op == CONST:
-                        if len(toks) != 4:
-                            raise ValueError("const gate takes one value")
-                        gates.append(Gate(CONST, value=int(toks[3])))
-                    elif op == INPUT:
-                        if len(toks) != 4:
-                            raise ValueError("input gate takes one label")
-                        gates.append(Gate(INPUT, label=toks[3]))
-                    elif op in (ADD, MUL):
-                        gates.append(Gate(op, args=tuple(int(t) for t in toks[3:])))
-                    else:
-                        raise ValueError(f"unknown gate op {op!r}")
+
+        def line(toks):
+            nonlocal output
+            if toks[0] == "output":
+                if len(toks) != 2:
+                    raise ValueError("malformed output line")
+                if output is not None:
+                    raise ValueError("duplicate output line")
+                output = int(toks[1])
+            elif toks[0] == "gate":
+                if len(toks) < 3:
+                    raise ValueError("malformed gate line")
+                if int(toks[1]) != len(gates):
+                    raise ValueError("gate ids must be consecutive from 0")
+                op = toks[2]
+                if op == CONST:
+                    if len(toks) != 4:
+                        raise ValueError("const gate takes one value")
+                    gates.append(Gate(CONST, value=int(toks[3])))
+                elif op == INPUT:
+                    if len(toks) != 4:
+                        raise ValueError("input gate takes one label")
+                    gates.append(Gate(INPUT, label=toks[3]))
+                elif op in (ADD, MUL):
+                    gates.append(Gate(op, args=tuple(int(t) for t in toks[3:])))
                 else:
-                    raise ValueError(f"unrecognised directive {toks[0]!r}")
-            except ValueError as e:  # int() on a bad token does not name the line
-                raise ValueError(f"line {ln}: {e}") from None
+                    raise ValueError(f"unknown gate op {op!r}")
+            else:
+                raise ValueError(f"unrecognised directive {toks[0]!r}")
+
+        lbl.read_lines(text, line)
         if output is None:
             raise ValueError("missing output line")
         return cls(gates, output)

@@ -24,6 +24,7 @@ from .graphs import Graph, HomCapExceeded, Hypergraph3
 from .intermediates import (FAMILIES, FamilyInstance, count_via_coefficient,
                             eval_definitional, eval_fast, hc_from_coefficient,
                             registry)
+from .labels import read_lines
 from .oracles import (count_3dm, count_clique, count_clows, count_hc,
                       count_sat3, count_vc)
 from .rings import Field
@@ -66,21 +67,18 @@ def _read(path: str, rep: Reporter) -> str:
     return data.decode()
 
 
-def read_assignment_file(text: str, default: int) -> dict[str, int]:
+def read_assignment_file(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<label> <value>'")
+
+    def line(toks):
+        if len(toks) != 2:
+            raise ValueError("expected '<label> <value>'")
         try:
-            out[parts[0]] = int(parts[1])
+            out[toks[0]] = int(toks[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: value {parts[1]!r} is not an "
-                             "integer") from None
-    out["__default__"] = default
+            raise ValueError(f"value {toks[1]!r} is not an integer") from None
+
+    read_lines(text, line)
     return out
 
 
@@ -212,10 +210,8 @@ def cmd_eval(args, rep: Reporter) -> int:
     rep.header(f"field={F.q}")
     labels = registry(args.family, args.n)
     values = {}
-    default = args.default
     if args.assign:
-        values = read_assignment_file(_read(args.assign, rep), args.default)
-        default = values.pop("__default__")
+        values = read_assignment_file(_read(args.assign, rep))
         unknown = [lab for lab in values if lab not in set(labels)]
         if unknown:
             raise ValueError(
@@ -224,7 +220,7 @@ def cmd_eval(args, rep: Reporter) -> int:
     # values are reduced mod p over F_p but are element indices over F_q,
     # where FamilyInstance refuses any outside range(q)
     value = F.from_int if F.k == 1 else int
-    assignment = {lab: value(values.get(lab, default)) for lab in labels}
+    assignment = {lab: value(values.get(lab, args.default)) for lab in labels}
     inst = FamilyInstance(args.family, args.n, F, assignment)
     if args.method == "fast":
         val = eval_fast(inst)

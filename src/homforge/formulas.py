@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labels import int_tokens
+from .labels import read_lines
 
 Clause = tuple[int, int, int]
 
@@ -53,34 +53,35 @@ class CNF:
 
     @classmethod
     def from_dimacs(cls, text: str) -> "CNF":
-        n = None
-        want = None
+        n = want = None
         clauses: list[Clause] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+
+        def line(toks):
+            nonlocal n, want
+            if toks[0].startswith("c"):
+                return
+            if toks[0].startswith("p"):
+                if len(toks) != 4 or toks[1] != "cnf":
+                    raise ValueError(f"malformed problem line {' '.join(toks)!r}")
                 if n is not None:
-                    raise ValueError(f"line {lineno}: repeated problem line")
-                n, want = int_tokens(parts[2:], lineno)
-                continue
+                    raise ValueError("repeated problem line")
+                n, want = int(toks[2]), int(toks[3])
+                return
             if n is None:
-                raise ValueError(f"line {lineno}: clause before problem line")
-            lits = int_tokens(line.split(), lineno)
-            if not lits or lits[-1] != 0:
-                raise ValueError(f"line {lineno}: clause must end with 0")
+                raise ValueError("clause before problem line")
+            lits = [int(t) for t in toks]
+            if lits[-1] != 0:
+                raise ValueError("clause must end with 0")
             lits = lits[:-1]
             if 0 in lits:
-                raise ValueError(f"line {lineno}: literal 0 inside clause")
+                raise ValueError("literal 0 inside clause")
             if not 1 <= len(lits) <= 3:
-                raise ValueError(f"line {lineno}: need 1-3 literals, got {len(lits)}")
+                raise ValueError(f"need 1-3 literals, got {len(lits)}")
             while len(lits) < 3:
                 lits.append(lits[-1])
             clauses.append((lits[0], lits[1], lits[2]))
+
+        read_lines(text, line)
         if n is None:
             raise ValueError("missing problem line 'p cnf <n> <m>'")
         if want is not None and want != len(clauses):

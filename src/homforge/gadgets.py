@@ -27,6 +27,7 @@ Two path-length conventions coexist and are recorded in metadata:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bp import LayeredBP
 from .circuit import ADD, CONST, Circuit, INPUT, MUL
@@ -124,6 +125,11 @@ class GadgetTriple:
         return certify_blocks({"I0": self.i0, "I1": self.i1, "I2": self.i2})
 
     def pair(self) -> GadgetPair:
+        """The (I1, I2) pair, built (and so certified) once per triple."""
+        return self._pair
+
+    @cached_property
+    def _pair(self) -> GadgetPair:
         return GadgetPair(self.i1, self.i2, self.c_max)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .labels import int_tokens
+from .labels import read_lines
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -208,27 +208,27 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        n = None
+        n = m = None
         edges = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
+
+        def line(toks):
+            nonlocal n, m
             if toks[0] == "p":
                 if n is not None:
-                    raise ValueError(f"line {ln}: duplicate header")
+                    raise ValueError("duplicate header")
                 if len(toks) != 3:
-                    raise ValueError(f"line {ln}: expected 'p <n> <m>'")
-                n, m = int_tokens(toks[1:], ln)
+                    raise ValueError("expected 'p <n> <m>'")
+                n, m = int(toks[1]), int(toks[2])
             elif toks[0] == "e":
                 if n is None:
-                    raise ValueError(f"line {ln}: edge before header")
+                    raise ValueError("edge before header")
                 if len(toks) != 3:
-                    raise ValueError(f"line {ln}: expected 'e <u> <v>'")
-                edges.append(tuple(int_tokens(toks[1:], ln)))
+                    raise ValueError("expected 'e <u> <v>'")
+                edges.append((int(toks[1]), int(toks[2])))
             else:
-                raise ValueError(f"line {ln}: unrecognised directive {toks[0]!r}")
+                raise ValueError(f"unrecognised directive {toks[0]!r}")
+
+        read_lines(text, line)
         if n is None:
             raise ValueError("missing 'p <n> <m>' header")
         g = cls.from_edges(n, edges)
@@ -267,25 +267,25 @@ class Hypergraph3:
     def from_text(cls, text: str) -> "Hypergraph3":
         n = None
         edges = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
+
+        def line(toks):
+            nonlocal n
             if toks[0] == "h":
                 if n is not None:
-                    raise ValueError(f"line {ln}: duplicate header")
+                    raise ValueError("duplicate header")
                 if len(toks) != 2:
-                    raise ValueError(f"line {ln}: expected 'h <n>'")
-                n, = int_tokens(toks[1:], ln)
+                    raise ValueError("expected 'h <n>'")
+                n = int(toks[1])
             elif toks[0] == "t":
                 if n is None:
-                    raise ValueError(f"line {ln}: hyperedge before header")
+                    raise ValueError("hyperedge before header")
                 if len(toks) != 4:
-                    raise ValueError(f"line {ln}: expected 't <a> <b> <c>'")
-                edges.append(tuple(int_tokens(toks[1:], ln)))
+                    raise ValueError("expected 't <a> <b> <c>'")
+                edges.append(tuple(int(t) for t in toks[1:]))
             else:
-                raise ValueError(f"line {ln}: unrecognised directive {toks[0]!r}")
+                raise ValueError(f"unrecognised directive {toks[0]!r}")
+
+        read_lines(text, line)
         if n is None:
             raise ValueError("missing 'h <n>' header")
         return cls.from_edges(n, edges)

@@ -22,12 +22,20 @@ from __future__ import annotations
 SCALARS = ("z", "t", "y")
 
 
-def int_tokens(toks, ln: int) -> list[int]:
-    """The tokens of text line ``ln`` as ints; an error names the line and token."""
-    try:
-        return [int(tok) for tok in toks]
-    except ValueError as e:
-        raise ValueError(f"line {ln}: {e}") from None
+def read_lines(text: str, handle) -> None:
+    """Call ``handle(tokens)`` on each line of ``text`` that is not blank once
+    its ``#`` comment is cut.
+
+    A ``ValueError`` that ``handle`` raises is re-raised as
+    ``line N: <message>``, so a bare ``int(tok)`` names its line.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            try:
+                handle(toks)
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {e}") from None
 
 
 def zvar(u: int, a: int) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
+from .labels import read_lines
 
 KINDS = ("leaf", "intro", "forget", "join")
 
@@ -93,41 +94,39 @@ class NiceTreeDecomp:
         bags: dict[int, tuple[frozenset[int], str, int]] = {}
         children: dict[int, list[int]] = {}
         root = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "bag":
-                    if len(parts) < 3:
-                        raise ValueError(
-                            "expected: bag <id> <kind> [<vertex> ...]")
-                    idx = int(parts[1])
-                    if idx in bags:
-                        raise ValueError(f"duplicate bag id {idx}")
-                    kind_tok = parts[2]
-                    if ":" in kind_tok:
-                        kind, _, vtx = kind_tok.partition(":")
-                        vertex = int(vtx)
-                    else:
-                        kind, vertex = kind_tok, 0
-                    if kind not in KINDS:
-                        raise ValueError(f"unknown node kind {kind_tok!r}")
-                    bag = frozenset(int(v) for v in parts[3:])
-                    bags[idx] = (bag, kind, vertex)
-                elif parts[0] == "child":
-                    if len(parts) != 3:
-                        raise ValueError("expected: child <parent> <kid>")
-                    children.setdefault(int(parts[1]), []).append(int(parts[2]))
-                elif parts[0] == "root":
-                    if len(parts) != 2:
-                        raise ValueError("expected: root <id>")
-                    root = int(parts[1])
+
+        def line(parts):
+            nonlocal root
+            if parts[0] == "bag":
+                if len(parts) < 3:
+                    raise ValueError("expected: bag <id> <kind> [<vertex> ...]")
+                idx = int(parts[1])
+                if idx in bags:
+                    raise ValueError(f"duplicate bag id {idx}")
+                kind_tok = parts[2]
+                if ":" in kind_tok:
+                    kind, _, vtx = kind_tok.partition(":")
+                    vertex = int(vtx)
                 else:
-                    raise ValueError(f"unknown directive {parts[0]!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                    kind, vertex = kind_tok, 0
+                if kind not in KINDS:
+                    raise ValueError(f"unknown node kind {kind_tok!r}")
+                bag = frozenset(int(v) for v in parts[3:])
+                bags[idx] = (bag, kind, vertex)
+            elif parts[0] == "child":
+                if len(parts) != 3:
+                    raise ValueError("expected: child <parent> <kid>")
+                children.setdefault(int(parts[1]), []).append(int(parts[2]))
+            elif parts[0] == "root":
+                if len(parts) != 2:
+                    raise ValueError("expected: root <id>")
+                if root is not None:
+                    raise ValueError("duplicate root line")
+                root = int(parts[1])
+            else:
+                raise ValueError(f"unknown directive {parts[0]!r}")
+
+        read_lines(text, line)
         if root is None:
             raise ValueError("missing root directive")
         if sorted(bags) != list(range(len(bags))):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from homforge import gadgets
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import (GadgetPair, GadgetTriple, build_Gk, build_Gm,
@@ -87,6 +88,17 @@ def test_certified_blocks_properties(certified_triple):
         assert not g.is_bipartite()
         assert len(enumerate_homs(g, g)) == 1
     assert t.c_max >= max(t.i0.n, t.i1.n, t.i2.n) + 1
+
+
+def test_triple_pair_is_built_once(certified_triple, monkeypatch):
+    # the pair's blocks are the triple's, already certified with it
+    t = GadgetTriple(certified_triple.i0, certified_triple.i1, certified_triple.i2)
+    certified = []
+    real = gadgets.certify_blocks
+    monkeypatch.setattr(gadgets, "certify_blocks",
+                        lambda blocks: certified.append(sorted(blocks)) or real(blocks))
+    assert t.pair() is t.pair()
+    assert certified == [["I1", "I2"]]
 
 
 def test_certify_blocks_reports_failures():

@@ -178,6 +178,16 @@ def test_eval_rejects_unknown_label(capsys, tmp_path):
     assert code == 2 and "registry" in err
 
 
+def test_eval_rejects_default_sentinel_label(capsys, tmp_path):
+    # "__default__" was the in-band key that carried --default, so this
+    # line used to be dropped without a word
+    f = tmp_path / "a.txt"
+    f.write_text("__default__ 7\n")
+    code, _, err = run(capsys, "eval", "--family", "vc", "--n", "3",
+                       "--field", "3", "--assign", str(f))
+    assert code == 2 and "labels not in the vc n=3 registry" in err
+
+
 def test_eval_extension_field_values_are_element_indices(capsys, tmp_path):
     # over F_4 the values are element indices, not integers reduced mod 2
     f = tmp_path / "a.txt"
@@ -192,12 +202,12 @@ def test_eval_extension_field_values_are_element_indices(capsys, tmp_path):
 
 
 def test_read_assignment_file_parsing():
-    vals = read_assignment_file("# comment\nA 3\n\nB 0 # trailing\n", 1)
-    assert vals == {"A": 3, "B": 0, "__default__": 1}
+    vals = read_assignment_file("# comment\nA 3\n\nB 0 # trailing\n")
+    assert vals == {"A": 3, "B": 0}
     with pytest.raises(ValueError, match="line 1"):
-        read_assignment_file("A\n", 0)
+        read_assignment_file("A\n")
     with pytest.raises(ValueError, match="not an"):
-        read_assignment_file("A x\n", 0)
+        read_assignment_file("A x\n")
 
 
 # -- count --------------------------------------------------------------------
@@ -336,6 +346,17 @@ def test_verify_circuit_const_without_value_is_input_error(capsys, tmp_path,
     code, _, err = run(capsys, "verify", "--theorem", "parse-hom",
                        "--circuit", str(f), "--triple", triple_file)
     assert code == 2 and "error: line 1:" in err
+
+
+def test_verify_circuit_repeated_output_is_input_error(capsys, tmp_path,
+                                                      circuit_file, triple_file):
+    # the last output line used to win without a word
+    f = tmp_path / "two.ct"
+    f.write_text((tmp_path / "nf.ct").read_text() + "output 6\n")
+    code, out, err = run(capsys, "verify", "--theorem", "parse-hom",
+                         "--circuit", str(f), "--triple", triple_file)
+    assert code == 2 and "error: line 9: duplicate output line" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,0 +1,156 @@
+"""The seven text readers share one line grammar.
+
+``#`` comments are cut, blank lines are skipped, a repeated single-value
+line is refused, and every per-line error is a ``ValueError`` that names
+the line as ``line N:``.  The fuzz tests draw lines from each format's
+directive words and int and non-int tokens.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from homforge.bp import LayeredBP
+from homforge.circuit import Circuit
+from homforge.cli import main, read_assignment_file
+from homforge.formulas import CNF
+from homforge.gadgets import dump_gadget
+from homforge.graphs import Graph, Hypergraph3
+from homforge.treedecomp import NiceTreeDecomp, treewidth_exact
+
+BP_TEXT = "layers 2\nnode 0 0\nnode 1 0\narc 0 0 0 a\nsource 0\nsink 0\n"
+CT_TEXT = "gate 0 input x\ngate 1 input y\ngate 2 mul 0 1\noutput 2\n"
+NF_TEXT = ("gate 0 input x\ngate 1 input y\ngate 2 input u\ngate 3 input v\n"
+           "gate 4 add 0 1\ngate 5 add 2 3\ngate 6 mul 4 5\noutput 6\n")
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (Circuit.from_text, CT_TEXT + "output 2\n", "line 5: duplicate output line"),
+    (NiceTreeDecomp.from_text, "bag 0 leaf\nroot 0\nroot 0\n",
+     "line 3: duplicate root line"),
+    (LayeredBP.from_text, BP_TEXT + "source 0\n", "line 7: duplicate source line"),
+    (LayeredBP.from_text, BP_TEXT + "# again\nsink 0\n", "line 8: duplicate sink line"),
+], ids=["ct-output", "td-root", "bp-source", "bp-sink"])
+def test_repeated_single_value_line_is_refused(read, text, message):
+    # the last such line used to win without a word
+    with pytest.raises(ValueError) as exc:
+        read(text)
+    assert str(exc.value) == message
+
+
+def test_dimacs_cuts_hash_comments():
+    cnf = CNF.from_dimacs("c a comment\np cnf 2 1  # header\n\n1 -2 0 # clause\n")
+    assert cnf == CNF.from_dimacs("p cnf 2 1\n1 -2 0\n")
+
+
+NON_INT = st.sampled_from(["x", "-", "1.5", "0x1", "#", "# 1", ":", "intro:",
+                           "forget:y", "c", "p", "__default__"])
+
+
+def texts(*templates: str):
+    """Texts drawn from a format's line templates: one line of the first
+    template, then up to 7 of the others.  Each ``N`` is a small int and
+    each ``I`` counts the earlier lines with the same first word.  About
+    one line in eight then has one token replaced by a non-int or a
+    directive word, dropped or doubled."""
+    words = sorted({w for t in templates for w in t.split() if not {"N", "I"} & set(w)})
+    odd = st.one_of(NON_INT, st.sampled_from(words))
+
+    @st.composite
+    def text(draw):
+        seen: Counter = Counter()
+        lines = []
+        rest = draw(st.lists(st.sampled_from(templates[1:]), max_size=7))
+        for t in [templates[0], *rest]:
+            head = t.split()[0]
+            toks = [w.replace("I", str(seen[head])).replace("N", str(draw(st.integers(-1, 4))))
+                    for w in t.split()]
+            seen[head] += 1
+            if draw(st.integers(0, 7)) == 0:
+                i = draw(st.integers(0, len(toks) - 1))
+                toks[i] = draw(st.one_of(odd, st.just(""), st.just(f"{toks[i]} {toks[i]}")))
+            lines.append(" ".join(toks))
+        return "\n".join(lines)
+
+    return text()
+
+
+READERS = {
+    "gr": (Graph.from_text, texts("p N N", "e N N")),
+    "hg": (Hypergraph3.from_text, texts("h N", "t N N N")),
+    "dimacs": (CNF.from_dimacs, texts("p cnf N N", "N N N 0", "N 0", "c N")),
+    "ct": (Circuit.from_text, texts("output N", "gate I input x", "gate I const N",
+                                    "gate I add N N", "gate I mul N N")),
+    "td": (NiceTreeDecomp.from_text, texts("root N", "bag I leaf", "bag I intro:N N",
+                                           "bag I forget:N N", "bag I join N N",
+                                           "child N N")),
+    "bp": (LayeredBP.from_text, texts("layers N", "node N N", "arc N N N a",
+                                      "arc N N N 1", "source N", "sink N")),
+    "assign": (read_assignment_file, texts("X:1 N", "Yv:N N")),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_reader_fuzz_raises_only_value_errors_naming_real_lines(fmt):
+    read, texts = READERS[fmt]
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts)
+    def check(text):
+        try:
+            read(text)
+        except ValueError as e:
+            m = re.match(r"line (\d+): ", str(e))
+            if m:
+                assert 1 <= int(m[1]) <= len(text.splitlines()), str(e)
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory, certified_triple):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "k3.gr").write_text(Graph.complete(3).to_text())
+    (d / "k3.td").write_text(treewidth_exact(Graph.complete(3))[1].to_text())
+    (d / "t.gad").write_text(json.dumps(dump_gadget(certified_triple)))
+    return d
+
+
+def run_main(*argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--target"])
+def test_compile_fuzz_exit_code_is_never_internal(cli_files, flag):
+    files = {"--graph": str(cli_files / "k3.gr"), "--target": str(cli_files / "k3.gr")}
+    files[flag] = str(cli_files / "fuzz.gr")
+
+    @settings(max_examples=50, deadline=None)
+    @given(READERS["gr"][1])
+    def check(text):
+        (cli_files / "fuzz.gr").write_text(text)
+        code = run_main("compile", "--graph", files["--graph"], "--target",
+                        files["--target"], "--decomp", str(cli_files / "k3.td"))
+        assert code in (0, 1, 2)
+
+    check()
+
+
+@settings(max_examples=50, deadline=None)
+@given(READERS["ct"][1])
+@example(NF_TEXT)
+@example(NF_TEXT + "output 6\n")
+def test_parse_hom_fuzz_exit_code_is_never_internal(cli_files, text):
+    (cli_files / "fuzz.ct").write_text(text)
+    code = run_main("verify", "--theorem", "parse-hom", "--circuit",
+                    str(cli_files / "fuzz.ct"), "--triple", str(cli_files / "t.gad"))
+    assert code in (0, 1, 2)
