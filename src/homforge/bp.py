@@ -171,13 +171,13 @@ class LayeredBP:
         def line(parts):
             head = parts[0]
             if head in ("layers", "source", "sink"):
-                if len(parts) < 2:
+                if len(parts) != 2:
                     raise ValueError(f"expected: {head} <int>")
                 if head in single:
                     raise ValueError(f"duplicate {head} line")
                 single[head] = int(parts[1])
             elif head == "node":
-                if len(parts) < 3:
+                if len(parts) != 3:
                     raise ValueError("expected: node <layer> <index>")
                 declared.setdefault(int(parts[1]), set()).add(int(parts[2]))
             elif head == "arc":

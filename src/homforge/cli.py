@@ -73,6 +73,8 @@ def read_assignment_file(text: str) -> dict[str, int]:
     def line(toks):
         if len(toks) != 2:
             raise ValueError("expected '<label> <value>'")
+        if toks[0] in out:
+            raise ValueError(f"duplicate label {toks[0]!r}")
         try:
             out[toks[0]] = int(toks[1])
         except ValueError:

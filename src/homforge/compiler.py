@@ -21,10 +21,9 @@ circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 
-from .circuit import CONST, Circuit, CircuitBuilder, Gate, INPUT
+from .circuit import Circuit, CircuitBuilder
 from .graphs import Graph
 from .labels import yedge, zvar
 from .treedecomp import NiceTreeDecomp, validate_nice
@@ -123,49 +122,3 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
         skew=circuit.is_skew(),
     )
 
-
-def project(c: Circuit, sigma: dict[str, int | str]) -> Circuit:
-    """Substitute inputs per ``sigma`` (0, 1, or a replacement label).
-
-    ``sigma`` must cover every input label; gate structure is unchanged.
-    """
-    labels = c.input_labels()
-    missing = [lab for lab in labels if lab not in sigma]
-    if missing:
-        raise ValueError(f"projection must cover all inputs; missing {missing}")
-    new_gates = []
-    for g in c.gates:
-        if g.op == INPUT:
-            val = sigma[g.label]
-            if val in (0, 1) or val in ("0", "1"):
-                new_gates.append(Gate(CONST, value=int(val)))
-            elif isinstance(val, str) and val and not val.isdigit():
-                new_gates.append(replace(g, label=val))
-            else:
-                raise ValueError(
-                    f"projection value for {g.label!r} must be 0, 1, or a label")
-        else:
-            new_gates.append(g)
-    return Circuit(tuple(new_gates), c.output)
-
-
-def hom_poly_oracle(G: Graph, H: Graph, assignment: dict, ring):
-    """Brute-force f(Z, Y): iterate all |V(H)|^|V(G)| maps directly.
-
-    Deliberately independent of both the compiler and the backtracking
-    enumerator; exponential, so keep |V(H)|^|V(G)| small.
-    """
-    gverts = list(G.vertices())
-    gedges = sorted(G.edges)
-    total = ring.zero
-    for image in product(H.vertices(), repeat=len(gverts)):
-        phi = dict(zip(gverts, image))
-        if any(not H.has_edge(phi[u], phi[v]) for (u, v) in gedges):
-            continue
-        term = ring.one
-        for u in gverts:
-            term = ring.mul(term, assignment[zvar(u, phi[u])])
-        for (u, v) in gedges:
-            term = ring.mul(term, assignment[yedge(phi[u], phi[v])])
-        total = ring.add(total, term)
-    return total

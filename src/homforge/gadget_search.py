@@ -1,31 +1,27 @@
 """Search for rigid, non-bipartite, pairwise-incomparable block graphs.
 
 Gadget constructions need blocks with no nontrivial self-map and no
-homomorphism between distinct blocks.  Such graphs are scarce: every
-connected non-bipartite graph on at most 7 vertices admits a nontrivial
-endomorphism, so the smallest usable blocks have 8 vertices.
-
-The search runs exhaustively (with isomorph rejection) through all
-graphs on up to 6 vertices, then switches to seeded random sampling for
-larger sizes; exhausting 7-vertex graphs is already out of desk range,
-so the 8-vertex blocks we return come from sampling and the search is
-deterministic only through its seed.
+homomorphism between distinct blocks.  Such graphs are scarce.  No
+connected non-bipartite graph on at most 6 vertices is rigid; the test
+suite proves this once by walking every labelled graph on up to 6
+vertices.  So the search starts at 7 vertices and draws seeded random
+graphs, with a budget per size.  Sampling finds no rigid block at 7
+vertices, but 7 is not proved empty.  The 8-vertex blocks we return come
+from sampling, and the search is deterministic only through its seed.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .gadgets import GadgetPair, GadgetTriple
-from .graphs import (Graph, HomCapExceeded, are_incomparable, enumerate_homs, is_rigid,
-                     neighbourhood)
+from .graphs import Graph, are_incomparable, is_rigid, neighbourhood
 
 # per-size sample budgets chosen so the default search reliably reaches a
 # triple of 8-vertex blocks in seconds while still honestly probing n=7
 SAMPLE_BUDGETS = {7: 1500, 8: 25000, 9: 25000, 10: 25000}
-EXHAUSTIVE_MAX = 6
 
 
 def _prefilter(nbr: Sequence[int]) -> bool:
@@ -70,47 +66,6 @@ def _graph(nbr: Sequence[int]) -> Graph:
     n = len(nbr) - 1
     return Graph.from_edges(n, [(u, w) for u in range(1, n + 1)
                                 for w in range(u + 1, n + 1) if nbr[u] >> w & 1])
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Lexicographically minimal edge list over all vertex relabelings."""
-    verts = list(g.vertices())
-    best = None
-    for perm in permutations(verts):
-        relab = {v: perm[i] for i, v in enumerate(verts)}
-        key = tuple(sorted(
-            (min(relab[u], relab[v]), max(relab[u], relab[v]))
-            for (u, v) in g.edges))
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
-
-
-def rigid_blocks_exhaustive(n: int) -> list[Graph]:
-    """All rigid connected non-bipartite graphs on exactly n vertices,
-    one representative per isomorphism class."""
-    if n > EXHAUSTIVE_MAX:
-        raise ValueError(
-            f"exhaustive enumeration is limited to n <= {EXHAUSTIVE_MAX}")
-    pairs = list(combinations(range(1, n + 1), 2))
-    found: list[Graph] = []
-    seen: set[tuple] = set()
-    nbr = [0] * (n + 1)  # the neighbour masks of edge set ``bits``
-    for bits in range(1 << len(pairs)):
-        # counting up to bits flips the pairs at its lowest set bit and below
-        for u, v in pairs[:(bits & -bits).bit_length()]:
-            nbr[u] ^= 1 << v
-            nbr[v] ^= 1 << u
-        if not _prefilter(nbr):
-            continue
-        g = _graph(nbr)
-        if not is_rigid(g):
-            continue
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            found.append(g)
-    return found
 
 
 def _sample_masks(n: int, rng: random.Random) -> list[int]:
@@ -160,9 +115,10 @@ def search_gadgets(max_n: int, need: str = "triple",
                    seed: int = 0) -> GadgetPair | GadgetTriple:
     """Find a certified incomparable pair or triple of rigid blocks.
 
-    Sizes up to 6 are searched exhaustively (and provably contain
-    nothing); beyond that, seeded sampling with per-size budgets.  Raises
-    with an honest account when no gadget exists within ``max_n``.
+    Draws seeded random graphs of each size from ``min(SAMPLE_BUDGETS)``
+    (7) up to ``max_n``, within per-size budgets; smaller graphs are never
+    built, since none of them is a block (a test walks them all).  Raises
+    with an honest account when no gadget is found within ``max_n``.
     """
     if need not in ("pair", "triple"):
         raise ValueError("need must be 'pair' or 'triple'")
@@ -170,17 +126,12 @@ def search_gadgets(max_n: int, need: str = "triple",
     pool: list[Graph] = []
     inc: dict[tuple[int, int], bool] = {}
     want = 2 if need == "pair" else 3
-    for n in range(3, max_n + 1):
-        if n <= EXHAUSTIVE_MAX:
-            batches = [rigid_blocks_exhaustive(n)]
-        else:
-            budget = SAMPLE_BUDGETS.get(n, SAMPLE_BUDGETS[max(SAMPLE_BUDGETS)])
-            # keep sampling this size, 500 draws at a time, until the
-            # budget runs out or the pool supports the requested gadget
-            batches = (sample_rigid_blocks(n, rng, want, min(500, budget - spent))
-                       for spent in range(0, budget, 500))
-        for batch in batches:
-            pool.extend(batch)
+    for n in range(min(SAMPLE_BUDGETS), max_n + 1):
+        budget = SAMPLE_BUDGETS.get(n, SAMPLE_BUDGETS[max(SAMPLE_BUDGETS)])
+        # keep sampling this size, 500 draws at a time, until the budget
+        # runs out or the pool supports the requested gadget
+        for spent in range(0, budget, 500):
+            pool.extend(sample_rigid_blocks(n, rng, want, min(500, budget - spent)))
             found = _find(pool, want, inc)
             if found is not None:
                 return found
@@ -189,18 +140,3 @@ def search_gadgets(max_n: int, need: str = "triple",
         f"most {max_n} vertices (none exist below 8; sampling budgets "
         f"exhausted otherwise)")
 
-
-def recheck_block(g: Graph) -> dict[str, bool | int]:
-    """Independent re-verification of the block properties by raw
-    enumeration (no shortcuts shared with ``certify``)."""
-    try:
-        endos = len(enumerate_homs(g, g, cap=50))
-    except HomCapExceeded:
-        endos = 51
-    return {
-        "n": g.n,
-        "connected": g.is_connected(),
-        "non_bipartite": not g.is_bipartite(),
-        "self_homs": endos,
-        "rigid": endos == 1,
-    }

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .bp import LayeredBP
 from .circuit import ADD, CONST, Circuit, INPUT, MUL
-from .graphs import Graph, are_incomparable, is_rigid
+from .graphs import MAX_SOURCE_VERTICES, Graph, are_incomparable, is_rigid
 from .labels import yedge
 
 # designated block vertices: where left/right child paths attach, and
@@ -68,12 +68,15 @@ def certify_blocks(blocks: dict[str, Graph]) -> list[str]:
 
 
 def _settle(gadget: GadgetPair | GadgetTriple, *blocks: Graph) -> None:
-    """Fill in the default ``c_max``, then refuse a short one or blocks
-    that fail certification.
+    """Fill in the default ``c_max``, then refuse a short or an oversized
+    one, or blocks that fail certification.
 
     A certified block is non-bipartite, so it has at least three vertices
     and every marked vertex (``ATTACH``, ``L_MARK``, ``R_MARK``,
-    ``P_MARK``) exists.
+    ``P_MARK``) exists.  Every gadget graph built from the blocks has more
+    than ``c_max`` vertices, so a ``c_max`` above ``MAX_SOURCE_VERTICES``
+    leaves nothing the homomorphism search would take; it is refused
+    before certification builds anything that large.
     """
     least = max(b.n for b in blocks) + 1
     if gadget.c_max == 0:
@@ -81,6 +84,10 @@ def _settle(gadget: GadgetPair | GadgetTriple, *blocks: Graph) -> None:
     if gadget.c_max < least:
         raise ValueError(
             f"c_max must exceed the largest block size (need >= {least})")
+    if gadget.c_max > MAX_SOURCE_VERTICES:
+        raise ValueError(
+            f"c_max must be at most {MAX_SOURCE_VERTICES}, the most source "
+            f"vertices the homomorphism search takes, not {gadget.c_max}")
     failures = gadget.certify()
     if failures:
         raise ValueError("gadget blocks failed certification: "

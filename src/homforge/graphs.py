@@ -24,6 +24,11 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 UNREACHABLE = 10**9  # the distance between vertices in different components
+# the most source vertices enumerate_homs takes: its search recurses once per
+# source vertex, and Python's default recursion limit is 1,000 frames (800
+# leaves room for the callers' frames), so a larger source is refused with
+# ValueError instead of hitting RecursionError
+MAX_SOURCE_VERTICES = 800
 
 
 def neighbourhood(nbr: Sequence[int], mask: int) -> int:
@@ -336,7 +341,9 @@ def enumerate_homs(
 
     cap aborts the search with HomCapExceeded once more than cap maps have
     been found.  distance_prune additionally rejects images that would
-    force some pair of vertices closer together than they are in H.
+    force some pair of vertices closer together than they are in H.  A
+    source with more than MAX_SOURCE_VERTICES vertices is refused with
+    ValueError before the search starts.
 
     Candidate images are bit masks over H's vertices: the AND of the
     neighbour masks of the images of v's earlier neighbours and, with
@@ -345,6 +352,9 @@ def enumerate_homs(
     when the search first reaches it, an image's ball_rings when it is
     first tested.  Candidates are tried in ascending order.
     """
+    if G.n > MAX_SOURCE_VERTICES:
+        raise ValueError(f"homomorphism search takes at most {MAX_SOURCE_VERTICES} "
+                         f"source vertices, got {G.n}")
     order = order if order is not None else _search_order(G)
     if sorted(order) != list(G.vertices()):
         raise ValueError("order must be a permutation of the source vertices")

@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from homforge.compiler import compile_hom, hom_poly_oracle
+from brute import count_homs, hom_poly_oracle
+from homforge.compiler import compile_hom
 from homforge.gadget_search import search_gadgets
 from homforge.graphs import Graph, enumerate_homs
 from homforge.intermediates import (
@@ -329,31 +330,6 @@ def test_criterion_08_parse_hom_bijection(acceptance_log, certified_triple):
 # -- criterion 9: hand-rolled re-verification ---------------------------------
 
 
-def _bt_count_homs(G: Graph, H: Graph, cap: int) -> int:
-    """Plain backtracking homomorphism counter (no shared code paths)."""
-    gv = sorted(G.vertices())
-    hv = sorted(H.vertices())
-    count = 0
-    img: dict[int, int] = {}
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        if i == len(gv):
-            count += 1
-            return
-        u = gv[i]
-        for x in hv:
-            if all(x in H.adj[img[w]] for w in G.adj[u] if w in img):
-                img[u] = x
-                rec(i + 1)
-                del img[u]
-
-    rec(0)
-    return count
-
-
 def _bfs_reaches_all(G: Graph) -> bool:
     verts = sorted(G.vertices())
     seen = {verts[0]}
@@ -393,7 +369,7 @@ def test_criterion_09_gadget_certification(acceptance_log, certified_triple):
         blocks = [pair.i1, pair.i2,
                   certified_triple.i0, certified_triple.i1, certified_triple.i2]
         for g in blocks:
-            assert _bt_count_homs(g, g, cap=2) == 1      # rigidity
+            assert count_homs(g, g, cap=2) == 1      # rigidity
             assert _bfs_reaches_all(g)                   # connectivity
             assert not _two_colorable(g)                 # non-bipartiteness
         for group in ([pair.i1, pair.i2],
@@ -402,7 +378,7 @@ def test_criterion_09_gadget_certification(acceptance_log, certified_triple):
             for a in group:
                 for b in group:
                     if a is not b:
-                        assert _bt_count_homs(a, b, cap=1) == 0
+                        assert count_homs(a, b, cap=1) == 0
 
 
 def test_criterion_10_clow_matrix_identity(acceptance_log):

@@ -76,7 +76,7 @@ def test_bp_text_round_trip():
     again = LayeredBP.from_text(bp.to_text())
     assert again == bp
     with pytest.raises(ValueError, match="line 2"):
-        LayeredBP.from_text("layers 1 1\nwhatever\n")
+        LayeredBP.from_text("layers 1\nwhatever\n")
 
 
 def test_certified_blocks_properties(certified_triple):

@@ -201,6 +201,16 @@ def test_eval_extension_field_values_are_element_indices(capsys, tmp_path):
     assert code == 2 and "element index of F_4" in err
 
 
+def test_eval_rejects_repeated_label(capsys, tmp_path):
+    # the second line used to replace the first without a word
+    f = tmp_path / "a.txt"
+    f.write_text("Yv:1 0\nYv:1 1\n")
+    code, out, err = run(capsys, "eval", "--family", "vc", "--n", "3",
+                         "--field", "5", "--assign", str(f))
+    assert code == 2 and "error: line 2: duplicate label 'Yv:1'" in err
+    assert "value=" not in out
+
+
 def test_read_assignment_file_parsing():
     vals = read_assignment_file("# comment\nA 3\n\nB 0 # trailing\n")
     assert vals == {"A": 3, "B": 0}
@@ -388,6 +398,9 @@ K3_BLOCK = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
      "gadget block key 'n' must be an int"),
     ({"kind": "pair", "c_max": 9, "i1": {"n": 3, "edges": 5}, "i2": K3_BLOCK},
      "gadget block key 'edges' must be a list"),
+    # refused before certification would build a billion-vertex adjacency
+    ({"kind": "pair", "c_max": 10**9 + 1, "i1": {"n": 10**9, "edges": []}, "i2": K3_BLOCK},
+     "c_max must be at most 800"),
 ])
 def test_verify_malformed_gadget_is_input_error(capsys, tmp_path, bp_file,
                                                 gad, message):
@@ -409,6 +422,52 @@ def test_verify_uncertified_gadget_is_input_error(capsys, tmp_path, bp_file,
                          "--circuit", circuit_file, "--triple", str(f))
     assert code == 2 and "error: gadget blocks failed certification" in err
     assert "verdict" not in out
+
+
+def width_one_bp_text(layers: int) -> str:
+    return LayeredBP((1,) * layers,
+                     tuple(Arc(l, 0, 0, f"x{l}") for l in range(layers - 1))).to_text()
+
+
+def test_verify_source_above_hom_search_limit_is_input_error(capsys, tmp_path, triple_file):
+    # the source graph has more than MAX_SOURCE_VERTICES vertices; the
+    # recursive search used to hit RecursionError (exit 3)
+    f = tmp_path / "long.bp"
+    f.write_text(width_one_bp_text(1000))
+    code, out, err = run(capsys, "verify", "--theorem", "gadget-bp", "--bp", str(f),
+                         "--triple", triple_file)
+    assert code == 2 and "source vertices" in err and err.startswith("error: ")
+    assert "verdict" not in out
+
+
+@pytest.mark.parametrize("c_max, message", [
+    (9, "c_max must exceed the largest block size (need >= 1201)"),
+    (1201, "c_max must be at most 800"),
+])
+def test_verify_oversized_gadget_block_is_input_error(capsys, tmp_path, bp_file,
+                                                      certified_triple, c_max, message):
+    # a 1,200-vertex odd cycle with a chord: certifying it as a block used
+    # to recurse past the default limit (exit 3)
+    big = {"n": 1200, "edges": [[v, v % 1199 + 1] for v in range(1, 1200)]
+           + [[1199, 1200], [1, 1200]]}
+    gad = dump_gadget(certified_triple.pair())
+    f = tmp_path / "big.gad"
+    f.write_text(json.dumps({**gad, "c_max": c_max, "i1": big}))
+    code, _, err = run(capsys, "verify", "--theorem", "gadget-bp",
+                       "--bp", bp_file, "--pair", str(f))
+    assert code == 2 and f"error: {message}" in err
+
+
+@pytest.mark.parametrize("line, extra, n", [("layers 3", " 7", 1), ("node 1 0", " 1", 3),
+                                            ("source 0", " 9", 10), ("sink 0", " 9", 11)])
+def test_verify_bp_trailing_token_is_input_error(capsys, tmp_path, bp_file,
+                                                 line, extra, n):
+    text = open(bp_file).read()
+    assert text.splitlines()[n - 1] == line
+    f = tmp_path / "extra.bp"
+    f.write_text(text.replace(line + "\n", line + extra + "\n", 1))
+    code, _, err = run(capsys, "verify", "--theorem", "cycle", "--bp", str(f))
+    assert code == 2 and f"error: line {n}: expected" in err
 
 
 @pytest.mark.parametrize("exc", [HomCapExceeded(10, 11),

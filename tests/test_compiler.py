@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from homforge.circuit import Circuit, CircuitBuilder
-from homforge.compiler import compile_hom, hom_poly_oracle, project
+from brute import hom_poly_oracle
+from homforge.circuit import CONST, INPUT, Circuit, CircuitBuilder, Gate
+from homforge.compiler import compile_hom
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
 from homforge.randgen import random_assignment, random_path_decomposed
@@ -22,6 +24,31 @@ def all_labels(G: Graph, H: Graph) -> list[str]:
     labs = [zvar(u, a) for u in G.vertices() for a in H.vertices()]
     labs += [yedge(a, b) for (a, b) in sorted(H.edges)]
     return labs
+
+
+def project(c: Circuit, sigma: dict[str, int | str]) -> Circuit:
+    """Substitute inputs per ``sigma`` (0, 1, or a replacement label).
+
+    ``sigma`` must cover every input label; gate structure is unchanged.
+    """
+    labels = c.input_labels()
+    missing = [lab for lab in labels if lab not in sigma]
+    if missing:
+        raise ValueError(f"projection must cover all inputs; missing {missing}")
+    new_gates = []
+    for g in c.gates:
+        if g.op == INPUT:
+            val = sigma[g.label]
+            if val in (0, 1) or val in ("0", "1"):
+                new_gates.append(Gate(CONST, value=int(val)))
+            elif isinstance(val, str) and val and not val.isdigit():
+                new_gates.append(replace(g, label=val))
+            else:
+                raise ValueError(
+                    f"projection value for {g.label!r} must be 0, 1, or a label")
+        else:
+            new_gates.append(g)
+    return Circuit(tuple(new_gates), c.output)
 
 
 def check_pair(G: Graph, H: Graph, rng: random.Random, rounds: int = 8):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
-from homforge.graphs import (Graph, HomCapExceeded, Hypergraph3,
+from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergraph3,
                              are_incomparable, ball_rings, enumerate_homs,
                              has_hom, is_homomorphism, is_rigid, unimplied_balls)
 from homforge.randgen import random_layered_bp
@@ -269,6 +269,20 @@ def test_reduced_kernel_matches_all_pairs_kernel(certified_triple):
 def test_custom_order_checked():
     with pytest.raises(ValueError):
         enumerate_homs(Graph.path(3), Graph.path(3), order=[1, 2])
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_source_size_limit(prune):
+    # the search recurses once per source vertex: the largest source it
+    # takes still fits the default recursion limit, and a larger one is
+    # refused before the search starts
+    k2 = Graph.complete(2)
+    at_limit = Graph.path(MAX_SOURCE_VERTICES)
+    assert len(enumerate_homs(at_limit, k2, distance_prune=prune)) == 2
+    with pytest.raises(ValueError, match=f"at most {MAX_SOURCE_VERTICES} source vertices"):
+        enumerate_homs(Graph.path(MAX_SOURCE_VERTICES + 1), k2, distance_prune=prune)
+    with pytest.raises(ValueError, match="source vertices"):
+        is_rigid(Graph.cycle(MAX_SOURCE_VERTICES + 1))
 
 
 def test_rigidity():

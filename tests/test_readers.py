@@ -3,7 +3,9 @@
 ``#`` comments are cut, blank lines are skipped, a repeated single-value
 line is refused, and every per-line error is a ``ValueError`` that names
 the line as ``line N:``.  The fuzz tests draw lines from each format's
-directive words and int and non-int tokens.
+directive words and int and non-int tokens.  The JSON gadget reader
+``load_gadget`` is fuzzed here too: it must refuse bad input with
+``ValueError`` only.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from homforge.bp import LayeredBP
 from homforge.circuit import Circuit
 from homforge.cli import main, read_assignment_file
 from homforge.formulas import CNF
-from homforge.gadgets import dump_gadget
+from homforge.gadgets import GadgetPair, GadgetTriple, dump_gadget, load_gadget
 from homforge.graphs import Graph, Hypergraph3
 from homforge.treedecomp import NiceTreeDecomp, treewidth_exact
 
@@ -38,7 +40,8 @@ NF_TEXT = ("gate 0 input x\ngate 1 input y\ngate 2 input u\ngate 3 input v\n"
      "line 3: duplicate root line"),
     (LayeredBP.from_text, BP_TEXT + "source 0\n", "line 7: duplicate source line"),
     (LayeredBP.from_text, BP_TEXT + "# again\nsink 0\n", "line 8: duplicate sink line"),
-], ids=["ct-output", "td-root", "bp-source", "bp-sink"])
+    (read_assignment_file, "Yv:1 0\nYv:1 1\n", "line 2: duplicate label 'Yv:1'"),
+], ids=["ct-output", "td-root", "bp-source", "bp-sink", "assign-label"])
 def test_repeated_single_value_line_is_refused(read, text, message):
     # the last such line used to win without a word
     with pytest.raises(ValueError) as exc:
@@ -111,6 +114,38 @@ def test_reader_fuzz_raises_only_value_errors_naming_real_lines(fmt):
             m = re.match(r"line (\d+): ", str(e))
             if m:
                 assert 1 <= int(m[1]) <= len(text.splitlines()), str(e)
+
+    check()
+
+
+SMALL = st.integers(-1, 10)
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.sampled_from(["", "3", "pair", "triple"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["kind", "c_max", "n", "edges", "i1"]),
+                                     inner, max_size=3)),
+    max_leaves=8)
+BLOCKS = st.fixed_dictionaries(
+    {"n": SMALL, "edges": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=16)}) | JSON
+PATCHES = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["pair", "triple"]) | JSON, "c_max": SMALL | JSON,
+    "i0": BLOCKS, "i1": BLOCKS, "i2": BLOCKS})
+
+
+def test_load_gadget_fuzz_raises_only_value_errors(certified_triple):
+    real = [dump_gadget(certified_triple), dump_gadget(certified_triple.pair())]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(real), PATCHES, JSON)
+    def check(base, patch, other):
+        # a real gadget with some keys replaced, the replacements alone,
+        # and an arbitrary JSON value
+        for d in ({**base, **patch}, patch, other):
+            try:
+                got = load_gadget(d)
+            except ValueError:
+                continue
+            assert isinstance(got, (GadgetPair, GadgetTriple))
 
     check()
 

@@ -10,12 +10,10 @@ from itertools import combinations
 
 import pytest
 
+from brute import count_homs
 from homforge import gadget_search
 from homforge.gadget_search import (
-    EXHAUSTIVE_MAX,
-    canonical_form,
-    recheck_block,
-    rigid_blocks_exhaustive,
+    SAMPLE_BUDGETS,
     sample_rigid_blocks,
     search_gadgets,
     _prefilter,
@@ -72,9 +70,7 @@ def reference_prefilter(n: int, edges) -> bool:
     return (1, 1) in parity
 
 
-def test_mask_prefilter_matches_set_reference(monkeypatch):
-    checked: list[Graph] = []
-    monkeypatch.setattr(gadget_search, "is_rigid", lambda g: checked.append(g) and False)
+def test_mask_prefilter_matches_set_reference():
     for n in range(1, 7):
         pairs = list(combinations(range(1, n + 1), 2))
         passed = []
@@ -84,12 +80,13 @@ def test_mask_prefilter_matches_set_reference(monkeypatch):
             assert _prefilter(g.nbr_masks) == want, sorted(g.edges)
             if want:
                 passed.append(g)
-        if n >= 3:
-            # the exhaustive sweep builds its masks incrementally: it must
-            # test rigidity on exactly the survivors, in edge-set order
-            checked.clear()
-            rigid_blocks_exhaustive(n)
-            assert checked == passed
+        # no rigid block on up to 6 vertices, which is why search_gadgets
+        # starts at 7.  A graph the reference rejects is disconnected,
+        # bipartite, or has a vertex of degree <= 1 or one whose
+        # neighbourhood lies in a non-neighbour's, and folding that vertex
+        # is a non-identity endomorphism; every graph it keeps has one too
+        for g in passed:
+            assert count_homs(g, g, cap=2) == 2, sorted(g.edges)
     assert len(passed) == 1048  # n = 6
     rng = random.Random(2024)
     for _ in range(2400):
@@ -100,25 +97,17 @@ def test_mask_prefilter_matches_set_reference(monkeypatch):
         assert _prefilter(g.nbr_masks) == reference_prefilter(n, g.edges), sorted(g.edges)
 
 
-def test_canonical_form_is_isomorphism_invariant():
-    rng = random.Random(7)
-    g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])
-    verts = list(g.vertices())
-    for _ in range(5):
-        perm = verts[:]
-        rng.shuffle(perm)
-        relab = {v: perm[i] for i, v in enumerate(verts)}
-        h = Graph.from_edges(5, [(relab[u], relab[v]) for (u, v) in g.edges])
-        assert canonical_form(h) == canonical_form(g)
-    assert canonical_form(Graph.cycle(5)) != canonical_form(g)
+def test_search_builds_no_graph_below_seven(monkeypatch):
+    sizes = set()
+    real = gadget_search._prefilter
 
+    def recording(nbr):
+        sizes.add(len(nbr) - 1)
+        return real(nbr)
 
-def test_no_small_rigid_nonbipartite_blocks_exist():
-    # exhaustive up to 6 vertices: the search space is provably empty
-    for n in range(3, EXHAUSTIVE_MAX + 1):
-        assert rigid_blocks_exhaustive(n) == []
-    with pytest.raises(ValueError):
-        rigid_blocks_exhaustive(EXHAUSTIVE_MAX + 1)
+    monkeypatch.setattr(gadget_search, "_prefilter", recording)
+    search_gadgets(8, "pair", seed=0)
+    assert min(sizes) == min(SAMPLE_BUDGETS) == 7
 
 
 def test_search_raises_honestly_when_max_n_too_small():
@@ -134,8 +123,7 @@ def test_sampling_finds_rigid_blocks_at_eight():
     rng = random.Random(3)
     got = sample_rigid_blocks(8, rng, want=1, max_samples=20000)
     assert got, "expected at least one rigid 8-vertex block from sampling"
-    info = recheck_block(got[0])
-    assert info["rigid"] and info["self_homs"] == 1
+    assert count_homs(got[0], got[0], cap=2) == 1
 
 
 def test_search_gadgets_pair_and_determinism():
@@ -182,19 +170,8 @@ def test_certified_triple_properties(certified_triple):
     assert isinstance(certified_triple, GadgetTriple)
     assert certified_triple.certify() == []
     for g in (certified_triple.i0, certified_triple.i1, certified_triple.i2):
-        info = recheck_block(g)
-        assert info["connected"]
-        assert info["non_bipartite"]
-        assert info["self_homs"] == 1
-        assert info["rigid"]
-        assert info["n"] >= 8
+        assert g.is_connected()
+        assert not g.is_bipartite()
+        assert count_homs(g, g, cap=2) == 1
+        assert g.n >= 8
 
-
-def test_recheck_block_counts_endomorphisms():
-    info = recheck_block(Graph.cycle(5))
-    assert info["self_homs"] == 10  # the dihedral automorphisms
-    assert not info["rigid"]
-    assert info["non_bipartite"] and info["connected"]
-    caps = recheck_block(Graph.complete(5))
-    assert caps["self_homs"] == 51  # capped: far more than 50 colourings
-    assert not caps["rigid"]
