@@ -70,24 +70,21 @@ def reference_prefilter(n: int, edges) -> bool:
     return (1, 1) in parity
 
 
+def labelled_graphs(n: int):
+    """Every graph on vertices 1..n, one per edge subset."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
 def test_mask_prefilter_matches_set_reference():
     for n in range(1, 7):
-        pairs = list(combinations(range(1, n + 1), 2))
-        passed = []
-        for bits in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+        passed = 0
+        for g in labelled_graphs(n):
             want = reference_prefilter(n, g.edges)
             assert _prefilter(g.nbr_masks) == want, sorted(g.edges)
-            if want:
-                passed.append(g)
-        # no rigid block on up to 6 vertices, which is why search_gadgets
-        # starts at 7.  A graph the reference rejects is disconnected,
-        # bipartite, or has a vertex of degree <= 1 or one whose
-        # neighbourhood lies in a non-neighbour's, and folding that vertex
-        # is a non-identity endomorphism; every graph it keeps has one too
-        for g in passed:
-            assert count_homs(g, g, cap=2) == 2, sorted(g.edges)
-    assert len(passed) == 1048  # n = 6
+            passed += want
+    assert passed == 1048  # n = 6
     rng = random.Random(2024)
     for _ in range(2400):
         n = rng.randint(7, 9)
@@ -95,6 +92,18 @@ def test_mask_prefilter_matches_set_reference():
         g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
                                  if rng.random() < p])
         assert _prefilter(g.nbr_masks) == reference_prefilter(n, g.edges), sorted(g.edges)
+
+
+def test_no_small_rigid_nonbipartite_blocks_exist():
+    # exhaustive up to 6 vertices, which is why search_gadgets starts at 7:
+    # every connected non-bipartite graph has a non-identity endomorphism
+    blocks = 0
+    for n in range(1, 7):
+        for g in labelled_graphs(n):
+            if g.is_connected() and not g.is_bipartite():
+                blocks += 1
+                assert count_homs(g, g, cap=2) == 2, sorted(g.edges)
+    assert blocks > 0
 
 
 def test_search_builds_no_graph_below_seven(monkeypatch):
