@@ -312,8 +312,8 @@ def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
     asm.paths.append(PathInfo(u, v, tuple(interior)))
     g = asm.finish({"u": u, "a": a, "b": b, "v": v},
                    {"k": k, "convention": "segments-have-c_max-edges"})
-    d = g.graph.distances
-    assert d[u][a] == c_max and d[u][b] == c_max + k - 1
+    d = g.graph.bfs(u)
+    assert d[a] == c_max and d[b] == c_max + k - 1
     return g
 
 
@@ -349,9 +349,8 @@ def build_Gm(m: int, triple: GadgetTriple) -> GadgetGraph:
     g = asm.finish({"root": info[(0, 0)].vmap[ATTACH]},
                    {"m": m, "depth": depth,
                     "convention": "paths-have-c_max-interior-vertices"})
-    d = g.graph.distances
     for p in g.paths:
-        assert d[p.src][p.dst] == c_max + 1
+        assert g.graph.bfs(p.src)[p.dst] == c_max + 1
     return g
 
 
@@ -366,7 +365,10 @@ def _bp_layout(bp: LayeredBP, asm: _Assembler) -> dict[tuple[int, int], int]:
     return ids
 
 
-def _complete_assignment(g: GadgetGraph, target_size: int | None):
+def complete_assignment(g: GadgetGraph, target_size: int | None = None) -> dict:
+    """An edge-variable assignment for the complete graph on ``target_size``
+    (default: exactly |V(g)|) vertices: absent edges map to 0, structural
+    edges to 1, and program arcs to their labels."""
     n = g.graph.n
     size = n if target_size is None else target_size
     if size < n:
@@ -381,8 +383,7 @@ def _complete_assignment(g: GadgetGraph, target_size: int | None):
     return assignment
 
 
-def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
-             target_size: int | None = None):
+def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> GadgetGraph:
     """Turn a branching program into a weighted target graph.
 
     cycle mode: the undirected program graph plus an (s,t) edge carrying
@@ -394,10 +395,8 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
     trace source-to-sink paths.  ``pair`` was certified when it was
     constructed.
 
-    Returns ``(assignment, B)``: an edge-variable assignment for the
-    complete graph on ``target_size`` (default: exactly |V(B)|) vertices
-    mapping absent edges to 0, structural edges to 1, and program arcs to
-    their labels; and the explicit gadget graph ``B``.
+    Returns the gadget graph ``B``; ``complete_assignment(B)`` gives it as
+    an edge-variable assignment of a complete graph.
     """
     if mode == "cycle":
         ell = bp.n_layers
@@ -409,8 +408,7 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
         t = ids[(bp.n_layers - 1, bp.sink)]
         asm.edge(s, t, "y")
         asm.blocks.append(BlockInfo(("bp",), "BP", None, dict(ids)))
-        g = asm.finish({"s": s, "t": t}, {"ell": ell})
-        return _complete_assignment(g, target_size), g
+        return asm.finish({"s": s, "t": t}, {"ell": ell})
     if mode == "gadget":
         if pair is None:
             raise ValueError("gadget mode needs a block pair")
@@ -426,10 +424,9 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None, *,
         v = b2.vmap[ATTACH]
         asm.chain(t, v, c_max - 1)
         asm.blocks.insert(1, BlockInfo(("bp",), "BP", None, dict(ids)))
-        g = asm.finish({"u": u, "s": s, "t": t, "v": v},
-                       {"ell": bp.n_layers,
-                        "convention": "segments-have-c_max-edges"})
-        return _complete_assignment(g, target_size), g
+        return asm.finish({"u": u, "s": s, "t": t, "v": v},
+                          {"ell": bp.n_layers,
+                           "convention": "segments-have-c_max-edges"})
     raise ValueError(f"unknown embed mode {mode!r}")
 
 

@@ -31,6 +31,13 @@ UNREACHABLE = 10**9  # the distance between vertices in different components
 MAX_SOURCE_VERTICES = 800
 
 
+def check_source_size(n: int) -> None:
+    """Refuse a homomorphism-search source with more than MAX_SOURCE_VERTICES."""
+    if n > MAX_SOURCE_VERTICES:
+        raise ValueError(f"homomorphism search takes at most {MAX_SOURCE_VERTICES} "
+                         f"source vertices, got {n}")
+
+
 def neighbourhood(nbr: Sequence[int], mask: int) -> int:
     """The union of the neighbour masks ``nbr[v]`` over the bits v of mask."""
     out = 0
@@ -177,23 +184,22 @@ class Graph:
                         return False
         return True
 
+    def bfs(self, s: int) -> list[int]:
+        """BFS distances from s, indexed by vertex, unreachable = UNREACHABLE."""
+        d = [UNREACHABLE] * (self.n + 1)
+        d[s] = 0
+        queue = [s]
+        for x in queue:  # the loop also visits what it appends
+            for y in self.adj[x]:
+                if d[y] == UNREACHABLE:
+                    d[y] = d[x] + 1
+                    queue.append(y)
+        return d
+
     @cached_property
     def distances(self) -> list[list[int]]:
         """All-pairs BFS distances, table indexed [u][v], unreachable = UNREACHABLE."""
-        dist = [[UNREACHABLE] * (self.n + 1) for _ in range(self.n + 1)]
-        for s in self.vertices():
-            d = dist[s]
-            d[s] = 0
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                for y in self.adj[x]:
-                    if d[y] > d[x] + 1:
-                        d[y] = d[x] + 1
-                        queue.append(y)
-        return dist
+        return [[UNREACHABLE] * (self.n + 1)] + [self.bfs(s) for s in self.vertices()]
 
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
@@ -352,9 +358,7 @@ def enumerate_homs(
     when the search first reaches it, an image's ball_rings when it is
     first tested.  Candidates are tried in ascending order.
     """
-    if G.n > MAX_SOURCE_VERTICES:
-        raise ValueError(f"homomorphism search takes at most {MAX_SOURCE_VERTICES} "
-                         f"source vertices, got {G.n}")
+    check_source_size(G.n)
     order = order if order is not None else _search_order(G)
     if sorted(order) != list(G.vertices()):
         raise ValueError("order must be a permutation of the source vertices")

@@ -12,6 +12,14 @@ variables X and vertex/clause variables Y).  The module provides:
   for the variables of a concrete instance turns a single coefficient of
   the family polynomial into the answer of a #P-style counting problem.
 
+Values travel as tuples in registry order.  Labels are met only at the
+edges: ``FamilyInstance`` reads its dict into a tuple once, and
+``count_via_coefficient`` builds the projected tuple without formatting a
+label.  The sums read int index lists from a ``FamilyPlan``, built once
+per (family, n).  A factor equal to the ring's one is dropped before a sum
+starts, so the sat sum's work per term follows its non-one factors: under
+a projection, the instance's clauses rather than all 8n^3 clause slots.
+
 Exponent convention: all variables appear as (q-1)-th powers, so by
 Fermat a nonzero value contributes 1 and a zero value kills the term.
 """
@@ -19,6 +27,7 @@ Fermat a nonzero value contributes 1 and a zero value kills the term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -60,24 +69,78 @@ def tdm_vertex(part: str, i: int) -> str:
 
 def registry(family: str, n: int) -> list[str]:
     """Ordered list of variable labels for the index-n family polynomial."""
+    return list(family_plan(family, n).labels)
+
+
+@dataclass(frozen=True)
+class FamilyPlan:
+    """What depends on (family, n) alone; it holds no values.
+
+    A value tuple in registry order is the ``nx`` X variables followed by
+    the Y variables.  For vc/cis/clow/tdm, ``edges`` lists the Y indices
+    that each X variable joins: the 0-based endpoints of an edge, or a tdm
+    triple with part A at 0..n-1, B at n..2n-1 and C at 2n..3n-1.  For sat
+    it is empty: clause (a, b, c) is Y entry ``(pos(a)*2n + pos(b))*2n +
+    pos(c)``, where literal l sits at position ``pos(l) = 2(|l|-1) + (l <
+    0)``, and ``_positions`` reads the positions back off the index.  The
+    labels and their index are built on first use, so the sums, which read
+    no label, never build them.
+    """
+
+    family: str
+    n: int
+    nx: int
+    edges: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        n = self.n
+        if self.family == "sat":
+            return (*(xvar(i) for i in range(1, n + 1)),
+                    *(yclause(*c) for c in clause_space(n)))
+        if self.family == "tdm":
+            return (*(xhyper(*e) for e in _triples(n)),
+                    *(yvert(tdm_vertex(part, i)) for part in TDM_PARTS
+                      for i in range(1, n + 1)))
+        return (*(xedge(u, v) for (u, v) in _pairs(n)),
+                *(yvert(v) for v in range(1, n + 1)))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+
+@lru_cache(maxsize=64)
+def family_plan(family: str, n: int) -> FamilyPlan:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if n < 1:
         raise ValueError("family index must be at least 1")
     if family == "sat":
-        return [xvar(i) for i in range(1, n + 1)] + \
-               [yclause(*c) for c in clause_space(n)]
-    if family in ("vc", "cis", "clow"):
-        return [xedge(u, v) for (u, v) in _pairs(n)] + \
-               [yvert(v) for v in range(1, n + 1)]
-    return [xhyper(*e) for e in _triples(n)] + \
-           [yvert(tdm_vertex(part, i))
-            for part in TDM_PARTS for i in range(1, n + 1)]
+        nx, edges = n, ()
+    elif family == "tdm":
+        edges = tuple((a - 1, n + b - 1, 2 * n + c - 1) for (a, b, c) in _triples(n))
+        nx = len(edges)
+    else:
+        edges = tuple(combinations(range(n), 2))
+        nx = len(edges)
+    return FamilyPlan(family, n, nx, edges)
+
+
+def _positions(idx: int, n: int) -> tuple[int, int, int]:
+    """Literal positions of the clause at sat Y index ``idx``."""
+    ij, k = divmod(idx, 2 * n)
+    i, j = divmod(ij, 2 * n)
+    return i, j, k
 
 
 @dataclass
 class FamilyInstance:
-    """A family member with a total assignment into its field."""
+    """A family member with a total assignment into its field.
+
+    The assignment is read once, at construction, into ``values``, a tuple
+    in registry order; the evaluators read only that tuple.
+    """
 
     family: str
     n: int
@@ -85,29 +148,17 @@ class FamilyInstance:
     assignment: dict[str, int]
 
     def __post_init__(self):
-        labels = registry(self.family, self.n)
-        need = set(labels)
-        got = set(self.assignment)
+        self.plan = family_plan(self.family, self.n)
+        need, got = self.plan.index.keys(), self.assignment.keys()
         if got != need:
             missing = sorted(need - got)[:3]
             extra = sorted(got - need)[:3]
             raise ValueError(
                 f"assignment must cover the registry exactly; "
                 f"missing {missing}, unexpected {extra}")
-        for v in self.assignment.values():
+        self.values = tuple(self.assignment[lab] for lab in self.plan.labels)
+        for v in self.values:
             self.field._check(v)
-
-    @classmethod
-    def all_ones(cls, family: str, n: int, field: Field) -> "FamilyInstance":
-        return cls(family, n, field, {lab: 1 for lab in registry(family, n)})
-
-    def replace_values(self, overrides: dict[str, int]) -> "FamilyInstance":
-        bad = [lab for lab in overrides if lab not in self.assignment]
-        if bad:
-            raise ValueError(f"labels not in this family's registry: {bad[:3]}")
-        merged = dict(self.assignment)
-        merged.update(overrides)
-        return FamilyInstance(self.family, self.n, self.field, merged)
 
 
 def _budget_check(family: str, n: int) -> None:
@@ -127,28 +178,22 @@ def eval_definitional(inst: FamilyInstance, ring=None):
     """
     _budget_check(inst.family, inst.n)
     if ring is None:
-        ring = inst.field
-        val = dict(inst.assignment)
+        ring, vals = inst.field, inst.values
     elif isinstance(ring, TruncRing):
         if ring.field != inst.field:
             raise ValueError("truncated ring must sit over the instance field")
-        val = {lab: ring.monomial(0, 0, v) for lab, v in inst.assignment.items()}
+        vals = [ring.monomial(0, 0, v) for v in inst.values]
     else:
         raise TypeError("ring must be None or a TruncRing over the same field")
-    return _eval_def(inst.family, inst.n, inst.field.q, ring, val)
+    return _eval_def(inst.family, inst.n, inst.field.q, ring, vals)
 
 
-def _eval_def(family: str, n: int, q: int, ring, val):
-    qm1 = q - 1
-    if family == "sat":
-        return _def_sat(n, ring, val, qm1)
-    if family == "vc":
-        return _def_vc(n, ring, val, qm1)
-    if family == "cis":
-        return _def_cis(n, ring, val, qm1)
-    if family == "clow":
-        return _def_clow(n, ring, val, qm1)
-    return _def_tdm(n, ring, val, qm1)
+def _eval_def(family: str, n: int, q: int, ring, vals):
+    """The defining sum of ``vals``, ring elements in registry order."""
+    plan = family_plan(family, n)
+    X = _factors(ring, vals[:plan.nx], q - 1)
+    Y = _factors(ring, vals[plan.nx:], q - 1)
+    return _DEFS[family](plan, ring, X, Y)
 
 
 def _factors(ring, values, qm1: int) -> list:
@@ -171,83 +216,67 @@ def _product(mul, factors):
     return acc
 
 
-def _def_sat(n: int, ring, val, qm1: int):
-    lits = literals(n)
-    L = len(lits)
-    one = ring.one
-    mul = ring.mul
-    Y = dict(zip(product(range(L), repeat=3), _factors(
-        ring, [val[yclause(*c)] for c in product(lits, repeat=3)], qm1)))
-    X = _factors(ring, [val[xvar(i)] for i in range(1, n + 1)], qm1)
-
+def _def_sat(plan: FamilyPlan, ring, X, Y):
+    n, mul = plan.n, ring.mul
     # group the satisfied-clause product by the first true literal:
-    # row[i] covers clauses whose first literal i is true, pair[i, j] those
-    # with i false and second literal j true, and bare Y entries the rest.
-    row = [_product(mul, (Y[i, j, k] for j in range(L) for k in range(L)))
-           for i in range(L)]
-    pair = {(i, j): _product(mul, (Y[i, j, k] for k in range(L)))
-            for i in range(L) for j in range(L)}
+    # rows[i] covers clauses whose first literal i is true, pairs[i, j] those
+    # with i false and second literal j true, and triples[i, j, k] the rest;
+    # only the clauses whose factor is not one are grouped
+    rows, pairs, triples = {}, {}, {}
+    for idx, f in enumerate(Y):
+        if f is not None:
+            i, j, k = _positions(idx, n)
+            for group, key in ((rows, i), (pairs, (i, j)), (triples, (i, j, k))):
+                group[key] = mul(group[key], f) if key in group else f
+    # (need, forbid, factor): the factor enters every term whose true-literal
+    # mask meets ``need`` and misses ``forbid``; X_v needs literal +v
+    groups = [(1 << 2 * v, 0, f) for v, f in enumerate(X) if f is not None]
+    groups += [(1 << i, 0, f) for i, f in rows.items()]
+    groups += [(1 << j, 1 << i, f) for (i, j), f in pairs.items()]
+    groups += [(1 << k, 1 << i | 1 << j, f) for (i, j, k), f in triples.items()]
 
-    total = ring.zero
-    for bits in range(1 << n):
-        true_idx = []
-        false_idx = []
-        for pos, l in enumerate(lits):
-            v = (bits >> (abs(l) - 1)) & 1
-            if (v == 1) == (l > 0):
-                true_idx.append(pos)
-            else:
-                false_idx.append(pos)
+    # true-literal mask of each assignment, bit v of the index is x_{v+1}:
+    # all false makes every negative literal true, and setting x_{v+1}
+    # swaps the bits of literals +(v+1) and -(v+1)
+    masks = [sum(2 << 2 * v for v in range(n))]
+    for v in range(n):
+        masks += [m ^ 3 << 2 * v for m in masks]
+    total, one = ring.zero, ring.one
+    for tm in masks:
         term = one
-        for i in range(n):
-            if (bits >> i) & 1 and X[i] is not None:
-                term = mul(term, X[i])
-        for i in true_idx:
-            if row[i] is not None:
-                term = mul(term, row[i])
-        for i in false_idx:
-            for j in true_idx:
-                f = pair[i, j]
-                if f is not None:
-                    term = mul(term, f)
-        for i in false_idx:
-            for j in false_idx:
-                for k in true_idx:
-                    f = Y[i, j, k]
-                    if f is not None:
-                        term = mul(term, f)
-        total = ring.add(total, term)
-    return total
-
-
-def _def_vc(n: int, ring, val, qm1: int):
-    one = ring.one
-    mul = ring.mul
-    pairs = _pairs(n)
-    X = _factors(ring, [val[xedge(*e)] for e in pairs], qm1)
-    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
-    total = ring.zero
-    for bits in range(1 << n):
-        term = one
-        for (u, v), f in zip(pairs, X):
-            if f is not None and ((bits >> (u - 1)) & 1 or (bits >> (v - 1)) & 1):
+        for need, forbid, f in groups:
+            if tm & need and not tm & forbid:
                 term = mul(term, f)
-        for v in range(n):
-            if (bits >> v) & 1 and Y[v] is not None:
-                term = mul(term, Y[v])
         total = ring.add(total, term)
     return total
 
 
-def _touch_sum(ring, edges, X, Y):
-    """Sum over every subset S of ``edges`` of the product of X[e] over e in S
-    times Y[v] over the vertices v that S touches (each vertex once).
+def _def_vc(plan: FamilyPlan, ring, X, Y):
+    mul = ring.mul
+    # an edge factor enters when the cover holds either endpoint, a vertex
+    # factor when it holds the vertex
+    groups = [(1 << u | 1 << v, f) for (u, v), f in zip(plan.edges, X) if f is not None]
+    groups += [(1 << v, f) for v, f in enumerate(Y) if f is not None]
+    total, one = ring.zero, ring.one
+    for bits in range(1 << plan.n):
+        term = one
+        for mask, f in groups:
+            if bits & mask:
+                term = mul(term, f)
+        total = ring.add(total, term)
+    return total
 
-    ``edges`` lists distinct vertex indices into Y.  Subsets are walked
-    depth-first, so subsets that share a prefix share its product; every
-    subset still adds its own term.
+
+def _touch_sum(plan: FamilyPlan, ring, X, Y):
+    """Sum over every subset S of the edges of the product of X[e] over e in
+    S times Y[v] over the vertices v that S touches (each vertex once); the
+    cis and tdm sums.
+
+    Subsets are walked depth-first, so subsets that share a prefix share its
+    product; every subset still adds its own term.
     """
     mul = ring.mul
+    edges = plan.edges
     # step[idx][fresh]: X of edge idx times Y of the endpoints in bitmask
     # ``fresh``, the ones that no earlier edge of the subset touched
     masks, step = [], []
@@ -268,24 +297,15 @@ def _touch_sum(ring, edges, X, Y):
     return total
 
 
-def _def_cis(n: int, ring, val, qm1: int):
-    pairs = _pairs(n)
-    X = _factors(ring, [val[xedge(*e)] for e in pairs], qm1)
-    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
-    return _touch_sum(ring, [(u - 1, v - 1) for (u, v) in pairs], X, Y)
-
-
-def _def_clow(n: int, ring, val, qm1: int):
-    mul = ring.mul
-    pairs = _pairs(n)
-    Y = _factors(ring, [val[yvert(v)] for v in range(1, n + 1)], qm1)
-    # X[u, w] is the factor for the move u -> w; step[u, w] also carries
+def _def_clow(plan: FamilyPlan, ring, X, Y):
+    n, mul = plan.n, ring.mul
+    # Xm[u, w] is the factor for the move u -> w; step[u, w] also carries
     # Y of w, for a move onto a vertex the walk has not visited yet
-    X, step = {}, {}
-    for (u, v), f in zip(pairs, _factors(ring, [val[xedge(*e)] for e in pairs], qm1)):
-        X[u, v] = X[v, u] = f
-        step[u, v] = _product(mul, (f, Y[v - 1]))
-        step[v, u] = _product(mul, (f, Y[u - 1]))
+    Xm, step = {}, {}
+    for (u, v), f in zip(plan.edges, X):
+        Xm[u, v] = Xm[v, u] = f
+        step[u, v] = _product(mul, (f, Y[v]))
+        step[v, u] = _product(mul, (f, Y[u]))
     total = ring.zero
     if n < 2:
         return total
@@ -293,32 +313,26 @@ def _def_clow(n: int, ring, val, qm1: int):
     def extend(head: int, cur: int, steps_left: int, term, visited: int):
         nonlocal total
         if steps_left == 1:
-            f = X[cur, head]
+            f = Xm[cur, head]
             total = ring.add(total, term if f is None else mul(term, f))
             return
-        for w in range(head + 1, n + 1):
+        for w in range(head + 1, n):
             if w != cur:
-                f = X[cur, w] if (visited >> w) & 1 else step[cur, w]
+                f = Xm[cur, w] if (visited >> w) & 1 else step[cur, w]
                 extend(head, w, steps_left - 1, term if f is None else mul(term, f),
                        visited | (1 << w))
 
-    for head in range(1, n):
-        base = ring.one if Y[head - 1] is None else Y[head - 1]
-        for w in range(head + 1, n + 1):
+    for head in range(n - 1):
+        base = ring.one if Y[head] is None else Y[head]
+        for w in range(head + 1, n):
             f = step[head, w]
             extend(head, w, n - 1, base if f is None else mul(base, f),
                    (1 << head) | (1 << w))
     return total
 
 
-def _def_tdm(n: int, ring, val, qm1: int):
-    # vertex index: part A at 0..n-1, B at n..2n-1, C at 2n..3n-1
-    triples = _triples(n)
-    X = _factors(ring, [val[xhyper(*e)] for e in triples], qm1)
-    Y = _factors(ring, [val[yvert(tdm_vertex(part, i))]
-                        for part in TDM_PARTS for i in range(1, n + 1)], qm1)
-    edges = [(a - 1, n + b - 1, 2 * n + c - 1) for (a, b, c) in triples]
-    return _touch_sum(ring, edges, X, Y)
+_DEFS = {"sat": _def_sat, "vc": _def_vc, "cis": _touch_sum, "clow": _def_clow,
+         "tdm": _touch_sum}
 
 
 # -- fast evaluation ----------------------------------------------------------
@@ -331,20 +345,11 @@ def eval_fast(inst: FamilyInstance) -> int:
     only on which assignment entries are zero; each family then reduces to
     counting structures in a 0/1-masked instance.
     """
-    fam = inst.family
-    if fam == "sat":
-        return _fast_sat(inst)
-    if fam == "vc":
-        return _fast_vc(inst)
-    if fam == "cis":
-        return _fast_cis(inst)
-    if fam == "clow":
-        return _fast_clow(inst)
-    return _fast_tdm(inst)
+    return _FASTS[inst.family](inst)
 
 
 def _fast_sat(inst: FamilyInstance) -> int:
-    n, F, val = inst.n, inst.field, inst.assignment
+    n, F, vals = inst.n, inst.field, inst.values
     forced: dict[int, bool] = {}
 
     def force(var: int, b: bool) -> bool:
@@ -353,58 +358,61 @@ def _fast_sat(inst: FamilyInstance) -> int:
         forced[var] = b
         return True
 
-    for i in range(1, n + 1):
-        if val[xvar(i)] == 0 and not force(i, False):
+    for v in range(n):
+        if vals[v] == 0 and not force(v, False):
             return 0
-    for c in clause_space(n):
-        if val[yclause(*c)] == 0:
+    for idx, y in enumerate(vals[n:]):
+        if y == 0:
             # the clause variable kills every assignment satisfying it, so
-            # all three literals must come out false
-            for l in set(c):
-                if not force(abs(l), l < 0):
+            # all three literals must come out false: a positive literal
+            # (even position) forces its variable false, a negative one true
+            for pos in set(_positions(idx, n)):
+                if not force(pos >> 1, bool(pos & 1)):
                     return 0
     free = n - len(forced)
     return F.from_int(pow(2, free, F.p))
 
 
 def _fast_vc(inst: FamilyInstance) -> int:
-    n, F, val = inst.n, inst.field, inst.assignment
-    full = 0
-    for v in range(1, n + 1):
-        if val[yvert(v)] == 0:
-            continue
-        if all(val[xedge(v, w)] != 0 for w in range(1, n + 1) if w != v):
-            full += 1
-    return F.from_int(pow(2, full, F.p))
+    nx, vals = inst.plan.nx, inst.values
+    # a vertex is full when its own value and every incident edge's are nonzero
+    full = [y != 0 for y in vals[nx:]]
+    for (u, v), x in zip(inst.plan.edges, vals[:nx]):
+        if x == 0:
+            full[u] = full[v] = False
+    return inst.field.from_int(pow(2, sum(full), inst.field.p))
 
 
-def _fast_cis(inst: FamilyInstance) -> int:
-    n, F, val = inst.n, inst.field, inst.assignment
-    good = 0
-    for (u, v) in _pairs(n):
-        if val[xedge(u, v)] != 0 and val[yvert(u)] != 0 and val[yvert(v)] != 0:
-            good += 1
-    return F.from_int(pow(2, good, F.p))
+def _alive(inst: FamilyInstance) -> list[tuple[int, ...]]:
+    """The edges whose own value and every endpoint's value are nonzero."""
+    nx, vals = inst.plan.nx, inst.values
+    Y = vals[nx:]
+    return [e for e, x in zip(inst.plan.edges, vals[:nx])
+            if x != 0 and all(Y[v] != 0 for v in e)]
+
+
+def _fast_alive(inst: FamilyInstance) -> int:
+    """cis and tdm: two to the number of live edges (hyperedges)."""
+    return inst.field.from_int(pow(2, len(_alive(inst)), inst.field.p))
 
 
 def _fast_clow(inst: FamilyInstance) -> int:
-    n, F, val = inst.n, inst.field, inst.assignment
+    n, F = inst.n, inst.field
     if n < 2:
         return 0
     p = F.p
-    A = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for (u, v) in _pairs(n):
-        if val[xedge(u, v)] != 0 and val[yvert(u)] != 0 and val[yvert(v)] != 0:
-            A[u, v] = A[v, u] = 1
+    A = np.zeros((n, n), dtype=np.int64)
+    for u, v in _alive(inst):
+        A[u, v] = A[v, u] = 1
     total = 0
-    for head in range(1, n + 1):
+    for head in range(n):
         Ai = A.copy()
         Ai[:head, :] = 0
         Ai[:, :head] = 0
         Anext = Ai.copy()
         Anext[head, :] = 0
         Anext[:, head] = 0
-        mid = np.eye(n + 1, dtype=np.int64)
+        mid = np.eye(n, dtype=np.int64)
         e = n - 2
         base = Anext
         while e:
@@ -417,20 +425,8 @@ def _fast_clow(inst: FamilyInstance) -> int:
     return F.from_int(total % p)
 
 
-def _fast_tdm(inst: FamilyInstance) -> int:
-    n, F, val = inst.n, inst.field, inst.assignment
-    alive = 0
-    for (a, b, c) in _triples(n):
-        if val[xhyper(a, b, c)] == 0:
-            continue
-        if val[yvert(tdm_vertex("A", a))] == 0:
-            continue
-        if val[yvert(tdm_vertex("B", b))] == 0:
-            continue
-        if val[yvert(tdm_vertex("C", c))] == 0:
-            continue
-        alive += 1
-    return F.from_int(pow(2, alive, F.p))
+_FASTS = {"sat": _fast_sat, "vc": _fast_vc, "cis": _fast_alive, "clow": _fast_clow,
+          "tdm": _fast_alive}
 
 
 # -- projections and coefficient counting -------------------------------------
@@ -445,6 +441,41 @@ class ProjectionSpec:
     output: dict[str, str]
 
 
+def _projected(family: str, n: int, instance, strict_recipe: bool, images) -> list:
+    """The standard projection in registry order, each variable given as
+    its entry of ``images``, the images of (0, 1, z, t)."""
+    zero, one, z, t = images
+    if family == "sat":
+        if not isinstance(instance, CNF):
+            raise TypeError("sat projection needs a CNF instance")
+        if instance.n != n:
+            raise ValueError(
+                f"instance has {instance.n} variables but family index is {n}")
+        out = [one] * (n + 8 * n ** 3)
+        for c in instance.clauses:
+            if any(not 0 < abs(l) <= n for l in c):
+                raise ValueError(f"clause {c} uses literals outside the registry")
+            a, b, d = (2 * (abs(l) - 1) + (l < 0) for l in c)
+            out[n + (a * 2 * n + b) * 2 * n + d] = t
+        return out
+    if family in ("vc", "cis", "clow"):
+        if not isinstance(instance, Graph):
+            raise TypeError(f"{family} projection needs a Graph instance")
+        if instance.n != n:
+            raise ValueError(
+                f"instance has {instance.n} vertices but family index is {n}")
+        return [z if instance.has_edge(u, v) else one for (u, v) in _pairs(n)] + [t] * n
+    if family == "tdm":
+        if not isinstance(instance, Hypergraph3):
+            raise TypeError("tdm projection needs a Hypergraph3 instance")
+        if instance.n != n:
+            raise ValueError(
+                f"instance has part size {instance.n} but family index is {n}")
+        absent = one if strict_recipe else zero
+        return [z if e in instance.edges else absent for e in _triples(n)] + [t] * (3 * n)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def standard_projection(family: str, n: int, instance,
                         strict_recipe: bool = False) -> ProjectionSpec:
     """Map family variables to z/t/1 so coefficients count instance witnesses.
@@ -455,45 +486,8 @@ def standard_projection(family: str, n: int, instance,
     the absent->1 variant, under which the coefficient also counts subsets
     of absent hyperedges and the matching identity fails.
     """
-    out: dict[str, str] = {}
-    if family == "sat":
-        if not isinstance(instance, CNF):
-            raise TypeError("sat projection needs a CNF instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has {instance.n} variables but family index is {n}")
-        lits = set(literals(n))
-        for c in instance.clauses:
-            if any(l not in lits for l in c):
-                raise ValueError(f"clause {c} uses literals outside the registry")
-        chosen = {yclause(*c) for c in instance.distinct_clauses()}
-        for lab in registry(family, n):
-            out[lab] = "t" if lab in chosen else "1"
-    elif family in ("vc", "cis", "clow"):
-        if not isinstance(instance, Graph):
-            raise TypeError(f"{family} projection needs a Graph instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has {instance.n} vertices but family index is {n}")
-        for (u, v) in _pairs(n):
-            out[xedge(u, v)] = "z" if instance.has_edge(u, v) else "1"
-        for v in range(1, n + 1):
-            out[yvert(v)] = "t"
-    elif family == "tdm":
-        if not isinstance(instance, Hypergraph3):
-            raise TypeError("tdm projection needs a Hypergraph3 instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has part size {instance.n} but family index is {n}")
-        absent = "1" if strict_recipe else "0"
-        for e in _triples(n):
-            out[xhyper(*e)] = "z" if e in instance.edges else absent
-        for part in TDM_PARTS:
-            for i in range(1, n + 1):
-                out[yvert(tdm_vertex(part, i))] = "t"
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return ProjectionSpec(family, n, out)
+    symbols = _projected(family, n, instance, strict_recipe, ("0", "1", "z", "t"))
+    return ProjectionSpec(family, n, dict(zip(family_plan(family, n).labels, symbols)))
 
 
 @dataclass
@@ -565,11 +559,10 @@ def count_via_coefficient(family: str, instance, field: Field,
         raise ValueError(f"unknown family {family!r}")
     _budget_check(family, n)
 
-    proj = standard_projection(family, n, instance, strict_recipe=strict_recipe)
     ring = CountRing(dz, dt)
-    images = {"0": ring.dead, "1": ring.one, "z": ring.z, "t": ring.t}
-    val = {lab: images[sym] for lab, sym in proj.output.items()}
-    total = _eval_def(family, n, field.q, ring, val)
+    vals = _projected(family, n, instance, strict_recipe,
+                      (ring.dead, ring.one, ring.z, ring.t))
+    total = _eval_def(family, n, field.q, ring, vals)
     coeff = field.from_int(total[dz << ring.shift | dt])
     return CoefficientCount(coeff, dz, dt, field, n, note)
 

@@ -26,7 +26,7 @@ from .bp import LayeredBP
 from .circuit import Circuit
 from .gadgets import (GadgetGraph, GadgetPair, GadgetTriple, build_Gk,
                       build_Gm, build_Jn, embed_bp)
-from .graphs import Graph, enumerate_homs
+from .graphs import Graph, check_source_size, enumerate_homs
 from .rings import Field
 from .sparsepoly import Monomial, SparsePoly, mono
 
@@ -106,7 +106,7 @@ def verify_cycle_identity(bp: LayeredBP, *, hom_cap: int = 10 ** 6,
         raise ValueError("the cycle identity needs an odd number of layers >= 3")
     if ell > 7 or bp.width() > 3:
         raise ValueError("budget: at most 7 layers and width 3 for symbolic work")
-    _assignment, B = embed_bp(bp, "cycle")
+    B = embed_bp(bp, "cycle")
     C = Graph.cycle(ell)
     homs = enumerate_homs(C, B.graph, cap=hom_cap)
 
@@ -181,7 +181,8 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair, *,
         raise ValueError(
             f"need more layers ({ell}) than program width ({bp.width()})")
     Gk = build_Gk(ell, pair)
-    _assignment, B = embed_bp(bp, "gadget", pair)
+    check_source_size(Gk.graph.n)  # the search would refuse Gk; spare building B
+    B = embed_bp(bp, "gadget", pair)
 
     order = _blocks_first_order(Gk)
     homs = enumerate_homs(Gk.graph, B.graph, cap=hom_cap,

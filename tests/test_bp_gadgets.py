@@ -10,7 +10,8 @@ from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import (GadgetPair, GadgetTriple, build_Gk, build_Gm,
                               build_Jn, certify_blocks, check_normal_form,
-                              dump_gadget, embed_bp, load_gadget)
+                              complete_assignment, dump_gadget, embed_bp,
+                              load_gadget)
 from homforge.graphs import Graph, enumerate_homs
 from homforge.randgen import random_layered_bp
 from homforge.rings import Field
@@ -153,7 +154,7 @@ def test_build_Gm_structure(certified_triple):
 
 def test_embed_bp_cycle_mode():
     bp = two_path_bp()
-    assignment, g = embed_bp(bp, "cycle")
+    g = embed_bp(bp, "cycle")
     assert g.kind == "bp_cycle"
     # the target is the program graph plus the marked (s, t) edge
     assert g.graph.n == bp.n_nodes()
@@ -166,7 +167,7 @@ def test_embed_bp_cycle_mode():
 
 def test_embed_bp_gadget_mode(certified_pair):
     bp = two_path_bp()
-    _, g = embed_bp(bp, "gadget", pair=certified_pair)
+    g = embed_bp(bp, "gadget", pair=certified_pair)
     assert g.kind == "bp_gadget"
     c = certified_pair.c_max
     d = g.graph.distances
@@ -181,7 +182,8 @@ def test_embed_bp_gadget_mode(certified_pair):
 def test_embed_bp_assignment_is_complete():
     bp = two_path_bp()
     n = bp.n_nodes() + 2
-    assignment, g = embed_bp(bp, "cycle", target_size=n)
+    g = embed_bp(bp, "cycle")
+    assignment = complete_assignment(g, target_size=n)
     assert g.graph.n == bp.n_nodes()
     # one value for every K_n edge variable, absent edges pinned to zero
     assert len(assignment) == n * (n - 1) // 2

@@ -252,7 +252,7 @@ def test_reduced_kernel_matches_all_pairs_kernel(certified_triple):
     cases = []
     for ell in (3, 4):
         bp = random_layered_bp(ell, 2, rng)
-        cases.append((build_Gk(ell, pair), embed_bp(bp, "gadget", pair)[1]))
+        cases.append((build_Gk(ell, pair), embed_bp(bp, "gadget", pair)))
     gates = [Gate("input", label=lab) for lab in "abca"]
     gates += [Gate("add", args=(0, 1)), Gate("add", args=(2, 3)), Gate("mul", args=(4, 5))]
     c = Circuit(tuple(gates), 6)

@@ -8,14 +8,27 @@ from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
                                     _eval_def, clause_space, count_via_coefficient,
-                                    eval_definitional, eval_fast, hc_from_coefficient,
-                                    literals, registry, standard_projection)
+                                    eval_definitional, eval_fast, family_plan,
+                                    hc_from_coefficient, literals, registry,
+                                    standard_projection)
 from homforge.labels import xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
 from homforge.randgen import gnp, random_cnf, random_hypergraph
 from homforge.rings import CountRing, Field, TruncRing
-from homforge.sparsepoly import SparsePoly, SymbolicRing
+from homforge.sparsepoly import SparsePoly, SymbolicRing, mono
+
+
+def all_ones(family: str, n: int, field: Field) -> FamilyInstance:
+    return FamilyInstance(family, n, field, dict.fromkeys(registry(family, n), 1))
+
+
+def replace_values(inst: FamilyInstance, overrides: dict[str, int]) -> FamilyInstance:
+    """A copy of ``inst`` with some values changed; every label must be known."""
+    bad = [lab for lab in overrides if lab not in inst.assignment]
+    if bad:
+        raise ValueError(f"labels not in this family's registry: {bad[:3]}")
+    return FamilyInstance(inst.family, inst.n, inst.field, {**inst.assignment, **overrides})
 
 
 def test_literal_order():
@@ -51,69 +64,92 @@ def test_instance_validation():
         FamilyInstance("vc", 2, F, bad_val)
 
 
+def test_family_plan_is_shared_and_holds_no_values():
+    F = Field(3)
+    inst = all_ones("sat", 2, F)
+    other = replace_values(inst, {xvar(1): 0, yclause(1, -2, 1): 2})
+    plan = family_plan("sat", 2)
+    assert inst.plan is other.plan is plan
+    assert inst.values != other.values
+    assert inst.values == tuple(inst.assignment[lab] for lab in registry("sat", 2))
+    before = repr(sorted(vars(plan).items()))
+    for x in (inst, other):
+        eval_fast(x)
+        eval_definitional(x)
+    assert repr(sorted(vars(plan).items())) == before
+    # structure only: labels, their index, and int index lists
+    assert set(vars(plan)) <= {"family", "n", "nx", "edges", "labels", "index"}
+    assert all(isinstance(lab, str) for lab in plan.labels)
+    # a clause (a, b, c) sits at (pos(a)*2n + pos(b))*2n + pos(c) after the
+    # n variable entries, where pos(l) = 2(|l|-1) + (l < 0)
+    pos = {l: 2 * (abs(l) - 1) + (l < 0) for l in literals(2)}
+    for a, b, c in clause_space(2):
+        assert plan.index[yclause(a, b, c)] == 2 + (pos[a] * 4 + pos[b]) * 4 + pos[c]
+
+
 def test_replace_values():
     F = Field(5)
-    inst = FamilyInstance.all_ones("vc", 3, F)
-    inst2 = inst.replace_values({yvert(2): 0})
+    inst = all_ones("vc", 3, F)
+    inst2 = replace_values(inst, {yvert(2): 0})
     assert inst.assignment[yvert(2)] == 1
     assert inst2.assignment[yvert(2)] == 0
     with pytest.raises(ValueError):
-        inst.replace_values({"nope": 1})
+        replace_values(inst, {"nope": 1})
 
 
 def test_fast_vc_counts_full_degree_vertices():
     F = Field(3)
     # all ones on 3 vertices: every vertex has both incident edges alive
-    inst = FamilyInstance.all_ones("vc", 3, F)
+    inst = all_ones("vc", 3, F)
     assert eval_fast(inst) == F.from_int(8)
     # killing edge (1,2) removes vertices 1 and 2 from the full-degree set
-    inst2 = inst.replace_values({xedge(1, 2): 0})
+    inst2 = replace_values(inst, {xedge(1, 2): 0})
     assert eval_fast(inst2) == F.from_int(2)
     # killing a vertex variable removes only that vertex
-    inst3 = inst.replace_values({yvert(3): 0})
+    inst3 = replace_values(inst, {yvert(3): 0})
     assert eval_fast(inst3) == F.from_int(4)
 
 
 def test_fast_cis_counts_good_edges():
     F = Field(5)
-    inst = FamilyInstance.all_ones("cis", 3, F)
+    inst = all_ones("cis", 3, F)
     assert eval_fast(inst) == F.from_int(8 % 5)
-    inst2 = inst.replace_values({yvert(1): 0})
+    inst2 = replace_values(inst, {yvert(1): 0})
     # edges (1,2) and (1,3) lose an endpoint: one good edge remains
     assert eval_fast(inst2) == F.from_int(2)
 
 
 def test_fast_sat_forcing():
     F = Field(3)
-    inst = FamilyInstance.all_ones("sat", 2, F)
+    inst = all_ones("sat", 2, F)
     assert eval_fast(inst) == F.from_int(4)
     # zero X_1 forces x1 false: half the assignments survive
-    assert eval_fast(inst.replace_values({xvar(1): 0})) == F.from_int(2)
+    assert eval_fast(replace_values(inst, {xvar(1): 0})) == F.from_int(2)
     # zero the clause (x1 or x1 or x1): x1 must be false
-    assert eval_fast(inst.replace_values({yclause(1, 1, 1): 0})) == F.from_int(2)
+    assert eval_fast(replace_values(inst, {yclause(1, 1, 1): 0})) == F.from_int(2)
     # forcing x1 false and true at once kills everything
-    inst3 = inst.replace_values({yclause(1, 1, 1): 0, yclause(-1, -1, -1): 0})
+    inst3 = replace_values(inst, {yclause(1, 1, 1): 0, yclause(-1, -1, -1): 0})
     assert eval_fast(inst3) == F.zero
     # a mixed clause (x1 or not x2) forces x1 false and x2 true
-    inst4 = inst.replace_values({yclause(1, -2, 1): 0})
+    inst4 = replace_values(inst, {yclause(1, -2, 1): 0})
     assert eval_fast(inst4) == F.from_int(1)
 
 
 def test_fast_tdm_counts_surviving_triples():
     F = Field(3)
-    inst = FamilyInstance.all_ones("tdm", 1, F)
+    inst = all_ones("tdm", 1, F)
     assert eval_fast(inst) == F.from_int(2)
-    assert eval_fast(inst.replace_values({xhyper(1, 1, 1): 0})) == F.one
-    assert eval_fast(inst.replace_values({yvert("B1"): 0})) == F.one
+    assert eval_fast(replace_values(inst, {xhyper(1, 1, 1): 0})) == F.one
+    assert eval_fast(replace_values(inst, {yvert("B1"): 0})) == F.one
 
 
 def test_fast_clow_matrix_powering():
     F = Field(5)
-    inst = FamilyInstance.all_ones("clow", 4, F)
+    inst = all_ones("clow", 4, F)
     assert eval_fast(inst) == F.from_int(14 % 5)
-    inst2 = FamilyInstance.all_ones("clow", 2, F)
+    inst2 = all_ones("clow", 2, F)
     assert eval_fast(inst2) == F.one
-    inst1 = FamilyInstance.all_ones("clow", 1, F)
+    inst1 = all_ones("clow", 1, F)
     assert eval_fast(inst1) == F.zero
 
 
@@ -133,9 +169,9 @@ def test_fast_equals_definitional_random():
 
 def test_definitional_budget_error_mentions_fast_path():
     F = Field(2)
-    inst = FamilyInstance.all_ones("cis", 6, F)
+    inst = all_ones("cis", 6, F)
     eval_definitional(inst)  # at the budget: fine
-    big = FamilyInstance.all_ones("cis", 7, F)
+    big = all_ones("cis", 7, F)
     with pytest.raises(ValueError, match="eval_fast"):
         eval_definitional(big)
 
@@ -143,7 +179,24 @@ def test_definitional_budget_error_mentions_fast_path():
 def definitional_polynomial(family: str, n: int, q: int) -> SparsePoly:
     """Symbolic expansion of the family polynomial with integer coefficients."""
     ring = SymbolicRing(None, bound=500_000)
-    return _eval_def(family, n, q, ring, {lab: ring.var(lab) for lab in registry(family, n)})
+    return _eval_def(family, n, q, ring, [ring.var(lab) for lab in registry(family, n)])
+
+
+def test_definitional_polynomial_sat_dense():
+    # every factor is a variable, so none is the ring's one: the sum over
+    # assignments of the X's of the true variables times the Y's of the
+    # satisfied clauses, expanded by brute force
+    def satisfied(c, bits):
+        return any(((bits >> (abs(l) - 1)) & 1) == (l > 0) for l in c)
+
+    for n in (1, 2):
+        for q in (2, 3):
+            want: dict = {}
+            for bits in range(1 << n):
+                m = mono(*((xvar(i), q - 1) for i in range(1, n + 1) if (bits >> (i - 1)) & 1),
+                         *((yclause(*c), q - 1) for c in clause_space(n) if satisfied(c, bits)))
+                want[m] = want.get(m, 0) + 1
+            assert definitional_polynomial("sat", n, q) == SparsePoly(want, None), (n, q)
 
 
 def test_definitional_polynomial_vc2():
@@ -163,7 +216,7 @@ def test_definitional_polynomial_vc2():
 
 def test_eval_definitional_over_trunc_ring():
     F = Field(3)
-    inst = FamilyInstance.all_ones("vc", 2, F)
+    inst = all_ones("vc", 2, F)
     R = TruncRing(F, 4, 4)
     out = eval_definitional(inst, R)
     # every variable is a nonzero constant, so the value is the (0,0) cell
@@ -195,6 +248,21 @@ def test_count_via_coefficient_sat():
     cc = count_via_coefficient("sat", dup, Field(3))
     assert cc.t_degree == 1 * 2
     assert cc.value == count_sat3(dup, 3).modp
+
+
+@pytest.mark.parametrize("cnf", [
+    CNF(3, ((2, 2, 2), (-1, 3, 3))),                  # padded 1- and 2-literal clauses
+    CNF(3, ((1, -2, 3), (-3, 2, 2), (1, -2, 3))),     # a repeated clause
+    CNF(2, ((1, -2, 1), (-1, 1, 2))),                 # repeated literals, a tautology
+    CNF(3, ()),                                       # m = 0
+], ids=["padded", "repeated-clause", "repeated-literal", "empty"])
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_count_via_coefficient_sat_edge_cases(cnf, p):
+    F = Field(p)
+    cc = count_via_coefficient("sat", cnf, F)
+    assert cc.value == count_sat3(cnf, p).modp
+    assert cc.t_degree == len(set(cnf.clauses)) * (p - 1)
+    assert_count_table(cc, "sat", cnf, F)
 
 
 def test_count_via_coefficient_vc():
@@ -265,8 +333,24 @@ def projected_sum(family, instance, q, ring, zero, strict_recipe=False):
     """The family sum over F_q under the standard projection, summed in ``ring``."""
     images = {"0": zero, "1": ring.one, "z": ring.z, "t": ring.t}
     proj = standard_projection(family, instance.n, instance, strict_recipe)
-    val = {lab: images[sym] for lab, sym in proj.output.items()}
-    return _eval_def(family, instance.n, q, ring, val)
+    vals = [images[proj.output[lab]] for lab in registry(family, instance.n)]
+    return _eval_def(family, instance.n, q, ring, vals)
+
+
+def assert_count_table(cc, family, instance, F, strict_recipe=False):
+    """The TruncPoly route gives the corner coefficient ``cc`` holds, and the
+    CountRing sum's whole count table mod p equals its coefficients."""
+    dz, dt, where = cc.z_degree, cc.t_degree, (family, F, instance, strict_recipe)
+    R = TruncRing(F, dz, dt)
+    poly = projected_sum(family, instance, F.q, R, R.zero, strict_recipe)
+    assert cc.value == poly.coefficient(dz, dt), where
+    C = CountRing(dz, dt)
+    counts = projected_sum(family, instance, F.q, C, C.dead, strict_recipe)
+    cells = {(i, j): counts[i << C.shift | j]
+             for i in range(dz + 1) for j in range(dt + 1)}
+    assert sum(cells.values()) == sum(counts), where
+    assert {key: F.from_int(c) for key, c in cells.items()
+            if c % F.p} == poly.coeffs, where
 
 
 def test_count_via_coefficient_matches_trunc_ring():
@@ -287,17 +371,7 @@ def test_count_via_coefficient_matches_trunc_ring():
             cases += [("tdm", hyper, None, True), ("tdm", hyper, None, False)]
             for family, inst, k, strict in cases:
                 cc = count_via_coefficient(family, inst, F, k=k, strict_recipe=strict)
-                dz, dt, where = cc.z_degree, cc.t_degree, (family, F, inst, k, strict)
-                R = TruncRing(F, dz, dt)
-                poly = projected_sum(family, inst, F.q, R, R.zero, strict)
-                assert cc.value == poly.coefficient(dz, dt), where
-                C = CountRing(dz, dt)
-                counts = projected_sum(family, inst, F.q, C, C.dead, strict)
-                cells = {(i, j): counts[i << C.shift | j]
-                         for i in range(dz + 1) for j in range(dt + 1)}
-                assert sum(cells.values()) == sum(counts), where
-                assert {key: F.from_int(c) for key, c in cells.items()
-                        if c % F.p} == poly.coeffs, where
+                assert_count_table(cc, family, inst, F, strict)
 
 
 def test_clow_corner_degenerate_below_three_vertices():

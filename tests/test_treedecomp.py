@@ -118,12 +118,12 @@ def test_gadget_decomp_structures(certified_pair, certified_triple):
     assert validate_nice(d2, gm.graph) == []
 
     bp = random_layered_bp(3, 2, random.Random(0))
-    _, bcycle = embed_bp(bp, "cycle")
+    bcycle = embed_bp(bp, "cycle")
     d3 = gadget_decomp(bcycle)
     assert validate_nice(d3, bcycle.graph) == []
     assert not d3.has_join()
 
-    _, bg = embed_bp(bp, "gadget", pair=certified_pair)
+    bg = embed_bp(bp, "gadget", pair=certified_pair)
     d4 = gadget_decomp(bg)
     assert validate_nice(d4, bg.graph) == []
     assert not d4.has_join()

@@ -6,8 +6,9 @@ import pytest
 
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
+from homforge import gadgets
 from homforge.gadgets import GadgetPair
-from homforge.graphs import Graph
+from homforge.graphs import MAX_SOURCE_VERTICES, Graph
 from homforge.sparsepoly import SparsePoly
 from homforge.verify import (
     verify_cycle_identity,
@@ -129,6 +130,22 @@ def test_gadget_bijection_needs_enough_layers(certified_pair):
     ))
     with pytest.raises(ValueError, match="layers"):
         verify_gadget_bijection(squat, certified_pair)
+
+
+def test_gadget_bijection_refuses_long_program_before_quadratic_work(certified_pair,
+                                                                    monkeypatch):
+    # a 1,000-layer program needs a path gadget above the search's source
+    # limit; it is refused before any all-pairs distance table or complete
+    # edge assignment is built
+    def quadratic(*_args, **_kwargs):
+        raise AssertionError("quadratic work before the refusal")
+
+    monkeypatch.setattr(Graph, "distances", property(quadratic))
+    monkeypatch.setattr(gadgets, "complete_assignment", quadratic)
+    long_bp = LayeredBP((1,) * 1000, tuple(Arc(l, 0, 0, f"x{l}") for l in range(999)))
+    with pytest.raises(ValueError, match=f"homomorphism search takes at most "
+                                         f"{MAX_SOURCE_VERTICES} source vertices"):
+        verify_gadget_bijection(long_bp, certified_pair)
 
 
 def test_gadget_bijection_rejects_uncertified_pair():
