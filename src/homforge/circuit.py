@@ -2,24 +2,38 @@
 
 Gates are stored in topological order (arguments always point at earlier
 ids) with a single designated output.  Add and mul take one or more
-arguments.  Evaluation is generic over any ring exposing zero / one /
-from_int / add / mul, so the same circuit can be run over a finite field,
-a truncated polynomial ring, or the symbolic ring.
+arguments, const and input none.  Evaluation is generic over any ring
+exposing zero / one / from_int / add / mul, so the same circuit can be run
+over a finite field, a truncated polynomial ring, or the symbolic ring.
+
+A circuit is flat arrays, not one object per gate: gate i has op code
+``ops[i]`` (an index into ``OPS``), key ``keys[i]`` (a constant's value, an
+input's label or None) and arguments ``args[offsets[i]:offsets[i + 1]]``.
+Checks, pruning, text and the ``eval_batch`` plan work on the arrays; the
+gate-at-a-time readers use ``per_gate``, lists built once per circuit.
+``Gate``, ``Circuit(gates, output)`` and the ``gates`` view remain because
+the benchmark in ``perfbench/`` builds and reads circuits gate by gate.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, reduce
+from itertools import accumulate, compress
+from math import prod
 
 import numpy as np
 
 from . import labels as lbl
 from .rings import Field
-from .sparsepoly import Monomial, SparsePoly, SymbolicRing, mono_mul
+from .sparsepoly import Monomial, mono_mul
 
 CONST, INPUT, ADD, MUL = "const", "input", "add", "mul"
+OPS = (CONST, INPUT, ADD, MUL)
+OP_CONST, OP_INPUT, OP_ADD, OP_MUL = range(len(OPS))  # codes >= OP_ADD take arguments
+_CODE = {op: code for code, op in enumerate(OPS)}
 
 
 @dataclass(frozen=True)
@@ -44,74 +58,99 @@ class ParseTree:
 
 
 class Circuit:
-    def __init__(self, gates: list[Gate], output: int):
-        for gid, g in enumerate(gates):
-            if g.op in (ADD, MUL):
-                if not g.args:
-                    raise ValueError(f"gate {gid}: {g.op} needs at least one argument")
-                if any(a < 0 or a >= gid for a in g.args):
-                    raise ValueError(f"gate {gid}: arguments must reference earlier gates")
-            elif g.op == INPUT:
-                if not lbl.is_valid_label(g.label):
-                    raise ValueError(f"gate {gid}: bad input label {g.label!r}")
-            elif g.op != CONST:
-                raise ValueError(f"gate {gid}: unknown op {g.op!r}")
-        if not 0 <= output < len(gates):
-            raise ValueError("output id out of range")
-        self.gates = list(gates)
+    def __init__(self, gates: Sequence[Gate], output: int):
+        codes = [_CODE.get(g.op, -1) for g in gates]
+        # indexed by op code; an unknown op (-1) keeps its name for the check
+        keys = [(g.value, g.label, None, None, g.op)[c] for g, c in zip(gates, codes)]
+        self._init(codes, keys, [0, *accumulate(len(g.args) for g in gates)],
+                   [a for g in gates for a in g.args], output)
+
+    @classmethod
+    def from_arrays(cls, ops, keys, offsets, args, output: int) -> "Circuit":
+        """A circuit from its array form (see the module docstring)."""
+        c = cls.__new__(cls)
+        c._init(ops, keys, offsets, args, output)
+        return c
+
+    def _init(self, ops, keys, offsets, args, output: int) -> None:
+        """Store the arrays and check them, naming the first bad gate."""
+        self.ops = ops = np.asarray(ops, dtype=np.int8)
+        self.keys = keys = list(keys)
+        self.offsets = offsets = np.asarray(offsets, dtype=np.intp)
+        self.args = args = np.asarray(args, dtype=np.intp)
         self.output = output
+        arity = offsets[1:] - offsets[:-1]
+        owner = np.arange(len(ops)).repeat(arity)
+        inputs = (ops == OP_INPUT).nonzero()[0].tolist()
+        # each check's gates in id order; of two faults on one gate the first
+        # is named, so an unknown op (code -1) is never called a leaf
+        problems = [((ops < 0).nonzero()[0], "unknown op {key!r}"),
+                    (((ops < OP_ADD) & (arity > 0)).nonzero()[0], "{op} takes no arguments"),
+                    (((ops >= OP_ADD) & (arity == 0)).nonzero()[0],
+                     "{op} needs at least one argument"),
+                    (owner[(args < 0) | (args >= owner)], "arguments must reference earlier gates"),
+                    ([i for i in inputs if not lbl.is_valid_label(keys[i])],
+                     "bad input label {key!r}")]
+        gid, msg = min(((int(ids[0]), text) for ids, text in problems if len(ids)),
+                       key=lambda found: found[0], default=(None, None))
+        if msg:
+            raise ValueError(f"gate {gid}: " + msg.format(op=OPS[ops[gid]], key=keys[gid]))
+        if not 0 <= output < len(ops):
+            raise ValueError("output id out of range")
 
     # -- basic queries --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.ops)
+
+    @property
+    def gates(self) -> Sequence[Gate]:
+        """A read-only view of the gates as ``Gate`` objects, made on access."""
+        return _GateView(self)
+
+    @cached_property
+    def per_gate(self) -> tuple[list[str], list, list[tuple[int, ...]]]:
+        """Per gate, as Python lists: op name, key and argument tuple."""
+        flat, ends = self.args.tolist(), self.offsets.tolist()
+        return ([OPS[o] for o in self.ops.tolist()], self.keys,
+                [tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])])
+
+    def reachable(self) -> np.ndarray:
+        """Per gate, whether the output reaches it."""
+        return _reachable(self.offsets, self.args, self.output)
 
     def input_labels(self) -> list[str]:
-        seen = []
-        have = set()
-        for g in self.gates:
-            if g.op == INPUT and g.label not in have:
-                have.add(g.label)
-                seen.append(g.label)
-        return seen
+        """Distinct input labels in order of first use."""
+        return list(dict.fromkeys(self.keys[i] for i in (self.ops == OP_INPUT).nonzero()[0]))
 
     def constants_used(self) -> set[int]:
-        return {g.value for g in self.gates if g.op == CONST}
+        return {self.keys[i] for i in (self.ops == OP_CONST).nonzero()[0]}
 
     def wire_count(self) -> int:
-        return sum(len(g.args) for g in self.gates)
+        return len(self.args)
 
     def counts_by_op(self) -> dict[str, int]:
-        out = {CONST: 0, INPUT: 0, ADD: 0, MUL: 0}
-        for g in self.gates:
-            out[g.op] += 1
-        return out
+        return dict(zip(OPS, np.bincount(self.ops, minlength=len(OPS)).tolist()))
 
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, assignment: dict[str, object], ring):
         """Evaluate over any ring; assignment maps input labels to ring values."""
-        vals: list[object] = [None] * len(self.gates)
-        for gid, g in enumerate(self.gates):
-            if g.op == CONST:
-                vals[gid] = ring.from_int(g.value)
-            elif g.op == INPUT:
-                if g.label not in assignment:
-                    raise ValueError(f"unassigned input {g.label!r}")
-                v = assignment[g.label]
+        ops, keys, args = self.per_gate
+        vals: list[object] = [None] * len(ops)
+        for gid, op in enumerate(ops):
+            if op == CONST:
+                vals[gid] = ring.from_int(keys[gid])
+            elif op == INPUT:
+                if keys[gid] not in assignment:
+                    raise ValueError(f"unassigned input {keys[gid]!r}")
+                v = assignment[keys[gid]]
                 if isinstance(ring, Field):  # reduced or range-checked, as in eval_batch
                     v = ring.from_int(v) if ring.k == 1 else ring._check(v)
                 vals[gid] = v
-            elif g.op == ADD:
-                acc = vals[g.args[0]]
-                for a in g.args[1:]:
-                    acc = ring.add(acc, vals[a])
-                vals[gid] = acc
             else:
-                acc = vals[g.args[0]]
-                for a in g.args[1:]:
-                    acc = ring.mul(acc, vals[a])
-                vals[gid] = acc
+                combine = ring.add if op == ADD else ring.mul
+                vals[gid] = reduce(combine, map(vals.__getitem__, args[gid]))
         return vals[self.output]
 
     def eval_batch(self, assignment: dict[str, np.ndarray], field: Field) -> np.ndarray:
@@ -178,12 +217,6 @@ class Circuit:
                 acc %= p_
         return vals[out].astype(np.int64)
 
-    def eval_symbolic(self, field: Field | None = None, bound: int = 10**6) -> SparsePoly:
-        """Expand the circuit into a sparse polynomial (terms capped by bound)."""
-        ring = SymbolicRing(field, bound)
-        assignment = {name: ring.var(name) for name in self.input_labels()}
-        return self.eval(assignment, ring)
-
     @cached_property
     def _groups(self) -> tuple[int, int, list[tuple], list[tuple]]:
         """eval_batch's plan over the live gates: (rows, output row, leaves, groups).
@@ -193,58 +226,71 @@ class Circuit:
         input's label or an arity.  Each group owns a run of rows, leaves first,
         and the others read argument rows, shape (arity, gates), of earlier ones.
         """
-        live = _live(self.gates, self.output)
-        level = [0] * len(self.gates)
-        members: dict[tuple[int, str, object], list[int]] = {}
-        for gid, g in enumerate(self.gates):
-            if live[gid]:
-                level[gid] = 1 + max(map(level.__getitem__, g.args), default=-1)
-                key = g.value if g.op == CONST else g.label if g.op == INPUT else len(g.args)
-                members.setdefault((level[gid], g.op, key), []).append(gid)
-        row: dict[int, int] = {}
+        ops, keys, offsets, args = self.ops, self.keys, self.offsets, self.args
+        live = self.reachable()
+        # Relax the levels of every add/mul gate, dead ones too: leaves have
+        # no arguments, so the runs of the add/mul gates tile args and one
+        # reduceat covers them all.  Levels only grow, so an unchanged sum
+        # means a fixed point; depth + 1 rounds.
+        inner = (ops >= OP_ADD).nonzero()[0]
+        starts, total = offsets[inner], 0
+        level = np.zeros(len(ops), dtype=np.int32)
+        while len(inner):
+            level[inner] = np.maximum.reduceat(level[args], starts) + 1
+            if total == (total := int(level.sum())):
+                break
+        # sort by level, op, then a leaf's rank among the (op, key) pairs or an
+        # add/mul gate's arity; level 0 holds only const < input and later
+        # levels only add < mul, so op codes sort as the names do
+        arity = offsets[1:] - offsets[:-1]
+        rank = arity.copy()
+        leaf_ids = (live & (ops < OP_ADD)).nonzero()[0]
+        pairs = list(zip(ops[leaf_ids].tolist(), map(keys.__getitem__, leaf_ids.tolist())))
+        index = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+        rank[leaf_ids] = [index[pair] for pair in pairs]
+        key = (level.astype(np.int64) * len(OPS) + ops) * (int(rank.max()) + 1) + rank
+        gids = live.nonzero()[0]
+        order = gids[key[gids].argsort(kind="stable")]  # stable: ids ascend in a group
+        row = np.empty(len(ops), dtype=np.intp)
+        row[order] = np.arange(len(order))
+        key = key[order]
+        bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(order)]
+        # every live gate's argument rows in row order, runs ending at ends
+        lens = arity[order]
+        ends = lens.cumsum()
+        flat = row[args[np.arange(ends[-1]) + (offsets[order] + lens - ends).repeat(lens)]]
         leaves, groups = [], []
-        for (lv, op, key), gids in sorted(members.items()):
-            lo = len(row)
-            if lv:
-                args = np.array([[row[a] for a in self.gates[gid].args] for gid in gids]).T
-                groups.append((op, slice(lo, lo + len(gids)), args))
+        order, lens, ends = order.tolist(), lens.tolist(), ends.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            first, k = order[lo], lens[lo]
+            if not k:  # a leaf
+                leaves.append((OPS[ops[first]], keys[first], slice(lo, hi)))
             else:
-                leaves.append((op, key, slice(lo, lo + len(gids))))
-            row.update((gid, lo + i) for i, gid in enumerate(gids))
-        return len(row), row[self.output], leaves, groups
+                runs = flat[ends[lo] - k:ends[hi - 1]].reshape(hi - lo, k)
+                groups.append((OPS[ops[first]], slice(lo, hi), np.ascontiguousarray(runs.T)))
+        return len(order), int(row[self.output]), leaves, groups
 
     # -- structural predicates ------------------------------------------------
 
     def is_skew(self) -> bool:
         """True iff every mul gate has at most one add/mul argument (with
         multiplicity, so mul(g, g) on an internal gate g is not skew)."""
-        internal = [g.op in (ADD, MUL) for g in self.gates]
-        for g in self.gates:
-            if g.op == MUL:
-                if sum(1 for a in g.args if internal[a]) > 1:
-                    return False
-        return True
-
-    def descendants(self) -> list[frozenset[int]]:
-        """Per gate, the set of gate ids in its sub-circuit (itself included)."""
-        out: list[frozenset[int]] = []
-        for gid, g in enumerate(self.gates):
-            acc = {gid}
-            for a in g.args:
-                acc |= out[a]
-            out.append(frozenset(acc))
-        return out
+        arity = self.offsets[1:] - self.offsets[:-1]
+        on_mul = (self.ops == OP_MUL).repeat(arity) & (self.ops[self.args] >= OP_ADD)
+        return bool(np.bincount(np.arange(len(self)).repeat(arity)[on_mul]).max(initial=0) <= 1)
 
     def is_mult_disjoint(self) -> bool:
         """True iff for every mul gate the argument sub-circuits are pairwise
         disjoint (repeated arguments therefore fail)."""
-        desc = self.descendants()
-        for g in self.gates:
-            if g.op != MUL or len(g.args) < 2:
+        desc: list[frozenset[int]] = []  # per gate, the ids of its sub-circuit
+        for gid, args in enumerate(self.per_gate[2]):
+            desc.append(frozenset({gid}.union(*map(desc.__getitem__, args))))
+        for op, _, args in zip(*self.per_gate):
+            if op != MUL or len(args) < 2:
                 continue
             union: set[int] = set()
             total = 0
-            for a in g.args:
+            for a in args:
                 union |= desc[a]
                 total += len(desc[a])
             if len(union) != total:
@@ -254,17 +300,13 @@ class Circuit:
     # -- parse trees ----------------------------------------------------------
 
     def count_parse_trees(self) -> int:
-        counts = [0] * len(self.gates)
-        for gid, g in enumerate(self.gates):
-            if g.op in (CONST, INPUT):
+        ops, _, args = self.per_gate
+        counts = [0] * len(ops)
+        for gid, op in enumerate(ops):
+            if op in (CONST, INPUT):
                 counts[gid] = 1
-            elif g.op == ADD:
-                counts[gid] = sum(counts[a] for a in g.args)
             else:
-                c = 1
-                for a in g.args:
-                    c *= counts[a]
-                counts[gid] = c
+                counts[gid] = (sum if op == ADD else prod)(counts[a] for a in args[gid])
         return counts[self.output]
 
     def parse_trees(self, bound: int = 10**4) -> list[ParseTree]:
@@ -279,25 +321,26 @@ class Circuit:
         if total > bound:
             raise ValueError(f"{total} parse trees exceed bound {bound}")
 
+        ops, keys, args = self.per_gate
         memo: dict[int, list[ParseTree]] = {}
 
         def rec(gid: int) -> list[ParseTree]:
             if gid in memo:
                 return memo[gid]
-            g = self.gates[gid]
-            if g.op == CONST:
-                res = [ParseTree(frozenset([gid]), g.value, ())]
-            elif g.op == INPUT:
-                res = [ParseTree(frozenset([gid]), 1, ((g.label, 1),))]
-            elif g.op == ADD:
+            op = ops[gid]
+            if op == CONST:
+                res = [ParseTree(frozenset([gid]), keys[gid], ())]
+            elif op == INPUT:
+                res = [ParseTree(frozenset([gid]), 1, ((keys[gid], 1),))]
+            elif op == ADD:
                 res = [
                     ParseTree(t.gates | {gid}, t.coeff, t.monomial)
-                    for a in g.args
+                    for a in args[gid]
                     for t in rec(a)
                 ]
             else:
                 res = [ParseTree(frozenset([gid]), 1, ())]
-                for a in g.args:
+                for a in args[gid]:
                     res = [
                         ParseTree(t.gates | s.gates, t.coeff * s.coeff,
                                   mono_mul(t.monomial, s.monomial))
@@ -312,73 +355,91 @@ class Circuit:
     # -- text format ----------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = []
-        for gid, g in enumerate(self.gates):
-            if g.op == CONST:
-                lines.append(f"gate {gid} const {g.value}")
-            elif g.op == INPUT:
-                lines.append(f"gate {gid} input {g.label}")
-            else:
-                lines.append(f"gate {gid} {g.op} " + " ".join(str(a) for a in g.args))
+        words = list(map(str, self.args.tolist()))
+        ends = self.offsets.tolist()
+        lines = [f"gate {gid} {OPS[op]} {key}" if key is not None
+                 else f"gate {gid} {OPS[op]} " + " ".join(words[ends[gid]:ends[gid + 1]])
+                 for gid, (op, key) in enumerate(zip(self.ops.tolist(), self.keys))]
         lines.append(f"output {self.output}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        gates: list[Gate] = []
+        ops, keys, offsets, args = [], [], [0], []
         output = None
 
         def line(toks):
             nonlocal output
-            if toks[0] == "output":
+            if toks[0] == "gate":
+                if len(toks) < 3:
+                    raise ValueError("malformed gate line")
+                if int(toks[1]) != len(ops):
+                    raise ValueError("gate ids must be consecutive from 0")
+                op = toks[2]
+                if op in (ADD, MUL):
+                    key = None
+                    args.extend(map(int, toks[3:]))
+                elif op == CONST:
+                    if len(toks) != 4:
+                        raise ValueError("const gate takes one value")
+                    key = int(toks[3])
+                elif op == INPUT:
+                    if len(toks) != 4:
+                        raise ValueError("input gate takes one label")
+                    key = toks[3]
+                else:
+                    raise ValueError(f"unknown gate op {op!r}")
+                ops.append(_CODE[op])
+                keys.append(key)
+                offsets.append(len(args))
+            elif toks[0] == "output":
                 if len(toks) != 2:
                     raise ValueError("malformed output line")
                 if output is not None:
                     raise ValueError("duplicate output line")
                 output = int(toks[1])
-            elif toks[0] == "gate":
-                if len(toks) < 3:
-                    raise ValueError("malformed gate line")
-                if int(toks[1]) != len(gates):
-                    raise ValueError("gate ids must be consecutive from 0")
-                op = toks[2]
-                if op == CONST:
-                    if len(toks) != 4:
-                        raise ValueError("const gate takes one value")
-                    gates.append(Gate(CONST, value=int(toks[3])))
-                elif op == INPUT:
-                    if len(toks) != 4:
-                        raise ValueError("input gate takes one label")
-                    gates.append(Gate(INPUT, label=toks[3]))
-                elif op in (ADD, MUL):
-                    gates.append(Gate(op, args=tuple(int(t) for t in toks[3:])))
-                else:
-                    raise ValueError(f"unknown gate op {op!r}")
             else:
                 raise ValueError(f"unrecognised directive {toks[0]!r}")
 
         lbl.read_lines(text, line)
         if output is None:
             raise ValueError("missing output line")
-        return cls(gates, output)
+        return cls.from_arrays(ops, keys, offsets, args, output)
+
+
+class _GateView(Sequence):
+    """``Circuit.gates``: gate i as a ``Gate``, made when it is read."""
+
+    def __init__(self, circuit: Circuit):
+        self._circuit = circuit
+
+    def __len__(self) -> int:
+        return len(self._circuit)
+
+    def __getitem__(self, gid) -> Gate:
+        op, key, args = (column[operator.index(gid)] for column in self._circuit.per_gate)
+        return Gate(op, key if op == CONST else 0, key if op == INPUT else "", args)
 
 
 class CircuitBuilder:
-    """Incremental construction with shared constant and input gates."""
+    """Incremental construction with shared constant and input gates, in array form."""
 
     def __init__(self):
-        self.gates: list[Gate] = []
+        self.ops: list[int] = []
+        self.keys: list = []
+        self.offsets: list[int] = [0]
+        self.args: list[int] = []
         self._consts: dict[int, int] = {}
         self._inputs: dict[str, int] = {}
 
     def const(self, v: int) -> int:
         if v not in self._consts:
-            self._consts[v] = self._push(Gate(CONST, value=v))
+            self._consts[v] = self._push(OP_CONST, v, ())
         return self._consts[v]
 
     def input(self, label: str) -> int:
         if label not in self._inputs:
-            self._inputs[label] = self._push(Gate(INPUT, label=label))
+            self._inputs[label] = self._push(OP_INPUT, label, ())
         return self._inputs[label]
 
     def add(self, args: list[int]) -> int:
@@ -389,7 +450,7 @@ class CircuitBuilder:
             return self.const(0)
         if len(args) == 1:
             return args[0]
-        return self._push(Gate(ADD, args=tuple(args)))
+        return self._push(OP_ADD, None, args)
 
     def mul(self, args: list[int]) -> int:
         """Product of gates; unit constants are dropped, zero annihilates."""
@@ -402,27 +463,36 @@ class CircuitBuilder:
             return self.const(1)
         if len(args) == 1:
             return args[0]
-        return self._push(Gate(MUL, args=tuple(args)))
+        return self._push(OP_MUL, None, args)
 
-    def _push(self, g: Gate) -> int:
-        self.gates.append(g)
-        return len(self.gates) - 1
+    def _push(self, op: int, key, args) -> int:
+        self.ops.append(op)
+        self.keys.append(key)
+        self.args += args
+        self.offsets.append(len(self.args))
+        return len(self.ops) - 1
 
     def build(self, output: int) -> Circuit:
         """The gates that output reaches, in their order, renumbered from 0."""
-        live = _live(self.gates, output)
-        new_id = [n - 1 for n in accumulate(live)]
-        return Circuit([Gate(g.op, g.value, g.label, tuple([new_id[a] for a in g.args]))
-                        for g, keep in zip(self.gates, live) if keep], new_id[output])
+        offsets, args = np.array(self.offsets), np.array(self.args, dtype=np.intp)
+        arity = offsets[1:] - offsets[:-1]
+        live = _reachable(offsets, args, output)
+        new_id = live.cumsum() - 1
+        return Circuit.from_arrays(
+            np.array(self.ops)[live], compress(self.keys, live.tolist()),
+            np.concatenate(([0], arity[live].cumsum())),
+            new_id[args[live.repeat(arity)]], int(new_id[output]))
 
 
-def _live(gates: list[Gate], output: int) -> list[bool]:
-    """Per gate, whether output reaches it (one backward pass)."""
-    live = [False] * len(gates)
-    live[output] = True
-    for gid in range(output, -1, -1):
-        if live[gid]:
-            for a in gates[gid].args:
-                live[a] = True
-    return live
-
+def _reachable(offsets: np.ndarray, args: np.ndarray, output: int) -> np.ndarray:
+    """Per gate, whether output reaches it: the gates nothing reads, output
+    aside, are peeled off, one round per link of the longest dead chain."""
+    n, arity = len(offsets) - 1, offsets[1:] - offsets[:-1]
+    reads = np.bincount(args, minlength=n)
+    reads[output] += 1
+    dead = peel = reads == 0
+    while peel.any():
+        reads -= np.bincount(args[peel.repeat(arity)], minlength=n)
+        peel = (reads == 0) & ~dead
+        dead |= peel
+    return ~dead

@@ -22,6 +22,7 @@ circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .circuit import Circuit, CircuitBuilder
 from .graphs import Graph
@@ -59,6 +60,17 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
     b = CircuitBuilder()
     hs = list(H.vertices())
     zero = b.const(0)
+    z_input = cache(lambda u, h: b.input(zvar(u, h)))
+    y_input = cache(lambda a, h: b.input(yedge(a, h)))
+    nbr, every = H.nbr_masks, (1 << (H.n + 1)) - 2  # every: bits 1..H.n
+
+    def images(phi: tuple[int, ...], nbr_pos: list[int]) -> int:
+        """Bit mask of the h adjacent in H to phi[i] for each i in nbr_pos."""
+        mask = every
+        for i in nbr_pos:
+            mask &= nbr[phi[i]]
+        return mask
+
     # per node: sorted bag, and map phi-tuple -> gate id
     bag_sorted: dict[int, list[int]] = {}
     table: dict[int, dict[tuple[int, ...], int]] = {}
@@ -74,8 +86,8 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
             pos = bs.index(nd.vertex)
             child_bs = bag_sorted[t1]
             nbr_pos = [i for i, v in enumerate(child_bs) if G.has_edge(nd.vertex, v)]
-            table[t] = {phi1[:pos] + (h,) + phi1[pos:]:
-                        g1 if all(H.has_edge(phi1[i], h) for i in nbr_pos) else zero
+            ok = {phi1: images(phi1, nbr_pos) for phi1 in table[t1]}
+            table[t] = {phi1[:pos] + (h,) + phi1[pos:]: g1 if ok[phi1] >> h & 1 else zero
                         for phi1, g1 in table[t1].items() for h in hs}
         elif nd.kind == "forget":
             t1 = nd.children[0]
@@ -83,15 +95,17 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
             pos = bag_sorted[t1].index(u)
             nbr_pos = [i for i, v in enumerate(bs) if G.has_edge(u, v)]
             terms: dict[tuple[int, ...], list[int]] = {}
+            ok = {}
             for phi1, g1 in table[t1].items():
                 phi, h = phi1[:pos] + phi1[pos + 1:], phi1[pos]
-                acc = terms.setdefault(phi, [])
+                if phi not in terms:
+                    terms[phi], ok[phi] = [], images(phi, nbr_pos)
                 # a term breaking an H edge is zero (and yedge(h, h) is no label)
-                if all(H.has_edge(phi[i], h) for i in nbr_pos):
-                    factors = [b.input(zvar(u, h))]
-                    factors += [b.input(yedge(phi[i], h)) for i in nbr_pos]
+                if ok[phi] >> h & 1:
+                    factors = [z_input(u, h)]
+                    factors += [y_input(phi[i], h) for i in nbr_pos]
                     factors.append(g1)
-                    acc.append(b.mul(factors))
+                    terms[phi].append(b.mul(factors))
             table[t] = {phi: b.add(ts) for phi, ts in terms.items()}
         else:  # join
             t1, t2 = nd.children
@@ -103,9 +117,9 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
 
     width = d.width()
     bound = size_bound(G, H, width)
-    if len(circuit.gates) > bound:
+    if len(circuit) > bound:
         raise AssertionError(
-            f"compiled circuit has {len(circuit.gates)} gates, "
+            f"compiled circuit has {len(circuit)} gates, "
             f"exceeding the bound {bound}")
     bad_consts = circuit.constants_used() - {0, 1}
     if bad_consts:
@@ -116,7 +130,7 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
         n_source=G.n,
         n_target=H.n,
         width=width,
-        gate_count=len(circuit.gates),
+        gate_count=len(circuit),
         wire_count=circuit.wire_count(),
         size_bound=bound,
         skew=circuit.is_skew(),

@@ -443,31 +443,23 @@ def check_normal_form(c: Circuit) -> list[str]:
     circuit is multiplicatively disjoint.
     """
     out = []
-    reach = set()
-    stack = [c.output]
-    while stack:
-        gid = stack.pop()
-        if gid in reach:
-            continue
-        reach.add(gid)
-        stack.extend(c.gates[gid].args)
-    root = c.gates[c.output]
-    if root.op != MUL:
+    ops, _, args = c.per_gate
+    if ops[c.output] != MUL:
         out.append("output gate must be a x gate")
-    for gid in sorted(reach):
-        g = c.gates[gid]
-        if g.op == CONST:
+    for gid in c.reachable().nonzero()[0].tolist():
+        op = ops[gid]
+        if op == CONST:
             out.append(f"gate {gid}: constants are not allowed")
-        elif g.op == MUL:
-            if len(g.args) != 2:
+        elif op == MUL:
+            if len(args[gid]) != 2:
                 out.append(f"gate {gid}: x gates must have exactly 2 arguments")
-            if any(c.gates[a].op != ADD for a in g.args):
+            if any(ops[a] != ADD for a in args[gid]):
                 out.append(f"gate {gid}: x arguments must all be + gates")
-        elif g.op == ADD:
-            if not g.args:
+        elif op == ADD:
+            if not args[gid]:
                 out.append(f"gate {gid}: + gate with no arguments")
             else:
-                kinds = {c.gates[a].op for a in g.args}
+                kinds = {ops[a] for a in args[gid]}
                 if kinds not in ({MUL}, {INPUT}):
                     out.append(f"gate {gid}: + arguments must be all x gates "
                                "or all input gates")
@@ -479,12 +471,11 @@ def check_normal_form(c: Circuit) -> list[str]:
     leaf_depths = set()
     while queue:
         gid = queue.pop(0)
-        g = c.gates[gid]
-        if g.op == INPUT:
+        if ops[gid] == INPUT:
             leaf_depths.add(depth[gid])
             continue
-        alpha, beta = g.args
-        kids = list(c.gates[alpha].args) + list(c.gates[beta].args)
+        alpha, beta = args[gid]
+        kids = list(args[alpha]) + list(args[beta])
         for x in kids:
             d = depth[gid] + 1
             if x in depth:
@@ -521,6 +512,7 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
     if problems:
         raise ValueError("circuit is not in normal form: " + "; ".join(problems))
 
+    ops, keys, args = c.per_gate
     root_copy = (c.output, "L")
     depth = {root_copy: 0}
     children: dict[tuple[int, str], list[tuple[int, str]]] = {}
@@ -528,13 +520,11 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
     while queue:
         copy = queue.pop(0)
         gid, _side = copy
-        g = c.gates[gid]
-        if g.op == INPUT:
+        if ops[gid] == INPUT:
             children[copy] = []
             continue
-        alpha, beta = g.args
-        kids = [(x, "L") for x in c.gates[alpha].args] + \
-               [(x, "R") for x in c.gates[beta].args]
+        alpha, beta = args[gid]
+        kids = [(x, "L") for x in args[alpha]] + [(x, "R") for x in args[beta]]
         children[copy] = kids
         for kid in kids:
             d = depth[copy] + 1
@@ -565,8 +555,7 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
         parent = info[copy]
         for kid in kids:
             child = info[kid]
-            kid_gate = c.gates[kid[0]]
-            label = kid_gate.label if kid_gate.op == INPUT else None
+            label = keys[kid[0]] if ops[kid[0]] == INPUT else None
             mark = L_MARK if kid[1] == "L" else R_MARK
             asm.chain(parent.vmap[mark], child.vmap[P_MARK], c_max,
                       last_label=label)

@@ -181,45 +181,3 @@ class SparsePoly:
             bits.append("*".join(factors))
         return " + ".join(bits)
 
-
-class SymbolicRing:
-    """Ring adapter so generic evaluators can produce SparsePoly values.
-
-    Enforces a cap on the number of distinct monomials seen in any single
-    intermediate result; expansion past the cap raises BoundExceeded.
-    """
-
-    def __init__(self, field: Field | None = None, bound: int = 10**6):
-        self.field = field
-        self.bound = bound
-
-    @property
-    def zero(self) -> SparsePoly:
-        return SparsePoly.zero(self.field)
-
-    @property
-    def one(self) -> SparsePoly:
-        return SparsePoly.const(1, self.field)
-
-    def from_int(self, n: int) -> SparsePoly:
-        return SparsePoly.const(n, self.field)
-
-    def var(self, label: str) -> SparsePoly:
-        return SparsePoly.var(label, self.field)
-
-    def _checked(self, p: SparsePoly) -> SparsePoly:
-        if len(p) > self.bound:
-            raise BoundExceeded(
-                f"symbolic result has {len(p)} monomials (bound {self.bound}); "
-                "evaluate numerically instead"
-            )
-        return p
-
-    def add(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        return self._checked(a + b)
-
-    def mul(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        return self._checked(a * b)
-
-    def pow(self, a: SparsePoly, e: int) -> SparsePoly:
-        return self._checked(a.pow(e))

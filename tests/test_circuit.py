@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import eval_symbolic
 from homforge.circuit import Circuit, CircuitBuilder, Gate
 from homforge.rings import Field, is_prime
 from homforge.sparsepoly import ONE_MON, mono
@@ -49,6 +50,20 @@ gate 8 add 7 1 0
 output 8
 """
 
+# dead add/mul gates 3, 4 and 6 sit between live ones, so the argument runs
+# of the live gates alone do not tile the argument array
+DEAD_BETWEEN_TEXT = """\
+gate 0 input x
+gate 1 input y
+gate 2 add 0 1
+gate 3 mul 2 2 0
+gate 4 add 3 1
+gate 5 mul 2 1
+gate 6 add 4 4 4
+gate 7 add 5 2 0
+output 7
+"""
+
 FIELDS = (Field(2), Field(3), Field(5), Field(2, 2))
 
 
@@ -65,7 +80,7 @@ def assert_batch_matches_scalar(c: Circuit, F: Field, batch: dict[str, np.ndarra
 def test_eval_batch_matches_scalar():
     rng = np.random.default_rng(7)
     dead = Circuit.from_text(DEAD_GATES_TEXT)
-    for c in (small_circuit(), dead):
+    for c in (small_circuit(), dead, Circuit.from_text(DEAD_BETWEEN_TEXT)):
         for F in FIELDS:
             for width in ((), (1,), (25,)):
                 batch = {lab: rng.integers(0, F.q, size=width) for lab in c.input_labels()}
@@ -253,7 +268,7 @@ def test_builder_prunes_dead_gates():
 def test_eval_symbolic_agrees_with_eval():
     c = small_circuit()
     F = Field(5)
-    p = c.eval_symbolic(F)
+    p = eval_symbolic(c, F)
     rng = random.Random(9)
     for _ in range(30):
         a = {lab: rng.randrange(5) for lab in c.input_labels()}
@@ -377,7 +392,7 @@ def test_parse_tree_sum_equals_symbolic():
         for t in c.parse_trees(bound=10**5):
             total[t.monomial] = total.get(t.monomial, 0) + t.coeff
         total = {m: v for m, v in total.items() if v}
-        assert total == c.eval_symbolic().terms
+        assert total == eval_symbolic(c).terms
 
 
 def test_text_round_trip():
@@ -387,6 +402,33 @@ def test_text_round_trip():
     F = Field(5)
     a = {lab: 3 for lab in c.input_labels()}
     assert c.eval(a, F) == c2.eval(a, F)
+
+
+@pytest.mark.parametrize("gates, output, message", [
+    ([Gate("const", value=1, args=(7,))], 0, "gate 0: const takes no arguments"),
+    ([Gate("input", label="x"), Gate("input", label="y", args=(0,))], 1,
+     "gate 1: input takes no arguments"),
+    ([Gate("input", label="x"), Gate("add")], 1, "gate 1: add needs at least one argument"),
+    ([Gate("input", label="x"), Gate("mul", args=(0, 1))], 1,
+     "gate 1: arguments must reference earlier gates"),
+    ([Gate("input", label="x"), Gate("add", args=(-1,))], 1,
+     "gate 1: arguments must reference earlier gates"),
+    ([Gate("input", label="a b")], 0, "gate 0: bad input label 'a b'"),
+    ([Gate("input", label="x"), Gate("sub", args=(0,))], 1, "gate 1: unknown op 'sub'"),
+    ([Gate("input", label="x")], 1, "output id out of range"),
+    # the first bad gate is named, whichever check finds it
+    ([Gate("input", label="x"), Gate("mul", args=(5,)), Gate("const", args=(0,)),
+      Gate("input", label="")], 2, "gate 1: arguments must reference earlier gates"),
+    ([Gate("input", label="Z:1"), Gate("add"), Gate("xor")], 2,
+     "gate 0: bad input label 'Z:1'"),
+], ids=["const-args", "input-args", "empty-add", "later-arg", "negative-arg", "label",
+        "op", "output", "first-of-three", "first-label"])
+def test_constructor_names_the_first_bad_gate(gates, output, message):
+    # leaf arguments used to be accepted, then dropped by to_text and met as a
+    # bare IndexError in eval_batch
+    with pytest.raises(ValueError) as exc:
+        Circuit(gates, output)
+    assert str(exc.value) == message
 
 
 def test_from_text_rejects_garbage():

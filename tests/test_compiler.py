@@ -1,19 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from brute import hom_poly_oracle
+from brute import SymbolicRing, eval_symbolic, hom_poly_oracle
 from homforge.circuit import CONST, INPUT, Circuit, CircuitBuilder, Gate
 from homforge.compiler import compile_hom
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
-from homforge.randgen import random_assignment, random_path_decomposed
+from homforge.randgen import random_assignment, random_partial_ktree, random_path_decomposed
 from homforge.rings import Field
-from homforge.sparsepoly import SymbolicRing
 from homforge.treedecomp import TreeDecompInput, make_nice, treewidth_exact, validate_nice
 
 
@@ -103,12 +103,44 @@ def pruning_cases():
     yield G, treewidth_exact(G)[1], Graph.complete(3)
 
 
+def pinned_cases():
+    """pruning_cases() and the four hom-batch benchmark pairs, n = 10..20."""
+    yield from pruning_cases()
+    rng = random.Random(2026)
+    for n, k, h in ((10, 2, 4), (12, 3, 4), (16, 3, 5), (20, 3, 6)):
+        G, td = random_partial_ktree(n, k, rng)
+        yield G, treewidth_exact(G)[1] if n <= 12 else make_nice(td, G), Graph.complete(h)
+
+
+# sha256 of the to_text of every pinned_cases() circuit, in order, as the
+# compiler of the Gate-object circuit wrote them
+PINNED_TEXT_SHA256 = "b0f06efad11528c4524c12e2fbe2bc72973a5578d53dd362f02201ad179e4bf6"
+
+
+def test_compiled_text_is_pinned_and_round_trips():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(26)
+    for G, d, H in pinned_cases():
+        c = compile_hom(G, d, H).circuit
+        text = c.to_text()
+        digest.update(text.encode())
+        back = Circuit.from_text(text)
+        assert back.to_text() == text
+        for F in FIELDS:
+            batch = {lab: rng.integers(0, F.q, size=4) for lab in all_labels(G, H)}
+            assert np.array_equal(back.eval_batch(batch, F), c.eval_batch(batch, F))
+            a = {lab: int(v[0]) for lab, v in batch.items()}
+            assert back.eval(a, F) == c.eval(a, F) == back.eval_batch(batch, F)[0]
+    assert digest.hexdigest() == PINNED_TEXT_SHA256
+
+
 def test_compiled_gates_are_all_live(monkeypatch):
     compiled = [(G, H, compile_hom(G, d, H)) for G, d, H in pruning_cases()]
     for _, _, comp in compiled:
         assert reachable(comp.circuit) == set(range(len(comp.circuit.gates)))
     # the same compilations without pruning in CircuitBuilder.build
-    monkeypatch.setattr(CircuitBuilder, "build", lambda self, out: Circuit(self.gates, out))
+    monkeypatch.setattr(CircuitBuilder, "build", lambda self, out: Circuit.from_arrays(
+        self.ops, self.keys, self.offsets, self.args, out))
     rng = random.Random(5)
     for (G, d, H), (_, _, pruned) in zip(pruning_cases(), compiled):
         full = compile_hom(G, d, H)
@@ -227,7 +259,7 @@ def test_nested_joins_give_the_exact_polynomial():
     assert inner in below
     ring = SymbolicRing()
     for H in (Graph.complete(3), Graph.cycle(5), Graph.path(3)):
-        got = compile_hom(G, d, H).circuit.eval_symbolic()
+        got = eval_symbolic(compile_hom(G, d, H).circuit)
         want = hom_poly_oracle(G, H, {lab: ring.var(lab) for lab in all_labels(G, H)}, ring)
         assert got == want and len(got) == len(enumerate_homs(G, H))
 

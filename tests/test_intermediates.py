@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from brute import SymbolicRing
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
@@ -16,7 +17,7 @@ from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
 from homforge.randgen import gnp, random_cnf, random_hypergraph
 from homforge.rings import CountRing, Field, TruncRing
-from homforge.sparsepoly import SparsePoly, SymbolicRing, mono
+from homforge.sparsepoly import SparsePoly, mono
 
 
 def all_ones(family: str, n: int, field: Field) -> FamilyInstance:

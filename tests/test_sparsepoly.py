@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from brute import SymbolicRing
 from homforge.rings import Field
 from homforge.sparsepoly import (BoundExceeded, Monomial, ONE_MON, SparsePoly,
-                                 SymbolicRing, mono, mono_mul)
+                                 mono, mono_mul)
 
 
 def test_mono_normalisation():
