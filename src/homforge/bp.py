@@ -13,10 +13,10 @@ walks interact with the layer structure in a controlled way.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .labels import SCALARS, is_valid_label, read_lines
-from .sparsepoly import SparsePoly
+from .labels import SCALARS, is_valid_label, mono, read_lines
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,11 @@ class LayeredBP:
                 counts[key] = counts.get(key, 0) + c
         return counts.get((0, self.source), 0)
 
-    def path_polynomial(self, field=None) -> SparsePoly:
-        """Sum over source-sink paths of the product of arc labels."""
-        total = SparsePoly.const(0, field)
-        for path in self.st_paths():
-            term = SparsePoly.const(1, field)
-            for a in path:
-                if isinstance(a.label, str):
-                    term = term * SparsePoly.var(a.label, field)
-            total = total + term
-        return total
+    def path_polynomial(self) -> Counter:
+        """Sum over source-sink paths of the product of arc labels, as a
+        Counter of monomials."""
+        return Counter(mono(*((a.label, 1) for a in path if isinstance(a.label, str)))
+                       for path in self.st_paths())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredBP):

@@ -27,8 +27,8 @@ from math import prod
 import numpy as np
 
 from . import labels as lbl
+from .labels import Monomial, mono_mul
 from .rings import Field
-from .sparsepoly import Monomial, mono_mul
 
 CONST, INPUT, ADD, MUL = "const", "input", "add", "mul"
 OPS = (CONST, INPUT, ADD, MUL)

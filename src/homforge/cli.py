@@ -4,7 +4,7 @@ Subcommands: compile, eval, count, oracle, verify, search, decomp.
 Every run echoes a reproducibility header (seed, field, content hashes
 of the input files).  Exit codes: 0 success/verified, 1 verification
 mismatch, 2 usage or input error, or an exceeded budget (homomorphism
-cap or expansion bound), 3 internal error.
+cap), 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .labels import read_lines
 from .oracles import (count_3dm, count_clique, count_clows, count_hc,
                       count_sat3, count_vc)
 from .rings import Field
-from .sparsepoly import BoundExceeded
 from .treedecomp import (NiceTreeDecomp, heuristic_decomp, make_nice,
                          treewidth_exact, validate_nice)
 from .verify import (verify_cycle_identity, verify_gadget_bijection,
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     rep = Reporter(args.format, args.seed)
     try:
         return _DISPATCH[args.cmd](args, rep)
-    except (ValueError, OSError, HomCapExceeded, BoundExceeded) as e:
+    except (ValueError, OSError, HomCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # not 1, which means a verification mismatch

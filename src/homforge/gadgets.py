@@ -32,7 +32,6 @@ from functools import cached_property
 from .bp import LayeredBP
 from .circuit import ADD, CONST, Circuit, INPUT, MUL
 from .graphs import MAX_SOURCE_VERTICES, Graph, are_incomparable, is_rigid
-from .labels import yedge
 
 # designated block vertices: where left/right child paths attach, and
 # where the block itself hangs off its parent
@@ -365,24 +364,6 @@ def _bp_layout(bp: LayeredBP, asm: _Assembler) -> dict[tuple[int, int], int]:
     return ids
 
 
-def complete_assignment(g: GadgetGraph, target_size: int | None = None) -> dict:
-    """An edge-variable assignment for the complete graph on ``target_size``
-    (default: exactly |V(g)|) vertices: absent edges map to 0, structural
-    edges to 1, and program arcs to their labels."""
-    n = g.graph.n
-    size = n if target_size is None else target_size
-    if size < n:
-        raise ValueError(f"target graph needs at least {n} vertices")
-    assignment: dict[str, object] = {}
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            if j <= n and g.graph.has_edge(i, j):
-                assignment[yedge(i, j)] = g.labels.get((i, j), 1)
-            else:
-                assignment[yedge(i, j)] = 0
-    return assignment
-
-
 def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> GadgetGraph:
     """Turn a branching program into a weighted target graph.
 
@@ -395,8 +376,8 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> Gadget
     trace source-to-sink paths.  ``pair`` was certified when it was
     constructed.
 
-    Returns the gadget graph ``B``; ``complete_assignment(B)`` gives it as
-    an edge-variable assignment of a complete graph.
+    Returns the gadget graph ``B``; ``B.edge_label`` gives each edge's
+    variable, or 1 for an unlabelled edge.
     """
     if mode == "cycle":
         ell = bp.n_layers

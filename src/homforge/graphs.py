@@ -197,11 +197,6 @@ class Graph:
         return d
 
     @cached_property
-    def distances(self) -> list[list[int]]:
-        """All-pairs BFS distances, table indexed [u][v], unreachable = UNREACHABLE."""
-        return [[UNREACHABLE] * (self.n + 1)] + [self.bfs(s) for s in self.vertices()]
-
-    @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
         """nbr_masks[v] has bit w set for each neighbour w of v (entry 0 unused)."""
         masks = [0] * (self.n + 1)
@@ -307,12 +302,6 @@ class HomCapExceeded(RuntimeError):
         super().__init__(f"homomorphism cap {cap} exceeded (partial count {partial})")
         self.cap = cap
         self.partial = partial
-
-
-def is_homomorphism(G: Graph, H: Graph, phi) -> bool:
-    if len(phi) != G.n or any(not 1 <= h <= H.n for h in phi):
-        return False
-    return all(H.has_edge(phi[u - 1], phi[v - 1]) for u, v in G.edges)
 
 
 def _search_order(G: Graph) -> list[int]:

@@ -1,7 +1,7 @@
 """Canonical names for circuit and polynomial variables.
 
-Every variable that can appear in a circuit, a sparse polynomial, or a
-family assignment is identified by a plain string in one of these shapes:
+Every variable that can appear in a circuit, a polynomial, or a family
+assignment is identified by a plain string in one of these shapes:
 
     Z:u:a        vertex-placement variable (source vertex u mapped to a)
     Ye:a:b       target-edge variable, a < b
@@ -15,11 +15,37 @@ family assignment is identified by a plain string in one of these shapes:
 
 Keeping labels as strings keeps circuits hashable and printable and makes
 the text formats trivial to parse.
+
+A monomial is a sorted tuple of (label, exponent) pairs with positive
+exponents; a polynomial is a ``Counter`` of monomials, whose counts are
+its integer coefficients.
 """
 
 from __future__ import annotations
 
 SCALARS = ("z", "t", "y")
+
+Monomial = tuple[tuple[str, int], ...]
+
+
+def mono(*pairs: tuple[str, int]) -> Monomial:
+    """Normalise label/exponent pairs into a canonical monomial."""
+    acc: dict[str, int] = {}
+    for label, e in pairs:
+        if e:
+            acc[label] = acc.get(label, 0) + e
+    return tuple(sorted((l, e) for l, e in acc.items() if e))
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    acc = dict(a)
+    for label, e in b:
+        acc[label] = acc.get(label, 0) + e
+    return tuple(sorted(acc.items()))
 
 
 def read_lines(text: str, handle) -> None:

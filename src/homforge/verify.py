@@ -13,8 +13,10 @@ object:
   circuit encoding J_n correspond one-to-one to parse trees, monomial by
   monomial.
 
-Reports carry the compared quantities so failures are inspectable; every
-``ok`` field is computed, never assumed.
+A polynomial is a ``Counter`` of monomials (``labels.Monomial``) whose
+counts are its integer coefficients.  Reports carry the compared
+quantities so failures are inspectable; every ``ok`` field is computed,
+never assumed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .circuit import Circuit
 from .gadgets import (GadgetGraph, GadgetPair, GadgetTriple, build_Gk,
                       build_Gm, build_Jn, embed_bp)
 from .graphs import Graph, check_source_size, enumerate_homs
+from .labels import Monomial, mono, mono_mul
 from .rings import Field
-from .sparsepoly import Monomial, SparsePoly, mono
 
-DEFAULT_RECOVERY_FIELDS = (2, 3, 5)
+HOM_CAP = 10 ** 6  # the most homomorphisms any verifier enumerates
+RECOVERY_FIELDS = (2, 3, 5)  # where the cycle identity is divided by 2*ell
 
 
 def _blocks_first_order(g: GadgetGraph) -> list[int]:
@@ -81,8 +84,8 @@ class CycleIdentityReport:
     n_homs: int
     every_hom_uses_y_once: bool
     identity_holds: bool
-    f: SparsePoly
-    g: SparsePoly
+    f: Counter
+    g: Counter
     recovery: dict[int, bool]
     field_notes: list[str] = field(default_factory=list)
 
@@ -98,8 +101,7 @@ class CycleIdentityReport:
         return out
 
 
-def verify_cycle_identity(bp: LayeredBP, *, hom_cap: int = 10 ** 6,
-                          recovery_fields=DEFAULT_RECOVERY_FIELDS) -> CycleIdentityReport:
+def verify_cycle_identity(bp: LayeredBP) -> CycleIdentityReport:
     """Check f_{C_ell, B} = (2*ell) * y * g for the cycle embedding of bp."""
     ell = bp.n_layers
     if ell % 2 == 0 or ell < 3:
@@ -108,27 +110,25 @@ def verify_cycle_identity(bp: LayeredBP, *, hom_cap: int = 10 ** 6,
         raise ValueError("budget: at most 7 layers and width 3 for symbolic work")
     B = embed_bp(bp, "cycle")
     C = Graph.cycle(ell)
-    homs = enumerate_homs(C, B.graph, cap=hom_cap)
+    homs = enumerate_homs(C, B.graph, cap=HOM_CAP)
 
     y_once = True
-    counts: Counter = Counter()
+    f: Counter = Counter()
     for phi in homs:
         m = hom_monomial(C, phi, B)
         if dict(m).get("y") != 1:
             y_once = False
-        counts[m] += 1
-    f = SparsePoly(dict(counts), None)
+        f[m] += 1
 
     g = bp.path_polynomial()
     factor = 2 * ell
-    expected = (SparsePoly.var("y") * g).scale(factor)
-    identity = f == expected
+    yg = {mono_mul((("y", 1),), m): c for m, c in g.items()}
+    identity = f == Counter({m: factor * c for m, c in yg.items()})
 
-    yg = SparsePoly.var("y") * g
     recovery: dict[int, bool] = {}
     notes = []
-    for q in recovery_fields:
-        F = Field(q) if isinstance(q, int) else q
+    for q in RECOVERY_FIELDS:
+        F = Field(q)
         if F.p == 2:
             notes.append(f"F_{F.q}: factor {factor} has no inverse in "
                          "characteristic 2 (the identity is not divisible)")
@@ -138,7 +138,9 @@ def verify_cycle_identity(bp: LayeredBP, *, hom_cap: int = 10 ** 6,
                          f"characteristic {F.p}; no inverse, g not recoverable")
             continue
         inv = F.inv(F.from_int(factor))
-        rec_ok = f.reduce_mod(F).scale(inv) == yg.reduce_mod(F)
+        # both sides over F_q, zero coefficients dropped
+        scaled = {m: r for m, c in f.items() if (r := F.mul(F.from_int(c), inv))}
+        rec_ok = scaled == {m: r for m, c in yg.items() if (r := F.from_int(c))}
         recovery[F.q] = rec_ok
         notes.append(f"F_{F.q}: scaling by {factor}^-1 = {inv} recovers y*g: {rec_ok}")
 
@@ -158,8 +160,8 @@ class GadgetBijectionReport:
     p2_ok: bool
     endpoints_ok: bool
     monomials_match: bool
-    f: SparsePoly
-    g: SparsePoly
+    f: Counter
+    g: Counter
 
     def lines(self) -> list[str]:
         return [
@@ -173,8 +175,7 @@ class GadgetBijectionReport:
         ]
 
 
-def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair, *,
-                            hom_cap: int = 10 ** 6) -> GadgetBijectionReport:
+def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair) -> GadgetBijectionReport:
     """Check Hom(G_ell, B_ell) <-> s-t paths with pinned blocks/endpoints."""
     ell = bp.n_layers
     if ell <= bp.width():
@@ -185,7 +186,7 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair, *,
     B = embed_bp(bp, "gadget", pair)
 
     order = _blocks_first_order(Gk)
-    homs = enumerate_homs(Gk.graph, B.graph, cap=hom_cap,
+    homs = enumerate_homs(Gk.graph, B.graph, cap=HOM_CAP,
                           order=order, distance_prune=True)
 
     g_i1, g_i2 = Gk.block(("I1",)), Gk.block(("I2",))
@@ -199,16 +200,11 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair, *,
              for phi in homs for x in g_i2.vmap)
     endpoints = all(phi[a_v - 1] == s_v and phi[b_v - 1] == t_v for phi in homs)
 
-    hom_mons = Counter(hom_monomial(Gk.graph, phi, B) for phi in homs)
-    path_mons: Counter = Counter()
-    for path in bp.st_paths():
-        path_mons[mono(*((a.label, 1) for a in path
-                         if isinstance(a.label, str)))] += 1
-    counts_match = len(homs) == bp.count_st_paths()
-    monomials = hom_mons == path_mons
-
-    f = SparsePoly(dict(hom_mons), None)
+    f = Counter(hom_monomial(Gk.graph, phi, B) for phi in homs)
     g = bp.path_polynomial()
+    counts_match = len(homs) == bp.count_st_paths()
+    monomials = f == g
+
     ok = counts_match and p1 and p2 and endpoints and monomials
     return GadgetBijectionReport(ok, ell, bp.count_st_paths(), len(homs),
                                  counts_match, p1, p2, endpoints, monomials, f, g)
@@ -238,8 +234,7 @@ class ParseHomReport:
 
 
 def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
-                               fault_inject: bool = False,
-                               hom_cap: int = 10 ** 6) -> ParseHomReport:
+                               fault_inject: bool = False) -> ParseHomReport:
     """Check Hom(G_m, J_n) <-> parse trees of c, monomial by monomial.
 
     ``fault_inject`` assembles J_n with one level's blocks swapped; a
@@ -256,7 +251,7 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
         parse_mons[t.monomial] += 1
 
     order = _blocks_first_order(Gm)
-    homs = enumerate_homs(Gm.graph, J.graph, cap=hom_cap,
+    homs = enumerate_homs(Gm.graph, J.graph, cap=HOM_CAP,
                           order=order, distance_prune=True)
     hom_mons = Counter(hom_monomial(Gm.graph, phi, J) for phi in homs)
 

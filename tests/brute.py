@@ -1,21 +1,66 @@
 """Brute-force references shared by the tests.
 
-The hom references share no code with what they check: neither calls the
-compiler or ``graphs.enumerate_homs``; both read a ``Graph`` only through
-its vertices, adjacency sets and edges.  ``eval_symbolic`` expands a
+The hom references share no code with what they check: none calls the
+compiler or ``graphs.enumerate_homs``; they read a ``Graph`` only through
+its vertices, adjacency sets and edges, and ``distances`` runs its own
+BFS.  ``complete_assignment`` spells a gadget graph out as an assignment
+of every edge variable of a complete graph.  ``eval_symbolic`` expands a
 circuit through ``Circuit.eval`` over ``SymbolicRing``, the reference for
 parse trees and for compiled polynomials over the integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from homforge.circuit import Circuit
-from homforge.graphs import Graph
-from homforge.labels import yedge, zvar
-from homforge.rings import Field
-from homforge.sparsepoly import BoundExceeded, SparsePoly
+from homforge.gadgets import GadgetGraph
+from homforge.graphs import UNREACHABLE, Graph
+from homforge.labels import Monomial, mono_mul, yedge, zvar
+
+
+def is_homomorphism(G: Graph, H: Graph, phi) -> bool:
+    """Whether phi (phi[u - 1] the image of u) sends every edge of G to an
+    edge of H."""
+    if len(phi) != G.n or any(not 1 <= h <= H.n for h in phi):
+        return False
+    return all(phi[v - 1] in H.adj[phi[u - 1]] for u, v in G.edges)
+
+
+def distances(G: Graph) -> list[list[int]]:
+    """All-pairs BFS distances, table indexed [u][v] (row 0 unused);
+    vertices in different components are UNREACHABLE apart."""
+    table = [[UNREACHABLE] * (G.n + 1)]
+    for s in G.vertices():
+        d = [UNREACHABLE] * (G.n + 1)
+        d[s] = 0
+        queue = [s]
+        for x in queue:  # the loop also visits what it appends
+            for y in G.adj[x]:
+                if d[y] == UNREACHABLE:
+                    d[y] = d[x] + 1
+                    queue.append(y)
+        table.append(d)
+    return table
+
+
+def complete_assignment(g: GadgetGraph, target_size: int | None = None) -> dict:
+    """An edge-variable assignment for the complete graph on ``target_size``
+    (default: exactly |V(g)|) vertices: absent edges map to 0, structural
+    edges to 1, and program arcs to their labels."""
+    n = g.graph.n
+    size = n if target_size is None else target_size
+    if size < n:
+        raise ValueError(f"target graph needs at least {n} vertices")
+    assignment: dict[str, object] = {}
+    for i in range(1, size + 1):
+        for j in range(i + 1, size + 1):
+            if j <= n and j in g.graph.adj[i]:
+                assignment[yedge(i, j)] = g.labels.get((i, j), 1)
+            else:
+                assignment[yedge(i, j)] = 0
+    return assignment
 
 
 def count_homs(G: Graph, H: Graph, cap: int) -> int:
@@ -64,38 +109,38 @@ def hom_poly_oracle(G: Graph, H: Graph, assignment: dict, ring):
     return total
 
 
-def eval_symbolic(c: Circuit, field: Field | None = None, bound: int = 10**6) -> SparsePoly:
-    """Expand the circuit into a sparse polynomial (terms capped by bound)."""
-    ring = SymbolicRing(field, bound)
+Poly = dict[Monomial, int]  # monomial -> nonzero integer coefficient
+
+
+def eval_symbolic(c: Circuit, bound: int = 10**6) -> Poly:
+    """Expand the circuit into an integer polynomial (terms capped by bound)."""
+    ring = SymbolicRing(bound)
     return c.eval({name: ring.var(name) for name in c.input_labels()}, ring)
 
 
+class BoundExceeded(RuntimeError):
+    """Raised when a symbolic expansion grows past the ring's term bound."""
+
+
 class SymbolicRing:
-    """Ring adapter so generic evaluators can produce SparsePoly values.
+    """Integer polynomials as ``Poly`` dicts, a ring adapter so generic
+    evaluators expand symbolically.  A result with more than ``bound``
+    monomials raises BoundExceeded."""
 
-    Enforces a cap on the number of distinct monomials seen in any single
-    intermediate result; expansion past the cap raises BoundExceeded.
-    """
-
-    def __init__(self, field: Field | None = None, bound: int = 10**6):
-        self.field = field
+    def __init__(self, bound: int = 10**6):
         self.bound = bound
 
-    @property
-    def zero(self) -> SparsePoly:
-        return SparsePoly.zero(self.field)
+    zero = property(lambda self: {})
+    one = property(lambda self: {(): 1})
 
-    @property
-    def one(self) -> SparsePoly:
-        return SparsePoly.const(1, self.field)
+    def from_int(self, n: int) -> Poly:
+        return {(): n} if n else {}
 
-    def from_int(self, n: int) -> SparsePoly:
-        return SparsePoly.const(n, self.field)
+    def var(self, label: str) -> Poly:
+        return {((label, 1),): 1}
 
-    def var(self, label: str) -> SparsePoly:
-        return SparsePoly.var(label, self.field)
-
-    def _checked(self, p: SparsePoly) -> SparsePoly:
+    def _checked(self, acc: Counter) -> Poly:
+        p = {m: c for m, c in acc.items() if c}
         if len(p) > self.bound:
             raise BoundExceeded(
                 f"symbolic result has {len(p)} monomials (bound {self.bound}); "
@@ -103,11 +148,20 @@ class SymbolicRing:
             )
         return p
 
-    def add(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        return self._checked(a + b)
+    def add(self, a: Poly, b: Poly) -> Poly:
+        acc = Counter(a)
+        acc.update(b)
+        return self._checked(acc)
 
-    def mul(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        return self._checked(a * b)
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        acc: Counter = Counter()
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                acc[mono_mul(m1, m2)] += c1 * c2
+        return self._checked(acc)
 
-    def pow(self, a: SparsePoly, e: int) -> SparsePoly:
-        return self._checked(a.pow(e))
+    def pow(self, a: Poly, e: int) -> Poly:
+        acc = self.one
+        for _ in range(e):
+            acc = self.mul(acc, a)
+        return acc

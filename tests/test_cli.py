@@ -16,7 +16,6 @@ from homforge.cli import main, read_assignment_file
 from homforge.gadgets import dump_gadget
 from homforge.graphs import Graph, HomCapExceeded
 from homforge.rings import Field
-from homforge.sparsepoly import BoundExceeded
 
 K4_TEXT = Graph.complete(4).to_text()
 
@@ -293,6 +292,20 @@ def test_compile_rejects_invalid_decomposition(capsys, tmp_path, k4_file):
     assert "invalid decomposition" in out
 
 
+def test_compile_rejects_join_with_differing_child_bags(capsys, tmp_path):
+    gr = tmp_path / "edge.gr"
+    gr.write_text(Graph.path(2).to_text())
+    td = tmp_path / "edge.td"
+    # the join's bag is {1, 2}, its right child's only {1}
+    td.write_text("bag 0 leaf 1\nbag 1 intro:2 1 2\nbag 2 leaf 1\nbag 3 join 1 2\n"
+                  "bag 4 forget:1 2\nbag 5 forget:2\n"
+                  "child 1 0\nchild 3 1\nchild 3 2\nchild 4 3\nchild 5 4\nroot 5\n")
+    code, out, _ = run(capsys, "compile", "--graph", str(gr), "--decomp", str(td),
+                       "--target-size", "3")
+    assert code == 2
+    assert "invalid decomposition:\n  node 3: join children bags differ from own bag\n" in out
+
+
 def test_compile_wants_exactly_one_target(capsys, tmp_path, k4_file):
     td = tmp_path / "k4.td"
     run(capsys, "decomp", "--graph", k4_file, "--out", str(td))
@@ -470,8 +483,7 @@ def test_verify_bp_trailing_token_is_input_error(capsys, tmp_path, bp_file,
     assert code == 2 and f"error: line {n}: expected" in err
 
 
-@pytest.mark.parametrize("exc", [HomCapExceeded(10, 11),
-                                 BoundExceeded("expansion exceeds 100 terms")])
+@pytest.mark.parametrize("exc", [HomCapExceeded(10, 11)])
 def test_verify_budget_error_is_exit_2(capsys, monkeypatch, bp_file, exc):
     def over_budget(*args, **kwargs):
         raise exc

@@ -12,12 +12,11 @@ from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
                                     eval_definitional, eval_fast, family_plan,
                                     hc_from_coefficient, literals, registry,
                                     standard_projection)
-from homforge.labels import xedge, xhyper, xvar, yclause, yvert
+from homforge.labels import mono, xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
 from homforge.randgen import gnp, random_cnf, random_hypergraph
 from homforge.rings import CountRing, Field, TruncRing
-from homforge.sparsepoly import SparsePoly, mono
 
 
 def all_ones(family: str, n: int, field: Field) -> FamilyInstance:
@@ -177,9 +176,9 @@ def test_definitional_budget_error_mentions_fast_path():
         eval_definitional(big)
 
 
-def definitional_polynomial(family: str, n: int, q: int) -> SparsePoly:
+def definitional_polynomial(family: str, n: int, q: int) -> dict:
     """Symbolic expansion of the family polynomial with integer coefficients."""
-    ring = SymbolicRing(None, bound=500_000)
+    ring = SymbolicRing(bound=500_000)
     return _eval_def(family, n, q, ring, [ring.var(lab) for lab in registry(family, n)])
 
 
@@ -197,22 +196,18 @@ def test_definitional_polynomial_sat_dense():
                 m = mono(*((xvar(i), q - 1) for i in range(1, n + 1) if (bits >> (i - 1)) & 1),
                          *((yclause(*c), q - 1) for c in clause_space(n) if satisfied(c, bits)))
                 want[m] = want.get(m, 0) + 1
-            assert definitional_polynomial("sat", n, q) == SparsePoly(want, None), (n, q)
+            assert definitional_polynomial("sat", n, q) == want, (n, q)
 
 
 def test_definitional_polynomial_vc2():
     # index-2 VC polynomial over F_2: 1 + X(Y1 + Y2 + Y1 Y2)
     p = definitional_polynomial("vc", 2, 2)
     e, y1, y2 = xedge(1, 2), yvert(1), yvert(2)
-    from homforge.sparsepoly import ONE_MON, mono
-    assert p.coefficient(ONE_MON) == 1
-    assert p.coefficient(mono((e, 1), (y1, 1))) == 1
-    assert p.coefficient(mono((e, 1), (y2, 1))) == 1
-    assert p.coefficient(mono((e, 1), (y1, 1), (y2, 1))) == 1
-    assert len(p.terms) == 4
+    assert p == {(): 1, mono((e, 1), (y1, 1)): 1, mono((e, 1), (y2, 1)): 1,
+                 mono((e, 1), (y1, 1), (y2, 1)): 1}
     # exponents scale with q - 1
     p3 = definitional_polynomial("vc", 2, 3)
-    assert p3.coefficient(mono((e, 2), (y1, 2))) == 1
+    assert p3[mono((e, 2), (y1, 2))] == 1
 
 
 def test_eval_definitional_over_trunc_ring():

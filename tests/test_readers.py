@@ -5,7 +5,9 @@ line is refused, and every per-line error is a ``ValueError`` that names
 the line as ``line N:``.  The fuzz tests draw lines from each format's
 directive words and int and non-int tokens.  The JSON gadget reader
 ``load_gadget`` is fuzzed here too: it must refuse bad input with
-``ValueError`` only.
+``ValueError`` only.  Fuzzed inputs through the CLI must never exit 3,
+and fuzzed branching programs through both ``.bp`` verifiers exit 0
+(verified) or 2 (refused), never 1.
 """
 
 from __future__ import annotations
@@ -189,3 +191,51 @@ def test_parse_hom_fuzz_exit_code_is_never_internal(cli_files, text):
     code = run_main("verify", "--theorem", "parse-hom", "--circuit",
                     str(cli_files / "fuzz.ct"), "--triple", str(cli_files / "t.gad"))
     assert code in (0, 1, 2)
+
+
+ARC_LABELS = st.sampled_from(["a", "b", "w7", "x_1", "X:1", "X:1:2", "Ye:1:2", "Yv:3",
+                              "Z:1:2", "Yc:1:-2:3", "0", "1"])
+BAD_ARC_LABELS = st.sampled_from(["Ye:2:1", "y", "2", "Yc:0:1:2"])
+ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def bp_texts(draw):
+    """Small layered programs: 2-6 layers of 1-3 nodes, each arc between
+    consecutive layers present or not, free, registry-shaped and constant
+    labels, and now and then an invalid label or a trailing token."""
+    n_layers = draw(st.sampled_from([3, 5, 4, 2, 6]))  # odd counts first, for the cycle
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n_layers, max_size=n_layers))
+    lines = [f"layers {len(sizes)}"]
+    lines += [f"node {l} {i}" for l, s in enumerate(sizes) for i in range(s)]
+    for l in range(len(sizes) - 1):
+        for i in range(sizes[l]):
+            for j in range(sizes[l + 1]):
+                if draw(st.booleans()):
+                    bad = draw(ONE_IN_EIGHT) and draw(st.booleans())
+                    lines.append(f"arc {l} {i} {j} {draw(BAD_ARC_LABELS if bad else ARC_LABELS)}")
+    lines += ["source 0", "sink 0"]
+    if draw(ONE_IN_EIGHT):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += " 7"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("theorem", ["cycle", "gadget-bp"])
+def test_bp_verifier_fuzz_exits_ok_or_input_error(cli_files, theorem):
+    extra = ["--triple", str(cli_files / "t.gad")] if theorem == "gadget-bp" else []
+
+    @settings(max_examples=100, deadline=None)
+    @given(bp_texts())
+    @example("layers 3\nnode 0 0\nnode 1 0\nnode 1 1\nnode 2 0\narc 0 0 0 a\n"
+             "arc 0 0 1 b\narc 1 0 0 c\narc 1 1 0 d\nsource 0\nsink 0\n")
+    def check(text):
+        (cli_files / "fuzz.bp").write_text(text)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["verify", "--theorem", theorem, "--bp", str(cli_files / "fuzz.bp"),
+                         "--format", "kv", *extra])
+        assert code in (0, 2)
+        assert (code == 0) == ("ok=True" in out.getvalue().splitlines())
+
+    check()

@@ -7,7 +7,7 @@ import pytest
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import Graph
 from homforge.randgen import random_layered_bp, random_partial_ktree
-from homforge.treedecomp import (NiceTreeDecomp, TreeDecompInput, gadget_decomp,
+from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, gadget_decomp,
                                  heuristic_decomp, make_nice, treewidth_exact,
                                  validate_decomp, validate_nice)
 
@@ -48,6 +48,113 @@ def test_validate_nice_catches_corruption():
     # forgetting the wrong vertex leaves the root bag nonempty
     broken = NiceTreeDecomp.from_text(text.replace("forget:1", "forget:2", 1))
     assert validate_nice(broken, G) != []
+
+
+def nice(*nodes, root=None) -> NiceTreeDecomp:
+    """A NiceTreeDecomp from (bag, kind, vertex, children) tuples, built
+    directly so that no reader check stands in front of the validator; the
+    root defaults to the last node."""
+    return NiceTreeDecomp(tuple(DecompNode(frozenset(b), k, v, tuple(c)) for b, k, v, c in nodes),
+                          len(nodes) - 1 if root is None else root)
+
+
+# the edge 1-2: leaf {1}, introduce 2, forget 1, forget 2 (the root)
+LEAF1 = ({1}, "leaf", 0, ())
+INTRO2 = ({1, 2}, "intro", 2, (0,))
+FORGET1 = ({2}, "forget", 1, (1,))
+FORGET2 = (set(), "forget", 2, (2,))
+EDGE = Graph.path(2)
+
+# one corrupted decomposition per rule of validate_nice, with its message
+NICE_CORRUPTIONS = {
+    "unknown kind": (nice(({1}, "shrug", 0, ()), INTRO2, FORGET1, FORGET2), EDGE,
+                     "node 0: unknown kind 'shrug'"),
+    "child out of range": (nice(LEAF1, ({1, 2}, "intro", 2, (0, 9)), FORGET1, FORGET2), EDGE,
+                           "node 1: child id 9 out of range"),
+    "own child": (nice(LEAF1, ({1, 2}, "intro", 2, (1,)), FORGET1, FORGET2), EDGE,
+                  "node 1: is its own child"),
+    "two parents": (nice(LEAF1, INTRO2, ({2}, "forget", 1, (1, 0)), FORGET2), EDGE,
+                    "node 0: has two parents (1 and 2)"),
+    "root is a child": (nice(({1}, "leaf", 0, (3,)), INTRO2, FORGET1, FORGET2), EDGE,
+                        "root 3 appears as a child of node 0"),
+    "unreachable": (nice(LEAF1, INTRO2, FORGET1, FORGET2, LEAF1, root=3), EDGE,
+                    "nodes not reachable from root: [4]"),
+    "leaf with children": (nice(({1}, "leaf", 0, (4,)), INTRO2, FORGET1, FORGET2, LEAF1,
+                                root=3), EDGE, "node 0: leaf node has children"),
+    "leaf bag size": (nice(({1, 2}, "leaf", 0, ()), ({1, 2}, "intro", 2, (0,)), FORGET1,
+                           FORGET2), EDGE, "node 0: leaf bag size 2, expected 1"),
+    "intro arity": (nice(LEAF1, ({1, 2}, "intro", 2, ()), FORGET1, FORGET2), EDGE,
+                    "node 1: introduce node needs exactly 1 child"),
+    "intro present": (nice(LEAF1, ({1, 2}, "intro", 1, (0,)), FORGET1, FORGET2), EDGE,
+                      "node 1: introduces 1 already present in child bag"),
+    "intro bag": (nice(LEAF1, ({2}, "intro", 2, (0,)), ({2}, "forget", 1, (1,)), FORGET2),
+                  EDGE, "node 1: bag is not child bag plus 2"),
+    "forget arity": (nice(LEAF1, INTRO2, FORGET1, (set(), "forget", 2, ()), root=3), EDGE,
+                     "node 3: forget node needs exactly 1 child"),
+    "forget absent": (nice(LEAF1, INTRO2, ({2}, "forget", 3, (1,)), FORGET2), EDGE,
+                      "node 2: forgets 3 absent from child bag"),
+    "forget bag": (nice(LEAF1, INTRO2, ({1}, "forget", 1, (1,)), FORGET2), EDGE,
+                   "node 2: bag is not child bag minus 1"),
+    "join arity": (nice(LEAF1, INTRO2, ({1, 2}, "join", 0, (1,)), FORGET1, FORGET2), EDGE,
+                   "node 2: join node needs exactly 2 children"),
+    "join bags": (nice(LEAF1, INTRO2, LEAF1, ({1, 2}, "join", 0, (1, 2)),
+                       ({2}, "forget", 1, (3,)), (set(), "forget", 2, (4,))), EDGE,
+                  "node 3: join children bags differ from own bag"),
+    "root bag": (nice(LEAF1, INTRO2, FORGET1), EDGE, "root bag not empty: [2]"),
+    "stray vertex": (nice(LEAF1, INTRO2, FORGET1, FORGET2), Graph.empty(1),
+                     "bag vertices not in graph: [2]"),
+    "uncovered vertex": (nice(LEAF1, INTRO2, FORGET1, FORGET2), Graph.empty(3),
+                         "vertices in no bag: [3]"),
+    "uncovered edge": (nice(LEAF1, (set(), "forget", 1, (0,)), ({2}, "intro", 2, (1,)),
+                            (set(), "forget", 2, (2,))), EDGE, "edge (1, 2) in no bag"),
+    "split vertex": (nice(LEAF1, INTRO2, FORGET1, ({1, 2}, "intro", 1, (2,)),
+                          ({2}, "forget", 1, (3,)), (set(), "forget", 2, (4,))), EDGE,
+                     "vertex 1: bag nodes form 2 disconnected subtrees"),
+}
+
+
+def test_corruption_cases_start_from_a_valid_decomposition():
+    assert validate_nice(nice(LEAF1, INTRO2, FORGET1, FORGET2), EDGE) == []
+    joined = nice(LEAF1, INTRO2, LEAF1, ({1, 2}, "intro", 2, (2,)),
+                  ({1, 2}, "join", 0, (1, 3)), ({2}, "forget", 1, (4,)),
+                  (set(), "forget", 2, (5,)))
+    assert validate_nice(joined, EDGE) == []
+    assert validate_decomp(TreeDecompInput({0: frozenset({1, 2}), 1: frozenset({2, 3})},
+                                           [(0, 1)]), Graph.path(3)) == []
+
+
+@pytest.mark.parametrize("rule", sorted(NICE_CORRUPTIONS))
+def test_validate_nice_rule(rule):
+    d, G, msg = NICE_CORRUPTIONS[rule]
+    assert msg in validate_nice(d, G)
+
+
+def td(bags: dict, edges) -> TreeDecompInput:
+    return TreeDecompInput({i: frozenset(b) for i, b in bags.items()}, list(edges))
+
+
+# one corrupted decomposition of the path 1-2-3 per rule of validate_decomp
+DECOMP_CORRUPTIONS = {
+    "no bags": (td({}, []), "decomposition has no bags"),
+    "unknown bag": (td({0: {1, 2}, 1: {2, 3}}, [(0, 5)]), "tree edge (0, 5) uses unknown bag id"),
+    "self-loop": (td({0: {1, 2}, 1: {2, 3}}, [(0, 0)]), "tree edge (0, 0) is a self-loop"),
+    "repeated": (td({0: {1, 2}, 1: {2, 3}}, [(0, 1), (1, 0)]), "tree edge (1, 0) repeated"),
+    "edge count": (td({0: {1, 2}, 1: {2, 3}, 2: {3}}, [(0, 1), (1, 2), (2, 0)]),
+                   "3 tree edges for 3 bags; a tree needs 2"),
+    "disconnected": (td({0: {1, 2}, 1: {2, 3}, 2: {3}, 3: {3}}, [(0, 1), (1, 2), (2, 0)]),
+                     "bag tree is disconnected (1 bags unreachable)"),
+    "stray vertex": (td({0: {1, 2}, 1: {2, 3, 4}}, [(0, 1)]), "bag vertices not in graph: [4]"),
+    "uncovered vertex": (td({0: {1, 2}}, []), "vertices in no bag: [3]"),
+    "uncovered edge": (td({0: {1, 2}, 1: {3}}, [(0, 1)]), "edge (2, 3) in no bag"),
+    "split vertex": (td({0: {1, 2}, 1: {2, 3}, 2: {1}}, [(0, 1), (1, 2)]),
+                     "vertex 1: bags containing it are disconnected in the tree"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(DECOMP_CORRUPTIONS))
+def test_validate_decomp_rule(rule):
+    d, msg = DECOMP_CORRUPTIONS[rule]
+    assert msg in validate_decomp(d, Graph.path(3))
 
 
 def test_make_nice_round_trip():

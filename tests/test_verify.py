@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
-from homforge import gadgets
+from homforge import verify
 from homforge.gadgets import GadgetPair
 from homforge.graphs import MAX_SOURCE_VERTICES, Graph
-from homforge.sparsepoly import SparsePoly
+from homforge.labels import mono
 from homforge.verify import (
     verify_cycle_identity,
     verify_gadget_bijection,
@@ -84,10 +86,9 @@ def test_cycle_identity_two_paths():
     rep = verify_cycle_identity(two_path_bp())
     assert rep.ok
     assert rep.n_paths == 2 and rep.n_homs == 12
-    want = (SparsePoly.var("y")
-            * (SparsePoly.var("a") * SparsePoly.var("c")
-               + SparsePoly.var("b") * SparsePoly.var("d"))).scale(6)
-    assert rep.f == want
+    assert rep.f == Counter({mono(("a", 1), ("c", 1), ("y", 1)): 6,
+                             mono(("b", 1), ("d", 1), ("y", 1)): 6})
+    assert rep.g == Counter([mono(("a", 1), ("c", 1)), mono(("b", 1), ("d", 1))])
 
 
 def test_cycle_identity_recovery_depends_on_ell():
@@ -123,6 +124,15 @@ def test_gadget_bijection_three_programs(certified_pair):
         assert "verdict: ok" in rep.lines()[-1]
 
 
+def test_gadget_bijection_compares_monomials(certified_pair, monkeypatch):
+    # a path polynomial that misses a path is caught monomial by monomial
+    bp = two_path_bp()
+    short = bp.path_polynomial() - Counter([mono(("b", 1), ("d", 1))])
+    monkeypatch.setattr(LayeredBP, "path_polynomial", lambda self: short)
+    rep = verify_gadget_bijection(bp, certified_pair)
+    assert rep.counts_match and not rep.monomials_match and not rep.ok
+
+
 def test_gadget_bijection_needs_enough_layers(certified_pair):
     squat = LayeredBP((1, 3, 1), (
         Arc(0, 0, 0, "a"), Arc(0, 0, 1, "b"), Arc(0, 0, 2, "c"),
@@ -135,13 +145,11 @@ def test_gadget_bijection_needs_enough_layers(certified_pair):
 def test_gadget_bijection_refuses_long_program_before_quadratic_work(certified_pair,
                                                                     monkeypatch):
     # a 1,000-layer program needs a path gadget above the search's source
-    # limit; it is refused before any all-pairs distance table or complete
-    # edge assignment is built
-    def quadratic(*_args, **_kwargs):
-        raise AssertionError("quadratic work before the refusal")
+    # limit; it is refused before the program's target graph is built
+    def too_soon(*_args, **_kwargs):
+        raise AssertionError("target graph built before the refusal")
 
-    monkeypatch.setattr(Graph, "distances", property(quadratic))
-    monkeypatch.setattr(gadgets, "complete_assignment", quadratic)
+    monkeypatch.setattr(verify, "embed_bp", too_soon)
     long_bp = LayeredBP((1,) * 1000, tuple(Arc(l, 0, 0, f"x{l}") for l in range(999)))
     with pytest.raises(ValueError, match=f"homomorphism search takes at most "
                                          f"{MAX_SOURCE_VERTICES} source vertices"):
