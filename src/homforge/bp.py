@@ -87,16 +87,9 @@ class LayeredBP:
     def n_nodes(self) -> int:
         return sum(self.sizes)
 
-    def nodes(self) -> list[tuple[int, int]]:
-        return [(l, i) for l, s in enumerate(self.sizes) for i in range(s)]
-
     def live_arcs(self) -> list[Arc]:
         """Arcs that can appear on a path (constant-0 arcs are dead)."""
         return [a for a in self.arcs if a.label != 0]
-
-    def variables(self) -> list[str]:
-        return sorted({a.label for a in self.live_arcs()
-                       if isinstance(a.label, str)})
 
     def st_paths(self) -> list[tuple[Arc, ...]]:
         """All source-to-sink paths along live arcs, lexicographic order."""

@@ -35,8 +35,6 @@ class CompiledHom:
     """A compiled circuit plus the compile-time facts tests care about."""
 
     circuit: Circuit
-    n_source: int
-    n_target: int
     width: int
     gate_count: int
     wire_count: int
@@ -127,8 +125,6 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
 
     return CompiledHom(
         circuit=circuit,
-        n_source=G.n,
-        n_target=H.n,
         width=width,
         gate_count=len(circuit),
         wire_count=circuit.wire_count(),

@@ -190,7 +190,6 @@ def load_gadget(d: dict) -> GadgetPair | GadgetTriple:
 @dataclass
 class BlockInfo:
     key: tuple
-    template_name: str
     template: Graph
     vmap: dict[object, int]
 
@@ -210,7 +209,6 @@ class GadgetGraph:
     paths: list[PathInfo]
     labels: dict[tuple[int, int], str]
     anchors: dict[str, int]
-    c_max: int
     meta: dict = field(default_factory=dict)
 
     def block(self, key: tuple) -> BlockInfo:
@@ -230,13 +228,12 @@ class GadgetGraph:
 class _Assembler:
     """Allocates vertex ids and accumulates gadget structure."""
 
-    def __init__(self, c_max: int, kind: str):
+    def __init__(self, kind: str):
         self.next_id = 1
         self.edges: list[tuple[int, int]] = []
         self.blocks: list[BlockInfo] = []
         self.paths: list[PathInfo] = []
         self.labels: dict[tuple[int, int], str] = {}
-        self.c_max = c_max
         self.kind = kind
 
     def fresh(self, count: int = 1) -> list[int]:
@@ -250,12 +247,12 @@ class _Assembler:
         if label is not None:
             self.labels[e] = label
 
-    def block(self, key: tuple, name: str, template: Graph) -> BlockInfo:
+    def block(self, key: tuple, template: Graph) -> BlockInfo:
         ids = self.fresh(template.n)
         vmap = {x: ids[x - 1] for x in template.vertices()}
         for (x, y) in template.edges:
             self.edge(vmap[x], vmap[y])
-        info = BlockInfo(key, name, template, vmap)
+        info = BlockInfo(key, template, vmap)
         self.blocks.append(info)
         return info
 
@@ -277,7 +274,7 @@ class _Assembler:
         n = self.next_id - 1
         graph = Graph.from_edges(n, self.edges)
         return GadgetGraph(graph, self.kind, self.blocks, self.paths,
-                           self.labels, anchors, self.c_max, meta)
+                           self.labels, anchors, meta)
 
 
 def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
@@ -290,8 +287,8 @@ def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
     if k < 1:
         raise ValueError("k must be at least 1")
     c_max = pair.c_max
-    asm = _Assembler(c_max, "path")
-    b1 = asm.block(("I1",), "I1", pair.i1)
+    asm = _Assembler("path")
+    b1 = asm.block(("I1",), pair.i1)
     u = b1.vmap[ATTACH]
     seg1 = asm.fresh(c_max - 1)
     a = asm.fresh(1)[0]
@@ -302,7 +299,7 @@ def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
         mid = asm.fresh(k - 2)
         b = asm.fresh(1)[0]
     seg2 = asm.fresh(c_max - 1)
-    b2 = asm.block(("I2",), "I2", pair.i2)
+    b2 = asm.block(("I2",), pair.i2)
     v = b2.vmap[ATTACH]
     interior = [*seg1, a, *mid] + ([b] if b != a else []) + [*seg2]
     walk = [u, *interior, v]
@@ -334,12 +331,12 @@ def build_Gm(m: int, triple: GadgetTriple) -> GadgetGraph:
         raise ValueError("m must be a power of 2")
     depth = m.bit_length() - 1
     c_max = triple.c_max
-    asm = _Assembler(c_max, "tree")
+    asm = _Assembler("tree")
     info: dict[tuple[int, int], BlockInfo] = {}
     for level in range(depth + 1):
-        name, tpl = _tree_template(level, triple)
+        _, tpl = _tree_template(level, triple)
         for idx in range(1 << level):
-            blk = asm.block(("blk", level, idx), name, tpl)
+            blk = asm.block(("blk", level, idx), tpl)
             info[(level, idx)] = blk
             if level:
                 parent = info[(level - 1, idx // 2)]
@@ -383,28 +380,28 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> Gadget
         ell = bp.n_layers
         if ell < 3 or ell % 2 == 0:
             raise ValueError("cycle mode needs an odd number of layers >= 3")
-        asm = _Assembler(0, "bp_cycle")
+        asm = _Assembler("bp_cycle")
         ids = _bp_layout(bp, asm)
         s = ids[(0, bp.source)]
         t = ids[(bp.n_layers - 1, bp.sink)]
         asm.edge(s, t, "y")
-        asm.blocks.append(BlockInfo(("bp",), "BP", None, dict(ids)))
+        asm.blocks.append(BlockInfo(("bp",), None, dict(ids)))
         return asm.finish({"s": s, "t": t}, {"ell": ell})
     if mode == "gadget":
         if pair is None:
             raise ValueError("gadget mode needs a block pair")
         c_max = pair.c_max
-        asm = _Assembler(c_max, "bp_gadget")
-        b1 = asm.block(("I1",), "I1", pair.i1)
+        asm = _Assembler("bp_gadget")
+        b1 = asm.block(("I1",), pair.i1)
         u = b1.vmap[ATTACH]
         ids = _bp_layout(bp, asm)
         s = ids[(0, bp.source)]
         t = ids[(bp.n_layers - 1, bp.sink)]
         asm.chain(u, s, c_max - 1)
-        b2 = asm.block(("I2",), "I2", pair.i2)
+        b2 = asm.block(("I2",), pair.i2)
         v = b2.vmap[ATTACH]
         asm.chain(t, v, c_max - 1)
-        asm.blocks.insert(1, BlockInfo(("bp",), "BP", None, dict(ids)))
+        asm.blocks.insert(1, BlockInfo(("bp",), None, dict(ids)))
         return asm.finish({"u": u, "s": s, "t": t, "v": v},
                           {"ell": bp.n_layers,
                            "convention": "segments-have-c_max-edges"})
@@ -520,7 +517,7 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
         raise ValueError("circuit depth 0 (a bare x of inputs is too shallow "
                          "to encode; need at least one full x/+ level)")
     c_max = triple.c_max
-    asm = _Assembler(c_max, "parse")
+    asm = _Assembler("parse")
     info: dict[tuple[int, str], BlockInfo] = {}
     for copy in sorted(depth, key=lambda cp: (depth[cp], cp[0], cp[1])):
         level = depth[copy]
@@ -531,7 +528,7 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
             elif name == "I2":
                 name, tpl = "I1", triple.i1
         gid, side = copy
-        info[copy] = asm.block(("copy", gid, side), name, tpl)
+        info[copy] = asm.block(("copy", gid, side), tpl)
     for copy, kids in children.items():
         parent = info[copy]
         for kid in kids:

@@ -1,11 +1,16 @@
 """Nice tree decompositions: validation, width, conversion, exact treewidth.
 
 A tree decomposition of a graph G assigns a bag of vertices to every node
-of a tree so that every vertex and edge of G is covered by some bag and,
-for each vertex, the nodes containing it form a connected subtree.  The
-*nice* form used by the circuit compiler additionally requires an empty
-root bag, singleton leaf bags, and that every internal node is one of
-Introduce / Forget / Join.
+of a tree so that three properties hold: every vertex is in some bag,
+every edge has both ends in some bag, and, for each vertex, the nodes
+whose bags hold it form a connected subtree.  The *nice* form used by the
+circuit compiler additionally requires an empty root bag, singleton leaf
+bags, and that every internal node is one of Introduce / Forget / Join.
+
+``validate_nice`` and ``validate_decomp`` first check that the nodes form
+a well-formed tree (and, for ``validate_nice``, the niceness rules); only
+then do both check the three properties, with one helper over the rooted
+tree.
 """
 
 from __future__ import annotations
@@ -45,14 +50,6 @@ class NiceTreeDecomp:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NiceTreeDecomp):
-            return NotImplemented
-        return self.nodes == other.nodes and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.root))
 
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
@@ -142,9 +139,55 @@ class NiceTreeDecomp:
         return cls(tuple(nodes), root)
 
 
+def _rooted(nbr: dict[int, set[int]], root: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first order of the nodes reachable from ``root`` (neighbours
+    ascending) and the parent of each of them but the root."""
+    order = [root]
+    parent: dict[int, int] = {}
+    for i in order:
+        for j in sorted(nbr[i]):
+            if j != root and j not in parent:
+                parent[j] = i
+                order.append(j)
+    return order, parent
+
+
+def _decomp_errors(bags: dict[int, frozenset[int]], parent: dict[int, int],
+                   G: Graph) -> list[str]:
+    """Cover, edge and connectivity violations of ``bags`` on a rooted tree.
+
+    ``parent`` maps every node but the root to its parent.  The nodes
+    holding a vertex are connected iff exactly one of them has no parent
+    holding it.
+    """
+    errs: list[str] = []
+    verts = set(G.vertices())
+    holders: dict[int, set[int]] = {}
+    for i, bag in bags.items():
+        for v in bag:
+            holders.setdefault(v, set()).add(i)
+    stray = holders.keys() - verts
+    if stray:
+        errs.append(f"bag vertices not in graph: {sorted(stray)}")
+    uncovered = verts - holders.keys()
+    if uncovered:
+        errs.append(f"vertices in no bag: {sorted(uncovered)}")
+    for (u, v) in sorted(G.edges):
+        if holders.get(u, set()).isdisjoint(holders.get(v, ())):
+            errs.append(f"edge ({u}, {v}) in no bag")
+    for v in sorted(verts & holders.keys()):
+        tops = sum(1 for i in holders[v] if parent.get(i) not in holders[v])
+        if tops > 1:
+            errs.append(f"vertex {v}: bag nodes form {tops} disconnected subtrees")
+    return errs
+
+
 def validate_nice(d: NiceTreeDecomp, G: Graph) -> list[str]:
     """All niceness and decomposition violations of ``d`` w.r.t. ``G``.
 
+    Structure first: the tree rules (child ids, one parent per node, every
+    node reachable from the root) and the niceness rules.  Only when those
+    find nothing are the cover, edge and connectivity properties checked.
     Empty list means the decomposition is valid.
     """
     errs: list[str] = []
@@ -167,22 +210,15 @@ def validate_nice(d: NiceTreeDecomp, G: Graph) -> list[str]:
     if d.root in parent:
         errs.append(f"root {d.root} appears as a child of node {parent[d.root]}")
 
-    seen: set[int] = set()
-    stack = [d.root]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        for c in d.nodes[i].children:
-            if 0 <= c < n_nodes and c not in seen:
-                stack.append(c)
-    missing = set(range(n_nodes)) - seen
+    # child ids in range; an out-of-range one is reported above, its bag never read
+    kids_in = {i: {c for c in nd.children if 0 <= c < n_nodes} for i, nd in enumerate(d.nodes)}
+    missing = set(range(n_nodes)) - set(_rooted(kids_in, d.root)[0])
     if missing:
         errs.append(f"nodes not reachable from root: {sorted(missing)}")
 
     for i, nd in enumerate(d.nodes):
         kids = nd.children
+        cbs = [d.nodes[c].bag for c in kids_in[i]]
         if nd.kind == "leaf":
             if kids:
                 errs.append(f"node {i}: leaf node has children")
@@ -191,57 +227,30 @@ def validate_nice(d: NiceTreeDecomp, G: Graph) -> list[str]:
         elif nd.kind == "intro":
             if len(kids) != 1:
                 errs.append(f"node {i}: introduce node needs exactly 1 child")
-            else:
-                cb = d.nodes[kids[0]].bag
-                if nd.vertex in cb:
+            elif cbs:
+                if nd.vertex in cbs[0]:
                     errs.append(f"node {i}: introduces {nd.vertex} already present in child bag")
-                if nd.bag != cb | {nd.vertex}:
+                if nd.bag != cbs[0] | {nd.vertex}:
                     errs.append(f"node {i}: bag is not child bag plus {nd.vertex}")
         elif nd.kind == "forget":
             if len(kids) != 1:
                 errs.append(f"node {i}: forget node needs exactly 1 child")
-            else:
-                cb = d.nodes[kids[0]].bag
-                if nd.vertex not in cb:
+            elif cbs:
+                if nd.vertex not in cbs[0]:
                     errs.append(f"node {i}: forgets {nd.vertex} absent from child bag")
-                if nd.bag != cb - {nd.vertex}:
+                if nd.bag != cbs[0] - {nd.vertex}:
                     errs.append(f"node {i}: bag is not child bag minus {nd.vertex}")
         elif nd.kind == "join":
             if len(kids) != 2:
                 errs.append(f"node {i}: join node needs exactly 2 children")
-            else:
-                b1 = d.nodes[kids[0]].bag
-                b2 = d.nodes[kids[1]].bag
-                if b1 != nd.bag or b2 != nd.bag:
-                    errs.append(f"node {i}: join children bags differ from own bag")
+            elif any(cb != nd.bag for cb in cbs):
+                errs.append(f"node {i}: join children bags differ from own bag")
 
     if d.nodes[d.root].bag:
         errs.append(f"root bag not empty: {sorted(d.nodes[d.root].bag)}")
-
-    verts = set(G.vertices())
-    covered: set[int] = set()
-    for nd in d.nodes:
-        covered |= nd.bag
-    stray = covered - verts
-    if stray:
-        errs.append(f"bag vertices not in graph: {sorted(stray)}")
-    uncovered = verts - covered
-    if uncovered:
-        errs.append(f"vertices in no bag: {sorted(uncovered)}")
-    for (u, v) in sorted(G.edges):
-        if not any(u in nd.bag and v in nd.bag for nd in d.nodes):
-            errs.append(f"edge ({u}, {v}) in no bag")
-
-    if not missing:
-        # with a well-formed rooted tree, the subtree of nodes containing a
-        # vertex is connected iff exactly one of them has a parent without it
-        for v in sorted(verts & covered):
-            holders = [i for i, nd in enumerate(d.nodes) if v in nd.bag]
-            tops = [i for i in holders
-                    if i == d.root or v not in d.nodes[parent.get(i, d.root)].bag]
-            if len(tops) > 1:
-                errs.append(f"vertex {v}: bag nodes form {len(tops)} disconnected subtrees")
-    return errs
+    if errs:
+        return errs
+    return _decomp_errors({i: nd.bag for i, nd in enumerate(d.nodes)}, parent, G)
 
 
 @dataclass
@@ -260,7 +269,12 @@ class TreeDecompInput:
 
 
 def validate_decomp(td: TreeDecompInput, G: Graph) -> list[str]:
-    """Violations of the basic tree-decomposition conditions (no niceness)."""
+    """Violations of the basic tree-decomposition conditions (no niceness).
+
+    Structure first: the tree edges must form a tree over the bag ids.  Only
+    then are the cover, edge and connectivity properties checked, on the
+    tree rooted at its least bag id.
+    """
     errs: list[str] = []
     ids = set(td.bags)
     if not ids:
@@ -280,54 +294,12 @@ def validate_decomp(td: TreeDecompInput, G: Graph) -> list[str]:
         nbr[b].add(a)
     if len(td.edges) != len(ids) - 1:
         errs.append(f"{len(td.edges)} tree edges for {len(ids)} bags; a tree needs {len(ids) - 1}")
-    start = next(iter(ids))
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in nbr[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if seen != ids:
-        errs.append(f"bag tree is disconnected ({len(ids) - len(seen)} bags unreachable)")
+    order, parent = _rooted(nbr, min(ids))
+    if len(order) != len(ids):
+        errs.append(f"bag tree is disconnected ({len(ids) - len(order)} bags unreachable)")
     if errs:
         return errs
-
-    verts = set(G.vertices())
-    covered: set[int] = set()
-    for b in td.bags.values():
-        covered |= b
-    if covered - verts:
-        errs.append(f"bag vertices not in graph: {sorted(covered - verts)}")
-    if verts - covered:
-        errs.append(f"vertices in no bag: {sorted(verts - covered)}")
-    for (u, v) in sorted(G.edges):
-        if not any(u in b and v in b for b in td.bags.values()):
-            errs.append(f"edge ({u}, {v}) in no bag")
-    for v in sorted(verts & covered):
-        holders = {i for i in ids if v in td.bags[i]}
-        first = next(iter(holders))
-        comp = {first}
-        stack = [first]
-        while stack:
-            i = stack.pop()
-            for j in nbr[i]:
-                if j in holders and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        if comp != holders:
-            errs.append(f"vertex {v}: bags containing it are disconnected in the tree")
-    return errs
-
-
-class _NiceBuilder:
-    def __init__(self):
-        self.nodes: list[DecompNode] = []
-
-    def add(self, bag, kind: str, vertex: int = 0, children: tuple[int, ...] = ()) -> int:
-        self.nodes.append(DecompNode(frozenset(bag), kind, vertex, tuple(children)))
-        return len(self.nodes) - 1
+    return _decomp_errors(td.bags, parent, G)
 
 
 def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTreeDecomp:
@@ -351,31 +323,28 @@ def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTre
     for (a, b) in td.edges:
         nbr[a].add(b)
         nbr[b].add(a)
-    order = [root]
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {i: [] for i in bags}
-    for i in order:
-        for j in sorted(nbr[i]):
-            if j not in parent:
-                parent[j] = i
-                children[i].append(j)
-                order.append(j)
+    order, parent = _rooted(nbr, root)
 
-    b = _NiceBuilder()
+    nodes: list[DecompNode] = []
+
+    def add(bag, kind: str, vertex: int = 0, children: tuple[int, ...] = ()) -> int:
+        nodes.append(DecompNode(frozenset(bag), kind, vertex, children))
+        return len(nodes) - 1
+
     sub_root: dict[int, int | None] = {}
     for node in reversed(order):
         X = bags[node]
-        kids = [c for c in children[node] if sub_root[c] is not None]
+        kids = [c for c in sorted(nbr[node]) if parent.get(c) == node and sub_root[c] is not None]
         if not kids:
             if not X:
                 sub_root[node] = None
                 continue
             vs = sorted(X)
             acc = {vs[0]}
-            cur = b.add(acc, "leaf")
+            cur = add(acc, "leaf")
             for v in vs[1:]:
                 acc.add(v)
-                cur = b.add(acc, "intro", v, (cur,))
+                cur = add(acc, "intro", v, (cur,))
             sub_root[node] = cur
         else:
             tops = []
@@ -384,14 +353,14 @@ def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTre
                 acc = set(bags[c])
                 for w in sorted(acc - X):
                     acc.remove(w)
-                    cur = b.add(acc, "forget", w, (cur,))
+                    cur = add(acc, "forget", w, (cur,))
                 for v in sorted(X - acc):
                     acc.add(v)
-                    cur = b.add(acc, "intro", v, (cur,))
+                    cur = add(acc, "intro", v, (cur,))
                 tops.append(cur)
             cur = tops[0]
             for nxt in tops[1:]:
-                cur = b.add(X, "join", 0, (cur, nxt))
+                cur = add(X, "join", 0, (cur, nxt))
             sub_root[node] = cur
 
     top = sub_root[root]
@@ -400,8 +369,8 @@ def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTre
     acc = set(bags[root])
     for w in sorted(acc):
         acc.remove(w)
-        top = b.add(acc, "forget", w, (top,))
-    return NiceTreeDecomp(tuple(b.nodes), top)
+        top = add(acc, "forget", w, (top,))
+    return NiceTreeDecomp(tuple(nodes), top)
 
 
 def _elim_degree(adj: list[int], T: int, v: int) -> int:
@@ -549,24 +518,17 @@ def gadget_decomp(g) -> NiceTreeDecomp:
     """Structural nice decomposition for gadget graphs and cycles.
 
     Accepts a gadget graph carrying block/path construction metadata, or a
-    plain cycle graph.  Path-shaped inputs (path gadgets, cycles) produce
-    Join-free decompositions.
+    plain cycle graph.  A cycle is decomposed through an elimination order
+    that starts at its second vertex, so its bags form a path.  Path-shaped
+    inputs (path gadgets, cycles) produce Join-free decompositions.
     """
     if isinstance(g, Graph):
         order = _cycle_order(g)
         if order is None:
             raise ValueError(
                 "gadget_decomp needs construction metadata or a cycle graph")
-        n = len(order)
-        anchor = order[0]
-        bags: dict[int, frozenset[int]] = {}
-        edges = []
-        for i in range(1, n - 1):
-            bags[i - 1] = frozenset({anchor, order[i], order[i + 1]})
-            if i > 1:
-                edges.append((i - 2, i - 1))
-        td = TreeDecompInput(bags, edges)
-        return make_nice(td, g, root=len(bags) - 1)
+        return make_nice(_decomp_from_elimination(g, order[1:] + order[:1]), g,
+                         root=order[0])
 
     graph = getattr(g, "graph", None)
     blocks = getattr(g, "blocks", None)

@@ -324,6 +324,28 @@ def test_decomp_heuristic(capsys, k4_file):
     assert code == 0 and "width=3" in out
 
 
+@pytest.mark.parametrize("argv, graph, code, line", [
+    (["decomp", "--method", "exact"], "p 0 0\n", 2, "error: graph has no vertices"),
+    (["decomp", "--method", "heuristic"], "p 0 0\n", 2, "error: graph has no vertices"),
+    (["decomp", "--method", "exact"], "p 3 0\n", 0, "width=0 nodes=6 join_free=True"),
+    (["decomp", "--method", "heuristic"], "p 3 0\n", 0, "width=0 nodes=6 join_free=True"),
+    (["compile", "--target-size", "0"], "p 1 0\n", 2,
+     "error: target graph needs at least one vertex"),
+    (["compile", "--target-size", "1", "--format", "kv"], "p 1 0\n", 0,
+     "gates=1 wires=0 width=0 size_bound=4 skew=True"),
+], ids=["empty-exact", "empty-heuristic", "edgeless-exact", "edgeless-heuristic",
+        "empty-target", "one-vertex"])
+def test_degenerate_decomposition_inputs(capsys, tmp_path, argv, graph, code, line):
+    gr = tmp_path / "g.gr"
+    gr.write_text(graph)
+    td = tmp_path / "g.td"
+    td.write_text("bag 0 leaf 1\nbag 1 forget:1\nchild 1 0\nroot 1\n")
+    extra = ["--decomp", str(td)] if argv[0] == "compile" else []
+    got, out, err = run(capsys, *argv, "--graph", str(gr), *extra)
+    assert got == code
+    assert line in (out + err).splitlines()
+
+
 # -- verify -------------------------------------------------------------------
 
 

@@ -14,7 +14,8 @@ from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
 from homforge.randgen import random_assignment, random_partial_ktree, random_path_decomposed
 from homforge.rings import Field
-from homforge.treedecomp import TreeDecompInput, make_nice, treewidth_exact, validate_nice
+from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, make_nice,
+                                 treewidth_exact, validate_nice)
 
 
 FIELDS = (Field(2), Field(3), Field(2, 2), Field(5))
@@ -309,3 +310,11 @@ def test_rejects_mismatched_decomposition():
     _, d = treewidth_exact(Graph.cycle(4))
     with pytest.raises(ValueError):
         compile_hom(G, d, Graph.complete(3))
+
+
+def test_rejects_out_of_range_only_child():
+    # an introduce node whose only child id is past the end raised IndexError
+    nodes = (DecompNode(frozenset({1}), "leaf"), DecompNode(frozenset({1, 2}), "intro", 2, (9,)),
+             DecompNode(frozenset({2}), "forget", 1, (1,)), DecompNode(frozenset(), "forget", 2, (2,)))
+    with pytest.raises(ValueError, match="node 1: child id 9 out of range"):
+        compile_hom(Graph.path(2), NiceTreeDecomp(nodes, 3), Graph.complete(2))

@@ -6,8 +6,9 @@ the line as ``line N:``.  The fuzz tests draw lines from each format's
 directive words and int and non-int tokens.  The JSON gadget reader
 ``load_gadget`` is fuzzed here too: it must refuse bad input with
 ``ValueError`` only.  Fuzzed inputs through the CLI must never exit 3,
-and fuzzed branching programs through both ``.bp`` verifiers exit 0
-(verified) or 2 (refused), never 1.
+fuzzed branching programs through both ``.bp`` verifiers exit 0
+(verified) or 2 (refused), never 1, and fuzzed ``.td`` files through
+``compile`` exit 0 exactly when they hold a valid nice decomposition.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from homforge.cli import main, read_assignment_file
 from homforge.formulas import CNF
 from homforge.gadgets import GadgetPair, GadgetTriple, dump_gadget, load_gadget
 from homforge.graphs import Graph, Hypergraph3
-from homforge.treedecomp import NiceTreeDecomp, treewidth_exact
+from homforge.treedecomp import NiceTreeDecomp, treewidth_exact, validate_nice
 
 BP_TEXT = "layers 2\nnode 0 0\nnode 1 0\narc 0 0 0 a\nsource 0\nsink 0\n"
 CT_TEXT = "gate 0 input x\ngate 1 input y\ngate 2 mul 0 1\noutput 2\n"
@@ -178,6 +179,55 @@ def test_compile_fuzz_exit_code_is_never_internal(cli_files, flag):
         code = run_main("compile", "--graph", files["--graph"], "--target",
                         files["--target"], "--decomp", str(cli_files / "k3.td"))
         assert code in (0, 1, 2)
+
+    check()
+
+
+PATH3_TD = treewidth_exact(Graph.path(3))[1].to_text().splitlines()
+TD_TOKENS = st.one_of(NON_INT, st.integers(-1, 7).map(str),
+                      st.sampled_from(["leaf", "join", "bag", "child", "root"]),
+                      st.builds("{}:{}".format, st.sampled_from(["intro", "forget"]),
+                                st.integers(0, 4)))
+
+
+@st.composite
+def td_mutations(draw):
+    """The nice decomposition of the path 1-2-3 with one line changed: a
+    token replaced, the line dropped or doubled, or a child line added
+    before it."""
+    lines = list(PATH3_TD)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["token", "drop", "double", "child"]))
+    if how == "token":
+        toks = lines[i].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(TD_TOKENS)
+        lines[i] = " ".join(toks)
+    elif how == "drop":
+        del lines[i]
+    elif how == "double":
+        lines.insert(i, lines[i])
+    else:
+        kids = st.integers(-1, len(PATH3_TD) // 2)
+        lines.insert(i, f"child {draw(kids)} {draw(kids)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_td_fuzz_compiles_exactly_the_valid_decompositions(cli_files):
+    (cli_files / "p3.gr").write_text(Graph.path(3).to_text())
+
+    @settings(max_examples=150, deadline=None)
+    @given(td_mutations() | READERS["td"][1])
+    @example("\n".join(PATH3_TD) + "\n")
+    def check(text):
+        (cli_files / "fuzz.td").write_text(text)
+        code = run_main("compile", "--graph", str(cli_files / "p3.gr"), "--decomp",
+                        str(cli_files / "fuzz.td"), "--target-size", "2")
+        assert code in (0, 2)
+        try:
+            valid = validate_nice(NiceTreeDecomp.from_text(text), Graph.path(3)) == []
+        except ValueError:
+            valid = False
+        assert (code == 0) == valid
 
     check()
 

@@ -71,6 +71,12 @@ NICE_CORRUPTIONS = {
                      "node 0: unknown kind 'shrug'"),
     "child out of range": (nice(LEAF1, ({1, 2}, "intro", 2, (0, 9)), FORGET1, FORGET2), EDGE,
                            "node 1: child id 9 out of range"),
+    # an only child out of range: its bag is not read (it raised IndexError,
+    # and -1 read the last node's bag)
+    "only child past the end": (nice(LEAF1, ({1, 2}, "intro", 2, (9,)), FORGET1, FORGET2),
+                                EDGE, "node 1: child id 9 out of range"),
+    "only child negative": (nice(LEAF1, ({1, 2}, "intro", 2, (-1,)), FORGET1, FORGET2), EDGE,
+                            "node 1: child id -1 out of range"),
     "own child": (nice(LEAF1, ({1, 2}, "intro", 2, (1,)), FORGET1, FORGET2), EDGE,
                   "node 1: is its own child"),
     "two parents": (nice(LEAF1, INTRO2, ({2}, "forget", 1, (1, 0)), FORGET2), EDGE,
@@ -129,6 +135,12 @@ def test_validate_nice_rule(rule):
     assert msg in validate_nice(d, G)
 
 
+def test_out_of_range_only_child_reads_no_bag():
+    d, G, msg = NICE_CORRUPTIONS["only child negative"]
+    # no "bag is not child bag plus 2" read from the last node's bag
+    assert validate_nice(d, G) == [msg, "nodes not reachable from root: [0]"]
+
+
 def td(bags: dict, edges) -> TreeDecompInput:
     return TreeDecompInput({i: frozenset(b) for i, b in bags.items()}, list(edges))
 
@@ -147,7 +159,7 @@ DECOMP_CORRUPTIONS = {
     "uncovered vertex": (td({0: {1, 2}}, []), "vertices in no bag: [3]"),
     "uncovered edge": (td({0: {1, 2}, 1: {3}}, [(0, 1)]), "edge (2, 3) in no bag"),
     "split vertex": (td({0: {1, 2}, 1: {2, 3}, 2: {1}}, [(0, 1), (1, 2)]),
-                     "vertex 1: bags containing it are disconnected in the tree"),
+                     "vertex 1: bag nodes form 2 disconnected subtrees"),
 }
 
 
