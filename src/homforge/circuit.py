@@ -228,17 +228,7 @@ class Circuit:
         """
         ops, keys, offsets, args = self.ops, self.keys, self.offsets, self.args
         live = self.reachable()
-        # Relax the levels of every add/mul gate, dead ones too: leaves have
-        # no arguments, so the runs of the add/mul gates tile args and one
-        # reduceat covers them all.  Levels only grow, so an unchanged sum
-        # means a fixed point; depth + 1 rounds.
-        inner = (ops >= OP_ADD).nonzero()[0]
-        starts, total = offsets[inner], 0
-        level = np.zeros(len(ops), dtype=np.int32)
-        while len(inner):
-            level[inner] = np.maximum.reduceat(level[args], starts) + 1
-            if total == (total := int(level.sum())):
-                break
+        level = _levels(offsets, args)
         # sort by level, op, then a leaf's rank among the (op, key) pairs or an
         # add/mul gate's arity; level 0 holds only const < input and later
         # levels only add < mul, so op codes sort as the names do
@@ -285,17 +275,9 @@ class Circuit:
         desc: list[frozenset[int]] = []  # per gate, the ids of its sub-circuit
         for gid, args in enumerate(self.per_gate[2]):
             desc.append(frozenset({gid}.union(*map(desc.__getitem__, args))))
-        for op, _, args in zip(*self.per_gate):
-            if op != MUL or len(args) < 2:
-                continue
-            union: set[int] = set()
-            total = 0
-            for a in args:
-                union |= desc[a]
-                total += len(desc[a])
-            if len(union) != total:
-                return False
-        return True
+        return all(len(frozenset().union(*map(desc.__getitem__, args)))
+                   == sum(len(desc[a]) for a in args)
+                   for op, _, args in zip(*self.per_gate) if op == MUL)
 
     # -- parse trees ----------------------------------------------------------
 
@@ -482,6 +464,28 @@ class CircuitBuilder:
             np.array(self.ops)[live], compress(self.keys, live.tolist()),
             np.concatenate(([0], arity[live].cumsum())),
             new_id[args[live.repeat(arity)]], int(new_id[output]))
+
+
+def _levels(offsets: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """Per gate, its longest path down to a leaf, by frontier layering: a
+    gate joins the next frontier once its last argument is reached, so each
+    argument slot is visited once."""
+    n, arity = len(offsets) - 1, offsets[1:] - offsets[:-1]
+    readers = np.arange(n).repeat(arity)[args.argsort()]  # grouped by argument
+    count = np.bincount(args, minlength=n)
+    first, pending, stamp = count.cumsum() - count, arity.copy(), np.empty(n, dtype=np.intp)
+    level, front, depth = np.zeros(n, dtype=np.int32), (arity == 0).nonzero()[0], 0
+    while len(front):
+        lens = count[front]
+        ends = lens.cumsum()
+        r = readers[(first[front] - ends + lens).repeat(lens) + np.arange(ends[-1])]
+        np.subtract.at(pending, r, 1)
+        r = r[pending[r] == 0]
+        # the readers made ready, once each: one stamp per gate survives
+        stamp[r] = slot = np.arange(len(r))
+        front, depth = r[stamp[r] == slot], depth + 1
+        level[front] = depth
+    return level
 
 
 def _reachable(offsets: np.ndarray, args: np.ndarray, output: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .circuit import Circuit
-from .compiler import compile_hom
+from .compiler import InvalidDecomposition, compile_hom
 from .formulas import CNF
 from .bp import LayeredBP
 from .gadget_search import search_gadgets
@@ -28,8 +28,8 @@ from .labels import read_lines
 from .oracles import (count_3dm, count_clique, count_clows, count_hc,
                       count_sat3, count_vc)
 from .rings import Field
-from .treedecomp import (NiceTreeDecomp, heuristic_decomp, make_nice,
-                         treewidth_exact, validate_nice)
+from .treedecomp import (NiceTreeDecomp, _make_nice, heuristic_decomp,
+                         treewidth_exact)
 from .verify import (verify_cycle_identity, verify_gadget_bijection,
                      verify_parse_hom_bijection)
 
@@ -172,6 +172,18 @@ def _load_gad(path: str, rep: Reporter):
     return load_gadget(json.loads(_read(path, rep)))
 
 
+def _emit_text(args, rep: Reporter, text: str) -> int:
+    """Write ``text`` to ``--out`` and report that, or print it after the report."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        rep.result(f"wrote={args.out}")
+    rep.emit()
+    if not args.out:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_compile(args, rep: Reporter) -> int:
     G = Graph.from_text(_read(args.graph, rep))
     dtext = _read(args.decomp, rep)
@@ -183,27 +195,18 @@ def cmd_compile(args, rep: Reporter) -> int:
         H = Graph.complete(args.target_size)
     rep.header(f"target_size={H.n}")
     d = NiceTreeDecomp.from_text(dtext)
-    problems = validate_nice(d, G)
-    if problems:
+    try:
+        compiled = compile_hom(G, d, H)
+    except InvalidDecomposition as e:
         rep.result("invalid decomposition:")
-        for msg in problems:
+        for msg in e.problems:
             rep.result(f"  {msg}")
         rep.emit()
         return 2
-    compiled = compile_hom(G, d, H)
     rep.result(f"gates={compiled.gate_count} wires={compiled.wire_count} "
                f"width={compiled.width} size_bound={compiled.size_bound} "
                f"skew={compiled.skew}")
-    text = compiled.circuit.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        rep.result(f"wrote={args.out}")
-        rep.emit()
-    else:
-        rep.emit()
-        sys.stdout.write(text)
-    return 0
+    return _emit_text(args, rep, compiled.circuit.to_text())
 
 
 def cmd_eval(args, rep: Reporter) -> int:
@@ -223,10 +226,7 @@ def cmd_eval(args, rep: Reporter) -> int:
     value = F.from_int if F.k == 1 else int
     assignment = {lab: value(values.get(lab, args.default)) for lab in labels}
     inst = FamilyInstance(args.family, args.n, F, assignment)
-    if args.method == "fast":
-        val = eval_fast(inst)
-    else:
-        val = eval_definitional(inst)
+    val = (eval_fast if args.method == "fast" else eval_definitional)(inst)
     rep.result(f"value={val}")
     rep.emit()
     return 0
@@ -302,13 +302,9 @@ def cmd_verify(args, rep: Reporter) -> int:
         if not args.bp:
             raise ValueError("gadget-bp verification needs --bp")
         bp = LayeredBP.from_text(_read(args.bp, rep))
-        gad = None
-        if args.pair:
-            gad = _load_gad(args.pair, rep)
-        elif args.triple:
-            gad = _load_gad(args.triple, rep)
-        if gad is None:
+        if not (args.pair or args.triple):
             raise ValueError("gadget-bp verification needs --pair or --triple")
+        gad = _load_gad(args.pair or args.triple, rep)
         pair = gad.pair() if isinstance(gad, GadgetTriple) else gad
         report = verify_gadget_bijection(bp, pair)
         kv = {"theorem": "gadget-bp", "ok": report.ok, "ell": report.ell,
@@ -357,20 +353,10 @@ def cmd_decomp(args, rep: Reporter) -> int:
     if args.method == "exact":
         width, nice = treewidth_exact(G)
     else:
-        td = heuristic_decomp(G)
-        nice = make_nice(td, G)
+        nice = _make_nice(heuristic_decomp(G))
         width = nice.width()
     rep.result(f"width={width} nodes={len(nice)} join_free={not nice.has_join()}")
-    text = nice.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        rep.result(f"wrote={args.out}")
-        rep.emit()
-    else:
-        rep.emit()
-        sys.stdout.write(text)
-    return 0
+    return _emit_text(args, rep, nice.to_text())
 
 
 _DISPATCH = {

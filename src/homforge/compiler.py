@@ -30,6 +30,14 @@ from .labels import yedge, zvar
 from .treedecomp import NiceTreeDecomp, validate_nice
 
 
+class InvalidDecomposition(ValueError):
+    """``compile_hom``'s refusal; ``problems`` lists what ``validate_nice`` found."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid nice decomposition: " + "; ".join(problems))
+        self.problems = problems
+
+
 @dataclass
 class CompiledHom:
     """A compiled circuit plus the compile-time facts tests care about."""
@@ -49,11 +57,11 @@ def size_bound(G: Graph, H: Graph, width: int) -> int:
 
 def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
     """Run the bag dynamic program and emit the circuit of its live gates."""
-    if H.n < 1:
-        raise ValueError("target graph needs at least one vertex")
     errs = validate_nice(d, G)
     if errs:
-        raise ValueError("invalid nice decomposition: " + "; ".join(errs))
+        raise InvalidDecomposition(errs)
+    if H.n < 1:
+        raise ValueError("target graph needs at least one vertex")
 
     b = CircuitBuilder()
     hs = list(H.vertices())

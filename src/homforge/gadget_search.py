@@ -2,12 +2,11 @@
 
 Gadget constructions need blocks with no nontrivial self-map and no
 homomorphism between distinct blocks.  Such graphs are scarce.  No
-connected non-bipartite graph on at most 6 vertices is rigid; the test
-suite proves this once by walking every labelled graph on up to 6
-vertices.  So the search starts at 7 vertices and draws seeded random
-graphs, with a budget per size.  Sampling finds no rigid block at 7
-vertices, but 7 is not proved empty.  The 8-vertex blocks we return come
-from sampling, and the search is deterministic only through its seed.
+connected non-bipartite graph on at most 7 vertices is rigid: the tests
+walk every graph on up to 6 vertices, and every 7-vertex graph up to
+isomorphism.  The search draws seeded random graphs from 7 vertices up,
+with a budget per size; the 7-vertex draws only advance the stream.  The
+8-vertex blocks we return come from sampling, deterministic through the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .gadgets import GadgetPair, GadgetTriple
 from .graphs import Graph, are_incomparable, is_rigid, neighbourhood
 
 # per-size sample budgets chosen so the default search reliably reaches a
-# triple of 8-vertex blocks in seconds while still honestly probing n=7
+# triple of 8-vertex blocks in seconds; the n=7 budget only sets the stream
 SAMPLE_BUDGETS = {7: 1500, 8: 25000, 9: 25000, 10: 25000}
 
 
@@ -117,8 +116,9 @@ def search_gadgets(max_n: int, need: str = "triple",
 
     Draws seeded random graphs of each size from ``min(SAMPLE_BUDGETS)``
     (7) up to ``max_n``, within per-size budgets; smaller graphs are never
-    built, since none of them is a block (a test walks them all).  Raises
-    with an honest account when no gadget is found within ``max_n``.
+    built.  No block has fewer than 8 vertices (a test walks every graph
+    up to 7), so the 7-vertex draws only advance the stream.  Raises with
+    an honest account when no gadget is found within ``max_n``.
     """
     if need not in ("pair", "triple"):
         raise ValueError("need must be 'pair' or 'triple'")

@@ -313,11 +313,17 @@ def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTre
     errs = validate_decomp(td, G)
     if errs:
         raise ValueError("invalid tree decomposition: " + "; ".join(errs))
+    if root is not None and root not in td.bags:
+        raise ValueError(f"root bag id {root} not present")
+    return _make_nice(td, root)
+
+
+def _make_nice(td: TreeDecompInput, root: int | None = None) -> NiceTreeDecomp:
+    """``make_nice`` without its checks, for decompositions valid by
+    construction (those of an elimination order) of graphs with vertices."""
     bags = {i: frozenset(b) for i, b in td.bags.items()}
     if root is None:
         root = min(bags)
-    elif root not in bags:
-        raise ValueError(f"root bag id {root} not present")
 
     nbr: dict[int, set[int]] = {i: set() for i in bags}
     for (a, b) in td.edges:
@@ -373,29 +379,6 @@ def make_nice(td: TreeDecompInput, G: Graph, root: int | None = None) -> NiceTre
     return NiceTreeDecomp(tuple(nodes), top)
 
 
-def _elim_degree(adj: list[int], T: int, v: int) -> int:
-    """Degree of ``v`` after the vertex set ``T`` has been eliminated.
-
-    Counts vertices outside ``T`` adjacent to ``v`` or connected to it
-    through eliminated vertices (the fill-in degree); bitmask encoded.
-    """
-    seen = 1 << v
-    stack = [v]
-    ext = 0
-    while stack:
-        x = stack.pop()
-        nb = adj[x]
-        ext |= nb & ~T
-        t = nb & T & ~seen
-        while t:
-            low = t & -t
-            seen |= low
-            stack.append(low.bit_length() - 1)
-            t ^= low
-    ext &= ~(1 << v)
-    return bin(ext).count("1")
-
-
 def _decomp_from_elimination(G: Graph, order: list[int]) -> TreeDecompInput:
     """Tree decomposition induced by an elimination order (bags keyed by vertex)."""
     pos = {v: i for i, v in enumerate(order)}
@@ -441,21 +424,17 @@ def heuristic_decomp(G: Graph) -> TreeDecompInput:
     return _decomp_from_elimination(G, order)
 
 
-def treewidth_exact(G: Graph, max_n: int = 12) -> tuple[int, NiceTreeDecomp]:
-    """Exact treewidth with a witness nice decomposition.
+def _min_width_order(G: Graph) -> tuple[int, list[int]]:
+    """Treewidth of ``G`` and an elimination order that attains it.
 
-    Dynamic program over vertex subsets: the best width of an elimination
-    order with prefix set S satisfies
-    ``f(S) = min over v in S of max(f(S - v), fill-degree of v after S - v)``.
-    Exponential in |V|, hence the hard size cap.
+    Over vertex subsets, f(S) = min over v in S of max(f(S - v), d(S, v)),
+    the least v winning ties.  The fill-degree d(S, v) of v after S - v is
+    |N(C) - S| for v's component C of G[S] (Bodlaender et al., "On exact
+    algorithms for treewidth", TALG 2012), so each S keeps the (component,
+    outside neighbours) masks of G[S]: those of S minus its top vertex u,
+    with the components u touches merged into u's.
     """
     n = G.n
-    if n == 0:
-        raise ValueError("graph has no vertices")
-    if n > max_n:
-        raise ValueError(
-            f"treewidth_exact handles at most {max_n} vertices (got {n}); "
-            "use a structural decomposition instead")
     adj = [0] * n
     for (u, v) in G.edges:
         adj[u - 1] |= 1 << (v - 1)
@@ -463,30 +442,51 @@ def treewidth_exact(G: Graph, max_n: int = 12) -> tuple[int, NiceTreeDecomp]:
     full = (1 << n) - 1
     f = [0] * (full + 1)
     choice = [0] * (full + 1)
+    comps: list[list[tuple[int, int]]] = [[]] * (full + 1)
     for S in range(1, full + 1):
-        best, best_v = _BIG, -1
-        rest = S
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            T = S ^ low
-            val = max(f[T], _elim_degree(adj, T, v))
-            if val < best:
-                best, best_v = val, v
-        f[S] = best
-        choice[S] = best_v
-    width = f[full]
+        u = S.bit_length() - 1
+        top = 1 << u
+        merged, out, kept = top, adj[u], []
+        for c, nb in comps[S ^ top]:
+            if nb & top:
+                merged |= c
+                out |= nb
+            else:
+                kept.append((c, nb))
+        kept.append((merged, out & ~S))
+        comps[S] = kept
+        best, best_low = _BIG, 0
+        for c, nb in kept:
+            deg = nb.bit_count()
+            while c:
+                low = c & -c
+                c ^= low
+                val = f[S ^ low]
+                if val < deg:
+                    val = deg
+                if val < best or (val == best and low < best_low):
+                    best, best_low = val, low
+        f[S], choice[S] = best, best_low
 
-    order_rev = []
-    S = full
+    order, S = [], full
     while S:
-        v = choice[S]
-        order_rev.append(v)
-        S ^= 1 << v
-    order = [v + 1 for v in reversed(order_rev)]
-    td = _decomp_from_elimination(G, order)
-    nice = make_nice(td, G)
+        order.append(choice[S].bit_length())
+        S ^= choice[S]
+    return f[full], order[::-1]
+
+
+def treewidth_exact(G: Graph, max_n: int = 12) -> tuple[int, NiceTreeDecomp]:
+    """Exact treewidth with a witness nice decomposition, that of
+    ``_min_width_order``'s order; exponential in |V|, hence the size cap."""
+    n = G.n
+    if n == 0:
+        raise ValueError("graph has no vertices")
+    if n > max_n:
+        raise ValueError(
+            f"treewidth_exact handles at most {max_n} vertices (got {n}); "
+            "use a structural decomposition instead")
+    width, order = _min_width_order(G)
+    nice = _make_nice(_decomp_from_elimination(G, order))
     got = nice.width()
     if got != width:
         raise AssertionError(
@@ -527,8 +527,8 @@ def gadget_decomp(g) -> NiceTreeDecomp:
         if order is None:
             raise ValueError(
                 "gadget_decomp needs construction metadata or a cycle graph")
-        return make_nice(_decomp_from_elimination(g, order[1:] + order[:1]), g,
-                         root=order[0])
+        return _make_nice(_decomp_from_elimination(g, order[1:] + order[:1]),
+                          root=order[0])
 
     graph = getattr(g, "graph", None)
     blocks = getattr(g, "blocks", None)

@@ -7,6 +7,8 @@ BFS.  ``complete_assignment`` spells a gadget graph out as an assignment
 of every edge variable of a complete graph.  ``eval_symbolic`` expands a
 circuit through ``Circuit.eval`` over ``SymbolicRing``, the reference for
 parse trees and for compiled polynomials over the integers.
+``treewidth_dp_reference`` is the exact treewidth recurrence with one
+depth-first fill-degree search per (subset, vertex) pair.
 """
 
 from __future__ import annotations
@@ -86,6 +88,52 @@ def count_homs(G: Graph, H: Graph, cap: int) -> int:
 
     rec(0)
     return count
+
+
+def _elim_degree(adj: list[int], T: int, v: int) -> int:
+    """Degree of ``v`` after the vertex set ``T`` has been eliminated.
+
+    Counts vertices outside ``T`` adjacent to ``v`` or connected to it
+    through eliminated vertices (the fill-in degree); bitmask encoded.
+    """
+    seen = 1 << v
+    stack = [v]
+    ext = 0
+    while stack:
+        x = stack.pop()
+        nb = adj[x]
+        ext |= nb & ~T
+        t = nb & T & ~seen
+        while t:
+            low = t & -t
+            seen |= low
+            stack.append(low.bit_length() - 1)
+            t ^= low
+    ext &= ~(1 << v)
+    return bin(ext).count("1")
+
+
+def treewidth_dp_reference(G: Graph) -> tuple[int, list[int]]:
+    """Treewidth and elimination order by the subset recurrence
+    ``f(S) = min over v in S of max(f(S - v), fill-degree of v after S - v)``,
+    the least v winning ties, with the fill-degree found by a fresh search."""
+    n = G.n
+    adj = [0] * n
+    for (u, v) in G.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    full = (1 << n) - 1
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for S in range(1, full + 1):
+        f[S], choice[S] = min((max(f[S & ~(1 << v)], _elim_degree(adj, S & ~(1 << v), v)), v)
+                              for v in range(n) if S >> v & 1)
+    order = []
+    S = full
+    while S:
+        order.append(choice[S] + 1)
+        S &= ~(1 << choice[S])
+    return f[full], order[::-1]
 
 
 def hom_poly_oracle(G: Graph, H: Graph, assignment: dict, ring):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import eval_symbolic
-from homforge.circuit import Circuit, CircuitBuilder, Gate
+from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels
 from homforge.labels import mono
 from homforge.rings import Field, is_prime
 
@@ -87,6 +87,13 @@ def test_eval_batch_matches_scalar():
                 assert_batch_matches_scalar(c, F, batch)
 
 
+# primes on both sides of each value-dtype switch, and two extension fields;
+# built once, as Field(7, 2) alone takes milliseconds to build its tables
+RANDOM_CIRCUIT_FIELDS = FIELDS + (Field(13), Field(17), Field(251), Field(257),
+                                  Field(65521), Field(65537), Field(2**31 - 1),
+                                  Field(2, 4), Field(7, 2))
+
+
 @st.composite
 def _random_circuit(draw):
     """A random circuit (dead gates allowed), a field and a batch for it."""
@@ -98,10 +105,7 @@ def _random_circuit(draw):
         args = draw(st.lists(st.integers(0, gid - 1), min_size=1, max_size=7))
         gates.append(Gate(draw(st.sampled_from(["add", "mul"])), args=tuple(args)))
     c = Circuit(gates, draw(st.integers(0, len(gates) - 1)))
-    # primes on both sides of each value-dtype switch, and two extension fields
-    F = draw(st.sampled_from(FIELDS + (Field(13), Field(17), Field(251), Field(257),
-                                       Field(65521), Field(65537), Field(2**31 - 1),
-                                       Field(2, 4), Field(7, 2))))
+    F = draw(st.sampled_from(RANDOM_CIRCUIT_FIELDS))
     width = draw(st.sampled_from([(), (1,), (3,)]))
     n = width[0] if width else 1
     batch = {f"x{i}": np.array(draw(st.lists(st.integers(0, F.q - 1), min_size=n,
@@ -115,6 +119,39 @@ def _random_circuit(draw):
 def test_eval_batch_matches_scalar_on_random_circuits(case):
     c, F, batch = case
     assert_batch_matches_scalar(c, F, batch)
+
+
+def longest_paths(c: Circuit) -> list[int]:
+    """Per gate, its longest path down to a leaf; arguments precede their
+    readers, so one pass in id order settles every gate."""
+    level: list[int] = []
+    for args in c.per_gate[2]:
+        level.append(1 + max(level[a] for a in args) if args else 0)
+    return level
+
+
+def product_chain(depth: int) -> Circuit:
+    lines = ["gate 0 input x", "gate 1 input y"]
+    lines += [f"gate {i} mul {i - 1} {i - 2}" for i in range(2, depth + 2)]
+    return Circuit.from_text("\n".join(lines) + f"\noutput {depth + 1}\n")
+
+
+def test_levels_match_longest_paths():
+    rng = random.Random(13)
+    for _ in range(200):
+        n_leaves = rng.randint(1, 5)
+        gates = [Gate("input", label=f"x{i}") for i in range(n_leaves)]
+        for gid in range(n_leaves, n_leaves + rng.randint(0, 60)):
+            # reads mostly recent gates, so some circuits run deep
+            lo = max(0, gid - rng.choice((2, 5, gid)))
+            args = [rng.randint(lo, gid - 1) for _ in range(rng.randint(1, 4))]
+            gates.append(Gate(rng.choice(("add", "mul")), args=tuple(args)))
+        c = Circuit(gates, rng.randrange(len(gates)))
+        assert _levels(c.offsets, c.args).tolist() == longest_paths(c)
+    chain = product_chain(4000)
+    assert _levels(chain.offsets, chain.args).tolist() == longest_paths(chain) == [0, 0, *range(1, 4001)]
+    assert chain.eval_batch({"x": np.array([2]), "y": np.array([3])}, Field(5))[0] \
+        == chain.eval({"x": 2, "y": 3}, Field(5))
 
 
 def test_eval_batch_returns_a_copy():

@@ -16,6 +16,7 @@ from homforge.cli import main, read_assignment_file
 from homforge.gadgets import dump_gadget
 from homforge.graphs import Graph, HomCapExceeded
 from homforge.rings import Field
+from homforge.treedecomp import validate_nice
 
 K4_TEXT = Graph.complete(4).to_text()
 
@@ -304,6 +305,29 @@ def test_compile_rejects_join_with_differing_child_bags(capsys, tmp_path):
                        "--target-size", "3")
     assert code == 2
     assert "invalid decomposition:\n  node 3: join children bags differ from own bag\n" in out
+
+
+def test_compile_validates_once_and_reports_before_the_target(capsys, tmp_path, k4_file,
+                                                              monkeypatch):
+    from homforge import compiler
+    calls = []
+
+    def counting(d, G):
+        calls.append(d)
+        return validate_nice(d, G)
+
+    monkeypatch.setattr(compiler, "validate_nice", counting)
+    td = tmp_path / "k4.td"
+    run(capsys, "decomp", "--graph", k4_file, "--out", str(td))
+    code, _, _ = run(capsys, "compile", "--graph", k4_file,
+                     "--decomp", str(td), "--target-size", "3")
+    assert code == 0 and len(calls) == 1
+    td.write_text(td.read_text().replace("forget:1", "forget:2", 1))
+    # an empty target is refused too, but the decomposition is reported first
+    code, out, err = run(capsys, "compile", "--graph", k4_file,
+                         "--decomp", str(td), "--target-size", "0")
+    assert code == 2 and len(calls) == 2 and err == ""
+    assert "invalid decomposition:\n  " in out
 
 
 def test_compile_wants_exactly_one_target(capsys, tmp_path, k4_file):

@@ -9,7 +9,7 @@ import pytest
 
 from brute import SymbolicRing, eval_symbolic, hom_poly_oracle
 from homforge.circuit import CONST, INPUT, Circuit, CircuitBuilder, Gate
-from homforge.compiler import compile_hom
+from homforge.compiler import InvalidDecomposition, compile_hom
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import yedge, zvar
 from homforge.randgen import random_assignment, random_partial_ktree, random_path_decomposed
@@ -308,8 +308,11 @@ def test_project_substitutes_and_validates():
 def test_rejects_mismatched_decomposition():
     G = Graph.cycle(5)
     _, d = treewidth_exact(Graph.cycle(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDecomposition) as err:
         compile_hom(G, d, Graph.complete(3))
+    assert isinstance(err.value, ValueError)
+    assert err.value.problems == validate_nice(d, G) != []
+    assert str(err.value) == "invalid nice decomposition: " + "; ".join(err.value.problems)
 
 
 def test_rejects_out_of_range_only_child():

@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -104,6 +104,92 @@ def test_no_small_rigid_nonbipartite_blocks_exist():
                 blocks += 1
                 assert count_homs(g, g, cap=2) == 2, sorted(g.edges)
     assert blocks > 0
+
+
+def iso_class_representatives(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The vertex pairs of range(n) and one edge mask (bit i for pair i) per
+    isomorphism class: the least mask of its orbit under all n! relabellings."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    relabel = [[index[tuple(sorted((pi[a], pi[b])))] for a, b in pairs]
+               for pi in permutations(range(n))]
+    seen: set[int] = set()
+    reps = []
+    for bits in range(1 << len(pairs)):
+        if bits not in seen:
+            seen |= {sum(1 << m[i] for i in range(len(pairs)) if bits >> i & 1)
+                     for m in relabel}
+            reps.append(bits)
+    return pairs, reps
+
+
+def is_block(adj: list[int]) -> bool:
+    """Connected and not bipartite, on adjacency masks over range(len(adj))."""
+    side = {0: 0}
+    stack = [0]
+    odd = False
+    while stack:
+        v = stack.pop()
+        for w in range(len(adj)):
+            if adj[v] >> w & 1:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                odd |= side[w] == side[v]
+    return odd and len(side) == len(adj)
+
+
+def count_endomorphisms(adj: list[int], cap: int) -> int:
+    """Backtracking count of the maps sending edges to edges, up to ``cap``."""
+    n, image, count = len(adj), [0] * len(adj), 0
+
+    def rec(i: int) -> None:
+        nonlocal count
+        if i == n:
+            count += 1
+            return
+        cand = (1 << n) - 1
+        for j in range(i):
+            if adj[i] >> j & 1:
+                cand &= adj[image[j]]
+        while cand and count < cap:
+            low = cand & -cand
+            cand ^= low
+            image[i] = low.bit_length() - 1
+            rec(i + 1)
+
+    rec(0)
+    return count
+
+
+def test_no_rigid_nonbipartite_block_has_seven_vertices(certified_triple):
+    # Every graph on 7 vertices is isomorphic to one whose vertices 0-4 induce
+    # a class representative on 5 vertices (relabel those five), so the
+    # representatives, each with every neighbourhood of vertices 5 and 6,
+    # cover all of them; each connected non-bipartite one has a non-identity
+    # endomorphism.
+    assert [len(iso_class_representatives(n)[1]) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    pairs, reps = iso_class_representatives(5)
+    graphs = blocks = 0
+    for bits in reps:
+        base = [0] * 5
+        for i, (a, b) in enumerate(pairs):
+            if bits >> i & 1:
+                base[a] |= 1 << b
+                base[b] |= 1 << a
+        for n5 in range(1 << 5):
+            for n6 in range(1 << 6):
+                adj = [m | (n5 >> v & 1) << 5 | (n6 >> v & 1) << 6 for v, m in enumerate(base)]
+                adj += [n5 | (n6 >> 5 & 1) << 6, n6]
+                graphs += 1
+                if is_block(adj):
+                    blocks += 1
+                    assert count_endomorphisms(adj, cap=2) == 2, adj
+    assert graphs == 34 * 2**5 * 2**6 == 69632
+    assert blocks == 56155
+    # the counter does tell a rigid block: the identity is its one endomorphism
+    g = certified_triple.i0
+    assert count_endomorphisms([m >> 1 for m in g.nbr_masks[1:]], cap=2) == 1
 
 
 def test_search_builds_no_graph_below_seven(monkeypatch):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
+from brute import treewidth_dp_reference
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import Graph
 from homforge.randgen import random_layered_bp, random_partial_ktree
-from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, gadget_decomp,
-                                 heuristic_decomp, make_nice, treewidth_exact,
+from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, _min_width_order,
+                                 gadget_decomp, heuristic_decomp, make_nice, treewidth_exact,
                                  validate_decomp, validate_nice)
+from test_graphs import small_graphs
 
 
 def test_known_treewidths():
@@ -33,6 +37,36 @@ def test_treewidth_decomp_is_valid():
         w, nice = treewidth_exact(G)
         assert validate_nice(nice, G) == []
         assert nice.width() == w
+
+
+def check_against_dp_reference(G: Graph) -> None:
+    width, order = treewidth_dp_reference(G)
+    assert _min_width_order(G) == (width, order), sorted(G.edges)
+    assert treewidth_exact(G)[0] == width
+
+
+def test_dp_matches_reference_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            check_against_dp_reference(
+                Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+
+
+def test_dp_matches_reference_on_random_graphs():
+    rng = random.Random(16)
+    for _ in range(60):
+        n = rng.randint(6, 10)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        check_against_dp_reference(
+            Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                 if rng.random() < p]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(8).filter(lambda G: G.n > 0))
+def test_dp_matches_reference_hypothesis(G):
+    check_against_dp_reference(G)
 
 
 def test_treewidth_budget():
@@ -179,6 +213,32 @@ def test_make_nice_round_trip():
         nice = make_nice(td, G)
         assert validate_nice(nice, G) == []
         assert nice.width() <= td.width()
+
+
+def test_elimination_decompositions_skip_validation(monkeypatch):
+    # they are valid by construction; only the public make_nice checks
+    from homforge import treedecomp
+
+    def refuse(td, G):
+        raise AssertionError("validate_decomp called")
+
+    monkeypatch.setattr(treedecomp, "validate_decomp", refuse)
+    assert treewidth_exact(Graph.cycle(6))[0] == 2
+    assert gadget_decomp(Graph.cycle(6)).width() == 2
+    with pytest.raises(AssertionError, match="validate_decomp called"):
+        make_nice(heuristic_decomp(Graph.cycle(6)), Graph.cycle(6))
+
+
+def test_make_nice_refuses_invalid_input():
+    G = Graph.path(3)
+    td = TreeDecompInput({0: frozenset({1, 2}), 1: frozenset({3})}, [(0, 1)])
+    with pytest.raises(ValueError, match=r"invalid tree decomposition: edge \(2, 3\) in no bag"):
+        make_nice(td, G)
+    with pytest.raises(ValueError, match="root bag id 5 not present"):
+        make_nice(TreeDecompInput({0: frozenset({1, 2}), 1: frozenset({2, 3})}, [(0, 1)]), G,
+                  root=5)
+    with pytest.raises(ValueError, match="graphs without vertices"):
+        make_nice(td, Graph.empty(0))
 
 
 def test_heuristic_decomp_valid():
