@@ -476,27 +476,34 @@ def _levels(offsets: np.ndarray, args: np.ndarray) -> np.ndarray:
     first, pending, stamp = count.cumsum() - count, arity.copy(), np.empty(n, dtype=np.intp)
     level, front, depth = np.zeros(n, dtype=np.int32), (arity == 0).nonzero()[0], 0
     while len(front):
-        lens = count[front]
-        ends = lens.cumsum()
-        r = readers[(first[front] - ends + lens).repeat(lens) + np.arange(ends[-1])]
-        np.subtract.at(pending, r, 1)
-        r = r[pending[r] == 0]
-        # the readers made ready, once each: one stamp per gate survives
-        stamp[r] = slot = np.arange(len(r))
-        front, depth = r[stamp[r] == slot], depth + 1
+        front, depth = _release(readers, first[front], count[front], pending, stamp), depth + 1
         level[front] = depth
     return level
 
 
 def _reachable(offsets: np.ndarray, args: np.ndarray, output: int) -> np.ndarray:
     """Per gate, whether output reaches it: the gates nothing reads, output
-    aside, are peeled off, one round per link of the longest dead chain."""
+    aside, are peeled off from a frontier of gates whose last reader has
+    just been peeled, so each argument slot is visited once."""
     n, arity = len(offsets) - 1, offsets[1:] - offsets[:-1]
     reads = np.bincount(args, minlength=n)
     reads[output] += 1
-    dead = peel = reads == 0
-    while peel.any():
-        reads -= np.bincount(args[peel.repeat(arity)], minlength=n)
-        peel = (reads == 0) & ~dead
-        dead |= peel
+    dead, stamp = reads == 0, np.empty(n, dtype=np.intp)
+    front = dead.nonzero()[0]
+    while len(front):
+        front = _release(args, offsets[front], arity[front], reads, stamp)
+        dead[front] = True
     return ~dead
+
+
+def _release(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+             pending: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Count down ``pending`` once per entry of the runs ``flat[starts[i]:
+    starts[i] + lens[i]]``, and return the gates it brought to 0, once each."""
+    ends = lens.cumsum()
+    r = flat[(starts - ends + lens).repeat(lens) + np.arange(ends[-1])]
+    np.subtract.at(pending, r, 1)
+    r = r[pending[r] == 0]
+    # one stamp per gate survives
+    stamp[r] = slot = np.arange(len(r))
+    return r[stamp[r] == slot]

@@ -1,7 +1,8 @@
 """Five polynomial families over F_q with easy evaluation but hard coefficients.
 
-Each family index n fixes a variable registry (edge/literal structure
-variables X and vertex/clause variables Y).  The module provides:
+Each family index n >= 0 fixes a variable registry (edge/literal structure
+variables X and vertex/clause variables Y); index 0 is the empty instance.
+The module provides:
 
 * ``eval_definitional`` — the defining exponential sum, generic over the
   evaluation ring (field, truncated bivariate ring, or symbolic);
@@ -114,8 +115,8 @@ class FamilyPlan:
 def family_plan(family: str, n: int) -> FamilyPlan:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if n < 1:
-        raise ValueError("family index must be at least 1")
+    if n < 0:
+        raise ValueError("family index must be at least 0")
     if family == "sat":
         nx, edges = n, ()
     elif family == "tdm":

@@ -4,7 +4,12 @@ Field elements are plain ints in range(q).  For k = 1 the int is the
 residue itself; for k > 1 it encodes a polynomial-basis coordinate vector
 (c_0, ..., c_{k-1}) as sum(c_i * p**i), and arithmetic goes through
 precomputed addition and multiplication tables, which reject ints outside
-range(q).
+range(q).  The tables are built by numpy broadcasts and gathers over
+element indices, and the product table doubles as the modulus check:
+F_p[x]/(f) is a field iff it has no zero divisors iff f is irreducible, so
+a modulus is refused iff its table holds a 0 off the zero row and column.
+The characteristic p is tested by Miller-Rabin, exact below about 3.3e24
+(``_PRIME_LIMIT``); a larger p is refused.
 
 TruncPoly models F_q[z, t] / (z^(Dz+1), t^(Dt+1)): addition is
 coordinate-wise and multiplication is a truncated 2-D convolution.  The
@@ -34,19 +39,25 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 
 _TABLE_LIMIT = 2048  # largest q for which extension-field tables are built
 
+# Strong-probable-prime tests to the 13 primes 2..41 decide primality exactly
+# below _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin over ``_PRIME_BASES``: exact below ``_PRIME_LIMIT``,
+    a ValueError from there on."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, not for {n}")
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:  # n is a strong probable prime to base b iff
+        # b^d = 1 or b^(d * 2^j) = -1 for some 0 <= j < s
+        if pow(b, d, n) != 1 and all(pow(b, d << j, n) != n - 1 for j in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -77,12 +88,13 @@ class Field:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ValueError("modulus must have degree exactly k")
-            if not _is_irreducible(modulus, p):
+            add, mul = _tables(p, k, modulus)
+            # F_p[x]/(f) has zero divisors exactly when f factors
+            if not mul[1:, 1:].all():
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-            self._build_tables()
-
-    # -- construction helpers -------------------------------------------------
+            self._add_table, self._mul_table = add, mul
+            self._neg_table = mul[p - 1]  # -a = (p - 1) * a
 
     @classmethod
     def from_spec(cls, spec: str, modulus: tuple[int, ...] | None = None) -> "Field":
@@ -92,50 +104,6 @@ class Field:
             ptxt, _, ktxt = spec.partition("^")
             return cls(int(ptxt), int(ktxt), modulus)
         return cls(int(spec), 1, modulus)
-
-    def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        coeffs = [self.coeffs(a) for a in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
-            for b in range(q):
-                cb = coeffs[b]
-                add[a, b] = self.from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                mul[a, b] = self.from_coeffs(_poly_mod(prod, self.modulus, p))
-        self._add_table = add
-        self._mul_table = mul
-        self._neg_table = np.array(
-            [self.from_coeffs([(-c) % p for c in coeffs[a]]) for a in range(q)],
-            dtype=np.int64,
-        )
-
-    # -- element views --------------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Polynomial-basis coordinates of element a, constant term first."""
-        self._check(a)
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) > self.k:
-            raise ValueError("too many coordinates")
-        cs += [0] * (self.k - len(cs))
-        val = 0
-        for c in reversed(cs):
-            val = val * self.p + (c % self.p)
-        return val
 
     def elements(self) -> range:
         return range(self.q)
@@ -216,41 +184,33 @@ class Field:
         return f"Field({self.p}^{self.k})"
 
 
-def _poly_mod(a: list[int], m: tuple[int, ...], p: int) -> list[int]:
-    a = [c % p for c in a]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    for d in range(len(a) - 1, dm - 1, -1):
-        c = a[d]
-        if c:
-            scale = (c * inv_lead) % p
-            for j in range(dm + 1):
-                a[d - dm + j] = (a[d - dm + j] - scale * m[j]) % p
-    return a[:dm]
+def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The add and mul tables of F_p[x]/(modulus), indexed by element.
 
-
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Degree <= 4 check: irreducible iff no root (deg 2,3) plus, for deg 4,
-    no quadratic factor, tested by trial division."""
-    deg = len(m) - 1
-    if deg == 1:
-        return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(m):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    # trial-divide by monic quadratics
-    for b in range(p):
-        for c in range(p):
-            quad = (c, b, 1)
-            rem = _poly_mod(list(m), quad, p)
-            if not any(rem):
-                return False
-    return True
+    Addition and the F_p multiples c * a act coordinate by coordinate, so
+    their tables grow one coordinate at a time by broadcasting.  Row b of
+    the product table is b * a for every a, gathered from rows of fewer
+    coordinates as b * a = ((b // p) * a) * x + (b % p) * a.
+    """
+    q, top = p**k, p ** (k - 1)
+    i = np.arange(p, dtype=np.int64)
+    add1, scaled1 = (i[:, None] + i) % p, i[:, None] * i % p
+    add, scaled = add1, scaled1  # scaled[c, a] = c * a
+    for d in range(1, k):  # coordinate d goes on top
+        s = p**d
+        add = (s * add1[:, None, :, None] + add[None, :, None, :]).reshape(p * s, p * s)
+        scaled = (s * scaled1[:, :, None] + scaled[:, None, :]).reshape(p, p * s)
+    # x^k = r mod f: coordinate i of r is -f_i / f_k
+    inv_lead = pow(modulus[-1], p - 2, p)
+    r = sum(-c * inv_lead % p * p**i for i, c in enumerate(modulus[:-1]))
+    a = np.arange(q)
+    times_x = add[a % top * p, scaled[a // top, r]]
+    mul = np.empty((q, q), dtype=np.int64)
+    mul[:p] = scaled
+    for d in range(1, k):  # rows b of d + 1 coordinates
+        lo, hi = p ** (d - 1), p**d
+        mul[hi : hi * p] = add[times_x[mul[lo:hi, None]], scaled].reshape(-1, q)
+    return add, mul
 
 
 class TruncRing:

@@ -9,12 +9,17 @@ circuit through ``Circuit.eval`` over ``SymbolicRing``, the reference for
 parse trees and for compiled polynomials over the integers.
 ``treewidth_dp_reference`` is the exact treewidth recurrence with one
 depth-first fill-degree search per (subset, vertex) pair.
+``field_tables_reference`` multiplies and reduces polynomials pair by pair,
+``is_prime_trial`` divides by every odd number up to the square root, and
+``reachable_reference`` peels dead gates one round per link of a dead chain.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+
+import numpy as np
 
 from homforge.circuit import Circuit
 from homforge.gadgets import GadgetGraph
@@ -155,6 +160,70 @@ def hom_poly_oracle(G: Graph, H: Graph, assignment: dict, ring):
             term = ring.mul(term, assignment[yedge(phi[u], phi[v])])
         total = ring.add(total, term)
     return total
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def field_tables_reference(p: int, k: int, modulus: tuple[int, ...]):
+    """The add, mul and neg tables of F_p[x]/(modulus) over the element
+    encoding sum(c_i * p**i), one polynomial product and reduction per pair."""
+    q = p**k
+
+    def coords(a):
+        return [a // p**i % p for i in range(k)]
+
+    def index(cs):
+        return sum(c % p * p**i for i, c in enumerate(cs))
+
+    def reduce(cs):
+        cs = list(cs)
+        inv_lead = pow(modulus[-1], p - 2, p)
+        for d in range(len(cs) - 1, k - 1, -1):
+            scale = cs[d] * inv_lead % p
+            for j, m in enumerate(modulus):
+                cs[d - k + j] = (cs[d - k + j] - scale * m) % p
+        return cs[:k]
+
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        ca = coords(a)
+        for b in range(q):
+            cb = coords(b)
+            add[a, b] = index(x + y for x, y in zip(ca, cb))
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(ca):
+                for j, y in enumerate(cb):
+                    prod[i + j] += x * y
+            mul[a, b] = index(reduce(prod))
+    neg = np.array([index(-c for c in coords(a)) for a in range(q)], dtype=np.int64)
+    return add, mul, neg
+
+
+def reachable_reference(offsets: np.ndarray, args: np.ndarray, output: int) -> np.ndarray:
+    """Per gate, whether output reaches it: peel the gates nothing reads,
+    output aside, one round per link of the longest dead chain."""
+    n, arity = len(offsets) - 1, offsets[1:] - offsets[:-1]
+    reads = np.bincount(args, minlength=n)
+    reads[output] += 1
+    dead = peel = reads == 0
+    while peel.any():
+        reads -= np.bincount(args[peel.repeat(arity)], minlength=n)
+        peel = (reads == 0) & ~dead
+        dead |= peel
+    return ~dead
 
 
 Poly = dict[Monomial, int]  # monomial -> nonzero integer coefficient

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import eval_symbolic
-from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels
+from brute import eval_symbolic, reachable_reference
+from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels, _reachable
 from homforge.labels import mono
 from homforge.rings import Field, is_prime
 
@@ -87,8 +87,8 @@ def test_eval_batch_matches_scalar():
                 assert_batch_matches_scalar(c, F, batch)
 
 
-# primes on both sides of each value-dtype switch, and two extension fields;
-# built once, as Field(7, 2) alone takes milliseconds to build its tables
+# primes on both sides of each value-dtype switch, and two extension fields,
+# built once rather than on every draw
 RANDOM_CIRCUIT_FIELDS = FIELDS + (Field(13), Field(17), Field(251), Field(257),
                                   Field(65521), Field(65537), Field(2**31 - 1),
                                   Field(2, 4), Field(7, 2))
@@ -152,6 +152,32 @@ def test_levels_match_longest_paths():
     assert _levels(chain.offsets, chain.args).tolist() == longest_paths(chain) == [0, 0, *range(1, 4001)]
     assert chain.eval_batch({"x": np.array([2]), "y": np.array([3])}, Field(5))[0] \
         == chain.eval({"x": 2, "y": 3}, Field(5))
+
+
+def _random_builder(rng: random.Random, dead_chain: int) -> tuple[CircuitBuilder, int]:
+    """A builder of random sums and products, and an output gate among them,
+    behind which hangs a product chain of ``dead_chain`` links that nothing
+    the output reaches reads."""
+    cb = CircuitBuilder()
+    ids = [cb.input(f"x{i}") for i in range(rng.randint(1, 4))] + [cb.const(2)]
+    for _ in range(rng.randint(0, 40)):
+        args = [rng.choice(ids) for _ in range(rng.randint(1, 4))]
+        ids.append((cb.add if rng.random() < 0.5 else cb.mul)(args))
+    output = rng.choice(ids)
+    link = cb.input("dead")
+    for _ in range(dead_chain):
+        link = cb.mul([link, rng.choice(ids)])
+    return cb, output
+
+
+def test_reachable_matches_round_by_round_peel():
+    rng = random.Random(17)
+    for dead_chain in [0] * 150 + [1, 2, 5] * 10 + [4000]:
+        cb, output = _random_builder(rng, dead_chain)
+        offsets, args = np.array(cb.offsets), np.array(cb.args, dtype=np.intp)
+        live = _reachable(offsets, args, output)
+        assert live.tolist() == reachable_reference(offsets, args, output).tolist()
+        assert live.sum() == len(cb.build(output)) <= len(cb.ops) - dead_chain - 1
 
 
 def test_eval_batch_returns_a_copy():

@@ -7,6 +7,7 @@ and the exit code.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -160,6 +161,15 @@ def test_eval_fast_matches_definitional(capsys):
                              if l.startswith("value=")]
 
 
+def test_eval_over_large_characteristic(capsys):
+    # 2^61 - 1 is prime; 2^89 - 1 is past the range where primality is exact
+    code, out, _ = run(capsys, "eval", "--family", "vc", "--n", "3", "--field",
+                       str(2**61 - 1), "--format", "kv")
+    assert code == 0 and "value=8" in out.splitlines()
+    code, _, err = run(capsys, "eval", "--family", "vc", "--n", "3", "--field", str(2**89 - 1))
+    assert code == 2 and "primality is decided only below" in err
+
+
 def test_eval_with_assignment_file(capsys, tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("Yv:1 0  # drop vertex 1 from every subset\n")
@@ -252,6 +262,31 @@ def test_count_clow_below_three_vertices_has_no_hc(capsys, tmp_path):
 def test_count_needs_matching_input(capsys):
     code, _, err = run(capsys, "count", "--family", "sat", "--field", "3")
     assert code == 2 and "--cnf" in err
+
+
+# the empty instances: family index 0, whose one witness is the empty
+# assignment, cover, clique or matching, and which has no Hamiltonian cycle;
+# the clow coefficient is twice the cycle count
+@pytest.mark.parametrize("family, what, flag, text, k, exact", [
+    ("sat", "sat", "--cnf", "p cnf 0 0\n", (), 1),
+    ("vc", "vc", "--graph", "p 0 0\n", ("--k", "0"), 1),
+    ("cis", "clique", "--graph", "p 0 0\n", ("--k", "0"), 1),
+    ("tdm", "3dm", "--hyper", "h 0\n", (), 1),
+    ("clow", "hc", "--graph", "p 0 0\n", (), 0),
+], ids=["sat", "vc", "cis", "tdm", "clow"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_count_matches_oracle_on_empty_instance(capsys, tmp_path, family, what, flag,
+                                                text, k, exact, p):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "count", "--family", family, flag, str(path), *k,
+                       "--field", str(p), "--format", "kv")
+    assert code == 0
+    coefficient = re.search(r"^coefficient=(\d+) z_degree=0 t_degree=0$", out, re.M)
+    code, out, _ = run(capsys, "oracle", "--what", what, flag, str(path), *k,
+                       "--mod", str(p), "--format", "kv")
+    assert code == 0 and re.search(f"^exact={exact} modp={exact}$", out, re.M)
+    assert int(coefficient.group(1)) == (2 if family == "clow" else 1) * exact % p
 
 
 # -- compile and decomp -------------------------------------------------------

@@ -46,8 +46,9 @@ def test_registry_contents():
     assert len(registry("tdm", 2)) == 8 + 6
     with pytest.raises(ValueError):
         registry("nope", 2)
-    with pytest.raises(ValueError):
-        registry("vc", 0)
+    assert registry("vc", 0) == registry("tdm", 0) == []
+    with pytest.raises(ValueError, match="family index must be at least 0"):
+        registry("vc", -1)
 
 
 def test_instance_validation():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homforge.rings import CountRing, Field, TruncPoly, TruncRing
+from brute import field_tables_reference, is_prime_trial
+from homforge import rings
+from homforge.rings import DEFAULT_MODULI, CountRing, Field, TruncPoly, TruncRing, is_prime
 
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(7)]
@@ -87,6 +91,89 @@ def test_element_range_checked():
                 op(1, bad)
         with pytest.raises(ValueError):
             F4.neg(bad)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if is_prime_trial(n)]
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
+def test_is_prime_strong_pseudoprimes(monkeypatch):
+    # strong pseudoprimes to the primes up to 37, and up to 41 bar the last
+    spsp37, spsp41 = 3825123056546413051, 318665857834031151167461
+    assert not is_prime(spsp37)
+    assert not is_prime(spsp41)
+    monkeypatch.setattr(rings, "_PRIME_BASES", rings._PRIME_BASES[:-1])
+    assert is_prime(spsp41)
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    for n in (rings._PRIME_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        Field(2**89 - 1)
+
+
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _reducible(p, k):
+    """Every product c * g * h of monic g, h of degree >= 1 and degree sum k,
+    c a nonzero constant: the reducible polynomials of degree k over F_p."""
+    monic = {d: [(*cs, 1) for cs in product(range(p), repeat=d)] for d in range(1, k)}
+    return {tuple(c * x % p for x in _poly_mul(g, h, p))
+            for d in range(1, k // 2 + 1) for g in monic[d] for h in monic[k - d]
+            for c in range(1, p)}
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(2, 9)] + [(3, k) for k in range(2, 6)]
+                         + [(5, 2), (5, 3), (7, 2), (11, 2), (13, 2)])
+def test_modulus_accepted_iff_irreducible(p, k):
+    reducible = _reducible(p, k)
+    for low in product(range(p), repeat=k):
+        for lead in range(1, p):
+            f = (*low, lead)
+            if f in reducible:
+                with pytest.raises(ValueError, match=r"is reducible over F_"):
+                    Field(p, k, f)
+            else:
+                F = Field(p, k, f)
+                assert F.q == p**k and F.modulus == f
+
+
+def test_reducible_modulus_of_degree_six_refused():
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) over F_2
+    with pytest.raises(ValueError, match=r"modulus \(1, 1, 1, 1, 1, 1, 1\) is reducible over F_2"):
+        Field(2, 6, modulus=(1,) * 7)
+
+
+def test_tables_match_pairwise_reference():
+    for q, m in DEFAULT_MODULI.items():
+        k = len(m) - 1
+        p = round(q ** (1 / k))
+        for c in range(1, p):  # the default modulus and its non-monic multiples
+            F = Field(p, k, tuple(c * x for x in m))
+            for got, want in zip((F._add_table, F._mul_table, F._neg_table),
+                                 field_tables_reference(p, k, F.modulus)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_large_extension_field_builds():
+    F = Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))  # x^11 + x^2 + 1
+    x = 2
+    # x has order 2047 = 23 * 89: it generates the multiplicative group
+    assert F.pow(x, 2047) == F.one and F.pow(x, 23) != F.one and F.pow(x, 89) != F.one
+    assert all(F.mul(a, F.inv(a)) == F.one for a in range(1, F.q, 97))
+    with pytest.raises(ValueError, match="beyond supported limit"):
+        Field(2, 12, (1,) + (0,) * 11 + (1,))
 
 
 def test_trunc_ring_monomials_and_caps():
