@@ -519,19 +519,18 @@ def count_via_coefficient(family: str, instance, field: Field,
     traced by two closed walks), so the cycle count itself is recoverable
     only in odd characteristic.
     """
-    qm1 = field.q - 1
     note = ""
     if family == "sat":
         n = instance.n
         m = len(instance.distinct_clauses())
-        dz, dt = 0, m * qm1
+        dz, dt = 0, m
     elif family == "vc":
         if k is None:
             raise ValueError("vc counting needs the cover size k")
         n = instance.n
         if not 0 <= k <= n:
             raise ValueError(f"cover size {k} out of range 0..{n}")
-        dz, dt = instance.m * qm1, k * qm1
+        dz, dt = instance.m, k
     elif family == "cis":
         if k is None:
             raise ValueError("cis counting needs the clique size k")
@@ -542,10 +541,10 @@ def count_via_coefficient(family: str, instance, field: Field,
                 "edge subsets never span exactly one vertex")
         if not 0 <= k <= n:
             raise ValueError(f"clique size {k} out of range 0..{n}")
-        dz, dt = (k * (k - 1) // 2) * qm1, k * qm1
+        dz, dt = k * (k - 1) // 2, k
     elif family == "clow":
         n = instance.n
-        dz, dt = n * qm1, n * qm1
+        dz, dt = n, n
         if n < 3:
             note = ("graphs with fewer than 3 vertices have no Hamiltonian "
                     "cycle; the coefficient counts back-and-forth walks")
@@ -553,19 +552,23 @@ def count_via_coefficient(family: str, instance, field: Field,
             note = "coefficient equals 2 * (#Hamiltonian cycles) mod p"
     elif family == "tdm":
         n = instance.n
-        dz, dt = n * qm1, 3 * n * qm1
+        dz, dt = n, 3 * n
         if strict_recipe:
             note = "strict absent->1 recipe: coefficient also counts absent-edge subsets"
     else:
         raise ValueError(f"unknown family {family!r}")
     _budget_check(family, n)
 
+    # every exponent is a multiple of q-1, so the ring counts degrees in
+    # units of q-1: z stands for z^(q-1) and t for t^(q-1), and each factor
+    # enters to the first power, as over F_2
     ring = CountRing(dz, dt)
     vals = _projected(family, n, instance, strict_recipe,
                       (ring.dead, ring.one, ring.z, ring.t))
-    total = _eval_def(family, n, field.q, ring, vals)
+    total = _eval_def(family, n, 2, ring, vals)
     coeff = field.from_int(total[dz << ring.shift | dt])
-    return CoefficientCount(coeff, dz, dt, field, n, note)
+    qm1 = field.q - 1
+    return CoefficientCount(coeff, dz * qm1, dt * qm1, field, n, note)
 
 
 def hc_from_coefficient(cc: CoefficientCount) -> int:

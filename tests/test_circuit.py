@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import eval_symbolic, reachable_reference
-from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels, _reachable
+from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels, _reachable, _reduce
 from homforge.labels import mono
 from homforge.rings import Field, is_prime
 
@@ -314,6 +314,84 @@ def test_eval_batch_exact_over_extension_fields(q):
     batch = {f"x{i}": np.concatenate([np.arange(q), rng.integers(0, q, size=8)])
              for i in range(3)}
     assert_every_gate_matches_scalar(long_gates_circuit(120, 45), F, batch)
+
+
+def _largest_primes(dtype, count: int) -> list[int]:
+    """The ``count`` largest primes that fit in ``dtype``."""
+    found, v = [], int(np.iinfo(dtype).max)
+    while len(found) < count:
+        if is_prime(v):
+            found.append(v)
+        v -= 1
+    return found
+
+
+def assert_reduce_matches_python(values: np.ndarray, p: int):
+    acc = values.copy()
+    _reduce(acc, values.dtype.type(p), np.empty_like(acc))
+    assert acc.dtype == values.dtype
+    assert acc.tolist() == [v % p for v in values.tolist()], p
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_reduce_matches_python_mod_on_every_value(dtype):
+    # every value of the dtype, by every prime up to 257 that fits and the
+    # three largest primes that fit (251 is the largest in uint8)
+    values = np.arange(int(np.iinfo(dtype).max) + 1).astype(dtype)
+    primes = [p for p in range(2, 258) if is_prime(p) and p <= np.iinfo(dtype).max]
+    for p in sorted(set(primes + _largest_primes(dtype, 3))):
+        assert_reduce_matches_python(values, p)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_reduce_matches_python_mod_on_random_values(dtype):
+    top = int(np.iinfo(dtype).max)
+    rng = np.random.default_rng(top % 1009)
+    primes = [2, 3, 5, 13, 251, 257, 65521, 65537, 2**31 - 1, *_largest_primes(dtype, 2)]
+    if dtype is np.uint64:
+        primes.append(_largest_accepted_prime())
+    for p in primes:
+        edge = [v for v in (0, 1, p - 1, p, p + 1, 2 * p - 1, top - 1, top) if v <= top]
+        values = np.concatenate([np.array(edge, dtype=dtype),
+                                 rng.integers(0, top, size=2000, dtype=dtype, endpoint=True)])
+        assert_reduce_matches_python(values, p)
+
+
+def wide_groups_text(rng: random.Random) -> str:
+    """A circuit whose add and mul groups have arity 4 or more.
+
+    Level 1 has three add and three mul gates of each arity in (4, 9, 260)
+    over four inputs; level 2 multiplies and adds those, and the output adds
+    every gate of level 2.  Over F_13 a uint8 product passes 255 at its third
+    factor and a sum at its 22nd term, over F_5 at its fourth factor and 64th
+    term; F_2 products never grow, but its 260-term sums pass 255.
+    """
+    lines = [f"gate {i} input x{i}" for i in range(4)]
+
+    def gate(op: str, pool: list[int], arity: int) -> int:
+        lines.append(f"gate {len(lines)} {op} "
+                     + " ".join(str(rng.choice(pool)) for _ in range(arity)))
+        return len(lines) - 1
+
+    level1 = [gate(op, list(range(4)), arity)
+              for arity in (4, 9, 260) for op in ("add", "mul") for _ in range(3)]
+    level2 = [gate(op, level1, arity) for arity in (4, 6) for op in ("add", "mul")
+              for _ in range(3)]
+    out = gate("add", level2, len(level2))
+    return "\n".join(lines) + f"\noutput {out}\n"
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_eval_batch_reduces_mid_group_at_every_width(p):
+    c = Circuit.from_text(wide_groups_text(random.Random(p)))
+    F = Field(p)
+    rng = np.random.default_rng(p)
+    for n in (1, 20, 512):
+        # inputs in [-2p, 3p), with every input p - 1 in the first column
+        batch = {f"x{i}": rng.integers(-2 * p, 3 * p, size=n) for i in range(4)}
+        for column in batch.values():
+            column[0] = p - 1
+        assert_batch_matches_scalar(c, F, batch)
 
 
 def test_builder_prunes_dead_gates():

@@ -6,16 +6,22 @@ and the exit code.
 
 from __future__ import annotations
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.cli import main, read_assignment_file
+from homforge.formulas import CNF
 from homforge.gadgets import dump_gadget
-from homforge.graphs import Graph, HomCapExceeded
+from homforge.graphs import Graph, HomCapExceeded, Hypergraph3
 from homforge.rings import Field
 from homforge.treedecomp import validate_nice
 
@@ -287,6 +293,87 @@ def test_count_matches_oracle_on_empty_instance(capsys, tmp_path, family, what, 
                        "--mod", str(p), "--format", "kv")
     assert code == 0 and re.search(f"^exact={exact} modp={exact}$", out, re.M)
     assert int(coefficient.group(1)) == (2 if family == "clow" else 1) * exact % p
+
+
+# field spec -> characteristic, the modulus the oracle reduces by
+COUNT_FIELDS = {"2": 2, "3": 3, "5": 5, "2^2": 2, "3^2": 3}
+
+
+@st.composite
+def _count_case(draw):
+    """A family, its instance as (oracle name, flag, file text, --k args) and a
+    field spec; k runs one past each end of its range."""
+    family = draw(st.sampled_from(["sat", "vc", "cis", "clow", "tdm"]))
+    spec = draw(st.sampled_from(sorted(COUNT_FIELDS)))
+    if family == "sat":
+        n = draw(st.integers(0, 4))
+        literal = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+        clauses = draw(st.lists(st.tuples(literal, literal, literal),
+                                max_size=6 if n else 0))
+        return family, ("sat", "--cnf", CNF(n, tuple(clauses)).to_dimacs(), ()), spec
+    if family == "tdm":
+        n = draw(st.integers(0, 2))
+        edges = draw(st.sets(st.sampled_from(list(product(range(1, n + 1), repeat=3))))
+                     if n else st.just(set()))
+        return family, ("3dm", "--hyper", Hypergraph3.from_edges(n, edges).to_text(), ()), spec
+    n = draw(st.integers(0, 5))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    text = Graph.from_edges(n, edges).to_text()
+    k = () if family == "clow" else ("--k", str(draw(st.integers(-1, n + 1))))
+    what = {"vc": "vc", "cis": "clique", "clow": "hc"}[family]
+    return family, (what, "--graph", text, k), spec
+
+
+def _main(*argv) -> tuple[int, str, str]:
+    """``run`` without capsys, a function-scoped fixture that @given refuses."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _kv(out: str) -> dict[str, int]:
+    return {key: int(val) for key, val in re.findall(r"(\w+)=(-?\d+)\b", out)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_case())
+def test_count_matches_oracle_through_the_cli(tmp_path_factory, case):
+    # each printed count agrees with the brute-force oracle mod p, or both
+    # commands refuse the input; the clow coefficient is twice the number of
+    # Hamiltonian cycles, and below three vertices the number of clows of
+    # length n (the walks u -> v -> u); nothing is an internal error
+    family, (what, flag, text, k), spec = case
+    p = COUNT_FIELDS[spec]
+    path = tmp_path_factory.mktemp("count") / "instance.txt"
+    path.write_text(text)
+    code, out, err = _main("count", "--family", family, flag, str(path), *k,
+                           "--field", spec, "--format", "kv")
+    ocode, oout, oerr = _main("oracle", "--what", what, flag, str(path), *k,
+                              "--mod", str(p), "--format", "kv")
+    assert code in (0, 2) and ocode in (0, 2), (err, oerr)
+    if family == "cis" and k[1] == "1":
+        # a size-1 clique spans no edge, so count refuses it; the oracle counts
+        # the vertices
+        assert code == 2 and "size-1 cliques" in err
+        return
+    assert code == ocode, (out, err, oout, oerr)
+    if code:
+        return
+    got, want = _kv(out), _kv(oout)
+    if family != "clow":
+        assert got["coefficient"] == want["modp"], (text, spec, out, oout)
+        return
+    n = Graph.from_text(text).n
+    if n < 3:
+        _, cout, _ = _main("oracle", "--what", "clows", flag, str(path), "--mod", str(p),
+                           "--format", "kv")
+        assert got["coefficient"] == _kv(cout)["modp"], (text, spec, out, cout)
+    else:
+        assert got["coefficient"] == 2 * want["exact"] % p, (text, spec, out, oout)
+    if p != 2:
+        assert got["hc_mod_p"] == want["modp"], (text, spec, out, oout)
 
 
 # -- compile and decomp -------------------------------------------------------

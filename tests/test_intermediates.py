@@ -5,6 +5,7 @@ import random
 import pytest
 
 from brute import SymbolicRing
+from homforge import intermediates
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
@@ -383,6 +384,24 @@ def test_clow_corner_degenerate_below_three_vertices():
         for p in (2, 3, 5):
             assert hc_from_coefficient(
                 count_via_coefficient("clow", G, Field(p))) == 0
+
+
+def test_count_ring_is_sized_in_units_of_q_minus_1(monkeypatch):
+    # every exponent is a multiple of q-1, so the ring's caps are (m, k)
+    # whatever the field; the reported degrees stay raw
+    caps = []
+
+    class Recording(CountRing):
+        def __init__(self, dz, dt):
+            caps.append((dz, dt))
+            super().__init__(dz, dt)
+
+    monkeypatch.setattr(intermediates, "CountRing", Recording)
+    G, p = Graph.complete(4), 65537
+    cc = count_via_coefficient("vc", G, Field(p), k=3)
+    assert caps == [(G.m, 3)]
+    assert (cc.z_degree, cc.t_degree) == (G.m * (p - 1), 3 * (p - 1))
+    assert cc.value == count_vc(G, 3, p).modp == 4
 
 
 def test_count_budget_respected():
