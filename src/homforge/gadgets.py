@@ -14,9 +14,10 @@ Block properties are checked once, when a ``GadgetPair`` or
 ``GadgetTriple`` is constructed (also by ``load_gadget``, the search and
 ``GadgetTriple.pair``); the builders take their blocks as certified.
 
-Two path-length conventions coexist and are recorded in metadata:
+Two path-length conventions coexist:
 
-* tree-shaped gadgets (``build_Gm``, ``build_Jn``) expand every block
+* the tree gadgets (``build_Gm``, ``build_Jn``) come from one assembler,
+  ``_tree``, which places a block per tree node and expands every block
   connection into a path with ``c_max`` interior vertices, i.e. c_max+1
   edges;
 * path-shaped gadgets (``build_Gk``, ``embed_bp`` in gadget mode) use
@@ -288,37 +289,48 @@ def build_Gk(k: int, pair: GadgetPair) -> GadgetGraph:
         raise ValueError("k must be at least 1")
     c_max = pair.c_max
     asm = _Assembler("path")
-    b1 = asm.block(("I1",), pair.i1)
-    u = b1.vmap[ATTACH]
-    seg1 = asm.fresh(c_max - 1)
-    a = asm.fresh(1)[0]
-    if k == 1:
-        b = a
-        mid = []
-    else:
-        mid = asm.fresh(k - 2)
-        b = asm.fresh(1)[0]
-    seg2 = asm.fresh(c_max - 1)
-    b2 = asm.block(("I2",), pair.i2)
-    v = b2.vmap[ATTACH]
-    interior = [*seg1, a, *mid] + ([b] if b != a else []) + [*seg2]
-    walk = [u, *interior, v]
-    for x, y in zip(walk, walk[1:]):
-        asm.edge(x, y)
-    asm.paths.append(PathInfo(u, v, tuple(interior)))
-    g = asm.finish({"u": u, "a": a, "b": b, "v": v},
-                   {"k": k, "convention": "segments-have-c_max-edges"})
-    d = g.graph.bfs(u)
-    assert d[a] == c_max and d[b] == c_max + k - 1
-    return g
+    u = asm.block(("I1",), pair.i1).vmap[ATTACH]
+    v = asm.block(("I2",), pair.i2).vmap[ATTACH]
+    interior = asm.chain(u, v, 2 * c_max + k - 2).interior
+    return asm.finish({"u": u, "a": interior[c_max - 1],
+                       "b": interior[c_max + k - 2], "v": v}, {"k": k})
 
 
-def _tree_template(level: int, triple: GadgetTriple) -> tuple[str, Graph]:
+def _level_block(triple: GadgetTriple, level: int,
+                 fault_swap_level: int | None = None) -> Graph:
+    """The block at one depth of a tree gadget: I_0 at the root, then I_1
+    at odd and I_2 at even depths, the two swapped at ``fault_swap_level``."""
     if level == 0:
-        return "I0", triple.i0
-    if level % 2 == 1:
-        return "I1", triple.i1
-    return "I2", triple.i2
+        return triple.i0
+    return triple.i1 if (level % 2 == 1) != (level == fault_swap_level) else triple.i2
+
+
+def _tree(kind: str, tag: str, triple: GadgetTriple, depth: dict, children: dict,
+          labels: dict, meta: dict, fault_swap_level: int | None = None) -> GadgetGraph:
+    """A tree gadget from a depth per node and (child, mark) entries per node.
+
+    Places one block per node, keyed ``(tag, *node)``, in (depth, node)
+    order, by ``_level_block``.  Then, in the order of ``children``, chains
+    c_max interior vertices from each parent's mark to the child's
+    ``P_MARK``; the last edge carries the child's entry of ``labels``, if
+    any.  The anchor "root" is the depth-0 block's ``ATTACH`` vertex.
+    """
+    asm = _Assembler(kind)
+    placed = {node: asm.block((tag, *node),
+                              _level_block(triple, depth[node], fault_swap_level))
+              for node in sorted(depth, key=lambda v: (depth[v], v))}
+    for node, entries in children.items():
+        for child, mark in entries:
+            asm.chain(placed[node].vmap[mark], placed[child].vmap[P_MARK],
+                      triple.c_max, last_label=labels.get(child))
+    return asm.finish({"root": asm.blocks[0].vmap[ATTACH]}, meta)
+
+
+def gm_size(m: int, triple: GadgetTriple) -> int:
+    """|V(G_m)| without building it: 2^l blocks at each depth l, and c_max
+    interior vertices on each of the 2m - 2 tree edges."""
+    return (sum((1 << level) * _level_block(triple, level).n
+                for level in range(m.bit_length())) + (2 * m - 2) * triple.c_max)
 
 
 def build_Gm(m: int, triple: GadgetTriple) -> GadgetGraph:
@@ -330,35 +342,12 @@ def build_Gm(m: int, triple: GadgetTriple) -> GadgetGraph:
     if m < 1 or m & (m - 1):
         raise ValueError("m must be a power of 2")
     depth = m.bit_length() - 1
-    c_max = triple.c_max
-    asm = _Assembler("tree")
-    info: dict[tuple[int, int], BlockInfo] = {}
-    for level in range(depth + 1):
-        _, tpl = _tree_template(level, triple)
-        for idx in range(1 << level):
-            blk = asm.block(("blk", level, idx), tpl)
-            info[(level, idx)] = blk
-            if level:
-                parent = info[(level - 1, idx // 2)]
-                mark = L_MARK if idx % 2 == 0 else R_MARK
-                asm.chain(parent.vmap[mark], blk.vmap[P_MARK], c_max)
-    g = asm.finish({"root": info[(0, 0)].vmap[ATTACH]},
-                   {"m": m, "depth": depth,
-                    "convention": "paths-have-c_max-interior-vertices"})
-    for p in g.paths:
-        assert g.graph.bfs(p.src)[p.dst] == c_max + 1
-    return g
-
-
-def _bp_layout(bp: LayeredBP, asm: _Assembler) -> dict[tuple[int, int], int]:
-    ids: dict[tuple[int, int], int] = {}
-    for l, size in enumerate(bp.sizes):
-        for i in range(size):
-            ids[(l, i)] = asm.fresh(1)[0]
-    for arc in bp.live_arcs():
-        u, v = ids[(arc.layer, arc.src)], ids[(arc.layer + 1, arc.dst)]
-        asm.edge(u, v, arc.label if isinstance(arc.label, str) else None)
-    return ids
+    nodes = [(level, idx) for level in range(depth + 1) for idx in range(1 << level)]
+    children = {(level, idx): [((level + 1, 2 * idx), L_MARK),
+                               ((level + 1, 2 * idx + 1), R_MARK)]
+                for level, idx in nodes if level < depth}
+    return _tree("tree", "blk", triple, {node: node[0] for node in nodes},
+                 children, {}, {"m": m, "depth": depth})
 
 
 def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> GadgetGraph:
@@ -376,49 +365,43 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> Gadget
     Returns the gadget graph ``B``; ``B.edge_label`` gives each edge's
     variable, or 1 for an unlabelled edge.
     """
+    ell = bp.n_layers
     if mode == "cycle":
-        ell = bp.n_layers
         if ell < 3 or ell % 2 == 0:
             raise ValueError("cycle mode needs an odd number of layers >= 3")
         asm = _Assembler("bp_cycle")
-        ids = _bp_layout(bp, asm)
-        s = ids[(0, bp.source)]
-        t = ids[(bp.n_layers - 1, bp.sink)]
-        asm.edge(s, t, "y")
-        asm.blocks.append(BlockInfo(("bp",), None, dict(ids)))
-        return asm.finish({"s": s, "t": t}, {"ell": ell})
-    if mode == "gadget":
+    elif mode == "gadget":
         if pair is None:
             raise ValueError("gadget mode needs a block pair")
-        c_max = pair.c_max
         asm = _Assembler("bp_gadget")
-        b1 = asm.block(("I1",), pair.i1)
-        u = b1.vmap[ATTACH]
-        ids = _bp_layout(bp, asm)
-        s = ids[(0, bp.source)]
-        t = ids[(bp.n_layers - 1, bp.sink)]
-        asm.chain(u, s, c_max - 1)
-        b2 = asm.block(("I2",), pair.i2)
-        v = b2.vmap[ATTACH]
-        asm.chain(t, v, c_max - 1)
-        asm.blocks.insert(1, BlockInfo(("bp",), None, dict(ids)))
-        return asm.finish({"u": u, "s": s, "t": t, "v": v},
-                          {"ell": bp.n_layers,
-                           "convention": "segments-have-c_max-edges"})
-    raise ValueError(f"unknown embed mode {mode!r}")
+        u = asm.block(("I1",), pair.i1).vmap[ATTACH]
+    else:
+        raise ValueError(f"unknown embed mode {mode!r}")
+    ids = {(l, i): asm.fresh(1)[0] for l, size in enumerate(bp.sizes)
+           for i in range(size)}
+    for arc in bp.live_arcs():
+        asm.edge(ids[(arc.layer, arc.src)], ids[(arc.layer + 1, arc.dst)],
+                 arc.label if isinstance(arc.label, str) else None)
+    asm.blocks.append(BlockInfo(("bp",), None, ids))
+    s, t = ids[(0, bp.source)], ids[(ell - 1, bp.sink)]
+    if mode == "cycle":
+        asm.edge(s, t, "y")
+        return asm.finish({"s": s, "t": t}, {"ell": ell})
+    asm.chain(u, s, pair.c_max - 1)
+    v = asm.block(("I2",), pair.i2).vmap[ATTACH]
+    asm.chain(t, v, pair.c_max - 1)
+    return asm.finish({"u": u, "s": s, "t": t, "v": v}, {"ell": ell})
 
 
 # -- normal-form circuits and their gadget encodings --------------------------
 
 
-def check_normal_form(c: Circuit) -> list[str]:
-    """Violations of the alternating +/x normal form.
+def _normal_form(c: Circuit) -> tuple[list[str], dict[int, int]]:
+    """``check_normal_form``'s violations, and the x-depth of every gate
+    the output reaches through x/+ pairs (x gates and inputs).
 
-    Required shape: the output is a x gate; every x gate has exactly two
-    arguments, both + gates; every + gate has arguments that are all x
-    gates or all input gates; no constants; every input sits at the same
-    x-depth (so parse trees are complete alternating trees); and the
-    circuit is multiplicatively disjoint.
+    The depths are those of one breadth-first walk from the output, which
+    runs only once every gate has the right shape.
     """
     out = []
     ops, _, args = c.per_gate
@@ -442,19 +425,17 @@ def check_normal_form(c: Circuit) -> list[str]:
                     out.append(f"gate {gid}: + arguments must be all x gates "
                                "or all input gates")
     if out:
-        return out
+        return out, {}
 
     depth = {c.output: 0}
     queue = [c.output]
     leaf_depths = set()
-    while queue:
-        gid = queue.pop(0)
+    for gid in queue:
         if ops[gid] == INPUT:
             leaf_depths.add(depth[gid])
             continue
         alpha, beta = args[gid]
-        kids = list(args[alpha]) + list(args[beta])
-        for x in kids:
+        for x in args[alpha] + args[beta]:
             d = depth[gid] + 1
             if x in depth:
                 if depth[x] != d:
@@ -467,7 +448,19 @@ def check_normal_form(c: Circuit) -> list[str]:
         out.append(f"inputs at mixed x-depths {sorted(leaf_depths)}")
     if not c.is_mult_disjoint():
         out.append("circuit is not multiplicatively disjoint")
-    return out
+    return out, depth
+
+
+def check_normal_form(c: Circuit) -> list[str]:
+    """Violations of the alternating +/x normal form.
+
+    Required shape: the output is a x gate; every x gate has exactly two
+    arguments, both + gates; every + gate has arguments that are all x
+    gates or all input gates; no constants; every input sits at the same
+    x-depth (so parse trees are complete alternating trees); and the
+    circuit is multiplicatively disjoint.
+    """
+    return _normal_form(c)[0]
 
 
 def build_Jn(c: Circuit, triple: GadgetTriple, *,
@@ -486,59 +479,26 @@ def build_Jn(c: Circuit, triple: GadgetTriple, *,
     block template (for negative controls).  ``triple`` was certified when
     it was constructed.
     """
-    problems = check_normal_form(c)
+    problems, depth = _normal_form(c)
     if problems:
         raise ValueError("circuit is not in normal form: " + "; ".join(problems))
 
     ops, keys, args = c.per_gate
-    root_copy = (c.output, "L")
-    depth = {root_copy: 0}
-    children: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    queue = [root_copy]
-    while queue:
-        copy = queue.pop(0)
-        gid, _side = copy
-        if ops[gid] == INPUT:
-            children[copy] = []
+    copies = [(c.output, "L")]
+    seen = set(copies)
+    children = {}
+    for copy in copies:
+        if ops[copy[0]] == INPUT:
             continue
-        alpha, beta = args[gid]
-        kids = [(x, "L") for x in args[alpha]] + [(x, "R") for x in args[beta]]
-        children[copy] = kids
-        for kid in kids:
-            d = depth[copy] + 1
-            if kid in depth:
-                assert depth[kid] == d, "normal form guarantees unique depth"
-            else:
-                depth[kid] = d
-                queue.append(kid)
-
+        alpha, beta = args[copy[0]]
+        children[copy] = kids = ([((x, "L"), L_MARK) for x in args[alpha]]
+                                 + [((x, "R"), R_MARK) for x in args[beta]])
+        for kid, _ in kids:
+            if kid not in seen:
+                seen.add(kid)
+                copies.append(kid)
     d_max = max(depth.values())
-    if d_max < 1:
-        raise ValueError("circuit depth 0 (a bare x of inputs is too shallow "
-                         "to encode; need at least one full x/+ level)")
-    c_max = triple.c_max
-    asm = _Assembler("parse")
-    info: dict[tuple[int, str], BlockInfo] = {}
-    for copy in sorted(depth, key=lambda cp: (depth[cp], cp[0], cp[1])):
-        level = depth[copy]
-        name, tpl = _tree_template(level, triple)
-        if fault_swap_level is not None and level == fault_swap_level:
-            if name == "I1":
-                name, tpl = "I2", triple.i2
-            elif name == "I2":
-                name, tpl = "I1", triple.i1
-        gid, side = copy
-        info[copy] = asm.block(("copy", gid, side), tpl)
-    for copy, kids in children.items():
-        parent = info[copy]
-        for kid in kids:
-            child = info[kid]
-            label = keys[kid[0]] if ops[kid[0]] == INPUT else None
-            mark = L_MARK if kid[1] == "L" else R_MARK
-            asm.chain(parent.vmap[mark], child.vmap[P_MARK], c_max,
-                      last_label=label)
-    return asm.finish(
-        {"root": info[root_copy].vmap[ATTACH]},
-        {"m": 1 << d_max, "depth": d_max,
-         "fault_swap_level": fault_swap_level,
-         "convention": "paths-have-c_max-interior-vertices"})
+    return _tree("parse", "copy", triple, {cp: depth[cp[0]] for cp in copies},
+                 children, {cp: keys[cp[0]] for cp in copies if ops[cp[0]] == INPUT},
+                 {"m": 1 << d_max, "depth": d_max, "fault_swap_level": fault_swap_level},
+                 fault_swap_level)

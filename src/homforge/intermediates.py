@@ -4,14 +4,14 @@ Each family index n >= 0 fixes a variable registry (edge/literal structure
 variables X and vertex/clause variables Y); index 0 is the empty instance.
 The module provides:
 
-* ``eval_definitional`` — the defining exponential sum, generic over the
-  evaluation ring (field, truncated bivariate ring, or symbolic);
+* ``eval_definitional`` — the defining exponential sum over the instance
+  field (``_eval_def`` sums it in any ring with zero/one/add/mul/pow);
 * ``eval_fast`` — the polynomial-time evaluation over F_q, exploiting the
   fact that every exponent is a multiple of q-1, so only zero/nonzero
   patterns of the assignment matter;
-* ``standard_projection`` / ``count_via_coefficient`` — substituting z/t
-  for the variables of a concrete instance turns a single coefficient of
-  the family polynomial into the answer of a #P-style counting problem.
+* ``count_via_coefficient`` — substituting z/t for the variables of a
+  concrete instance (the standard projection) turns a single coefficient
+  of the family polynomial into the answer of a #P-style counting problem.
 
 Values travel as tuples in registry order.  Labels are met only at the
 edges: ``FamilyInstance`` reads its dict into a tuple once, and
@@ -36,7 +36,7 @@ import numpy as np
 from .formulas import CNF
 from .graphs import Graph, Hypergraph3
 from .labels import xedge, xhyper, xvar, yclause, yvert
-from .rings import CountRing, Field, TruncRing
+from .rings import CountRing, Field
 
 FAMILIES = ("sat", "vc", "cis", "clow", "tdm")
 
@@ -170,23 +170,10 @@ def _budget_check(family: str, n: int) -> None:
             f"(got {n}); eval_fast has no such limit")
 
 
-def eval_definitional(inst: FamilyInstance, ring=None):
-    """The defining sum, evaluated in ``ring`` (default: the instance field).
-
-    When a truncated ring over the same field is supplied, the instance's
-    field values are embedded as constants; this is how coefficients of
-    the z/t projections are extracted.
-    """
+def eval_definitional(inst: FamilyInstance) -> int:
+    """The defining sum over the instance field."""
     _budget_check(inst.family, inst.n)
-    if ring is None:
-        ring, vals = inst.field, inst.values
-    elif isinstance(ring, TruncRing):
-        if ring.field != inst.field:
-            raise ValueError("truncated ring must sit over the instance field")
-        vals = [ring.monomial(0, 0, v) for v in inst.values]
-    else:
-        raise TypeError("ring must be None or a TruncRing over the same field")
-    return _eval_def(inst.family, inst.n, inst.field.q, ring, vals)
+    return _eval_def(inst.family, inst.n, inst.field.q, inst.field, inst.values)
 
 
 def _eval_def(family: str, n: int, q: int, ring, vals):
@@ -433,25 +420,21 @@ _FASTS = {"sat": _fast_sat, "vc": _fast_vc, "cis": _fast_alive, "clow": _fast_cl
 # -- projections and coefficient counting -------------------------------------
 
 
-@dataclass
-class ProjectionSpec:
-    """Total substitution of a family registry into {0, 1, z, t}."""
-
-    family: str
-    n: int
-    output: dict[str, str]
+_INSTANCE_TYPES = {"sat": CNF, "vc": Graph, "cis": Graph, "clow": Graph,
+                   "tdm": Hypergraph3}
 
 
-def _projected(family: str, n: int, instance, strict_recipe: bool, images) -> list:
-    """The standard projection in registry order, each variable given as
-    its entry of ``images``, the images of (0, 1, z, t)."""
+def _projected(family: str, instance, strict_recipe: bool, images) -> list:
+    """The standard projection of ``instance`` in registry order, each
+    variable given as its entry of ``images``, the images of (0, 1, z, t).
+
+    For tdm, absent hyperedges go to 0; ``strict_recipe`` sends them to 1,
+    under which the coefficient also counts subsets of absent hyperedges
+    and the matching identity fails.
+    """
     zero, one, z, t = images
+    n = instance.n
     if family == "sat":
-        if not isinstance(instance, CNF):
-            raise TypeError("sat projection needs a CNF instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has {instance.n} variables but family index is {n}")
         out = [one] * (n + 8 * n ** 3)
         for c in instance.clauses:
             if any(not 0 < abs(l) <= n for l in c):
@@ -459,36 +442,10 @@ def _projected(family: str, n: int, instance, strict_recipe: bool, images) -> li
             a, b, d = (2 * (abs(l) - 1) + (l < 0) for l in c)
             out[n + (a * 2 * n + b) * 2 * n + d] = t
         return out
-    if family in ("vc", "cis", "clow"):
-        if not isinstance(instance, Graph):
-            raise TypeError(f"{family} projection needs a Graph instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has {instance.n} vertices but family index is {n}")
-        return [z if instance.has_edge(u, v) else one for (u, v) in _pairs(n)] + [t] * n
     if family == "tdm":
-        if not isinstance(instance, Hypergraph3):
-            raise TypeError("tdm projection needs a Hypergraph3 instance")
-        if instance.n != n:
-            raise ValueError(
-                f"instance has part size {instance.n} but family index is {n}")
         absent = one if strict_recipe else zero
         return [z if e in instance.edges else absent for e in _triples(n)] + [t] * (3 * n)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def standard_projection(family: str, n: int, instance,
-                        strict_recipe: bool = False) -> ProjectionSpec:
-    """Map family variables to z/t/1 so coefficients count instance witnesses.
-
-    ``instance`` is a CNF (sat), Graph (vc/cis/clow), or Hypergraph3 (tdm)
-    whose size must equal the family index.  For tdm the recipe here sends
-    absent hyperedges to 0 rather than 1; ``strict_recipe=True`` restores
-    the absent->1 variant, under which the coefficient also counts subsets
-    of absent hyperedges and the matching identity fails.
-    """
-    symbols = _projected(family, n, instance, strict_recipe, ("0", "1", "z", "t"))
-    return ProjectionSpec(family, n, dict(zip(family_plan(family, n).labels, symbols)))
+    return [z if instance.has_edge(u, v) else one for (u, v) in _pairs(n)] + [t] * n
 
 
 @dataclass
@@ -519,22 +476,23 @@ def count_via_coefficient(family: str, instance, field: Field,
     traced by two closed walks), so the cycle count itself is recoverable
     only in odd characteristic.
     """
-    note = ""
+    kind = _INSTANCE_TYPES.get(family)
+    if kind is None:
+        raise ValueError(f"unknown family {family!r}")
+    if not isinstance(instance, kind):
+        raise TypeError(f"{family} projection needs a {kind.__name__} instance")
+    note, n = "", instance.n
     if family == "sat":
-        n = instance.n
-        m = len(instance.distinct_clauses())
-        dz, dt = 0, m
+        dz, dt = 0, len(instance.distinct_clauses())
     elif family == "vc":
         if k is None:
             raise ValueError("vc counting needs the cover size k")
-        n = instance.n
         if not 0 <= k <= n:
             raise ValueError(f"cover size {k} out of range 0..{n}")
         dz, dt = instance.m, k
     elif family == "cis":
         if k is None:
             raise ValueError("cis counting needs the clique size k")
-        n = instance.n
         if k == 1:
             raise ValueError(
                 "size-1 cliques are invisible to the coefficient identity: "
@@ -543,27 +501,23 @@ def count_via_coefficient(family: str, instance, field: Field,
             raise ValueError(f"clique size {k} out of range 0..{n}")
         dz, dt = k * (k - 1) // 2, k
     elif family == "clow":
-        n = instance.n
         dz, dt = n, n
         if n < 3:
             note = ("graphs with fewer than 3 vertices have no Hamiltonian "
                     "cycle; the coefficient counts back-and-forth walks")
         else:
             note = "coefficient equals 2 * (#Hamiltonian cycles) mod p"
-    elif family == "tdm":
-        n = instance.n
+    else:
         dz, dt = n, 3 * n
         if strict_recipe:
             note = "strict absent->1 recipe: coefficient also counts absent-edge subsets"
-    else:
-        raise ValueError(f"unknown family {family!r}")
     _budget_check(family, n)
 
     # every exponent is a multiple of q-1, so the ring counts degrees in
     # units of q-1: z stands for z^(q-1) and t for t^(q-1), and each factor
     # enters to the first power, as over F_2
     ring = CountRing(dz, dt)
-    vals = _projected(family, n, instance, strict_recipe,
+    vals = _projected(family, instance, strict_recipe,
                       (ring.dead, ring.one, ring.z, ring.t))
     total = _eval_def(family, n, 2, ring, vals)
     coeff = field.from_int(total[dz << ring.shift | dt])

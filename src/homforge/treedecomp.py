@@ -21,6 +21,7 @@ from .graphs import Graph
 from .labels import read_lines
 
 KINDS = ("leaf", "intro", "forget", "join")
+EXACT_MAX_N = 12  # the most vertices treewidth_exact's subset DP takes
 
 _BIG = 10**9
 
@@ -475,15 +476,15 @@ def _min_width_order(G: Graph) -> tuple[int, list[int]]:
     return f[full], order[::-1]
 
 
-def treewidth_exact(G: Graph, max_n: int = 12) -> tuple[int, NiceTreeDecomp]:
+def treewidth_exact(G: Graph) -> tuple[int, NiceTreeDecomp]:
     """Exact treewidth with a witness nice decomposition, that of
     ``_min_width_order``'s order; exponential in |V|, hence the size cap."""
     n = G.n
     if n == 0:
         raise ValueError("graph has no vertices")
-    if n > max_n:
+    if n > EXACT_MAX_N:
         raise ValueError(
-            f"treewidth_exact handles at most {max_n} vertices (got {n}); "
+            f"treewidth_exact handles at most {EXACT_MAX_N} vertices (got {n}); "
             "use a structural decomposition instead")
     width, order = _min_width_order(G)
     nice = _make_nice(_decomp_from_elimination(G, order))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .bp import LayeredBP
 from .circuit import Circuit
 from .gadgets import (GadgetGraph, GadgetPair, GadgetTriple, build_Gk,
-                      build_Gm, build_Jn, embed_bp)
+                      build_Gm, build_Jn, embed_bp, gm_size)
 from .graphs import Graph, check_source_size, enumerate_homs
 from .labels import Monomial, mono, mono_mul
 from .rings import Field
@@ -242,6 +242,7 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
     """
     J = build_Jn(c, triple, fault_swap_level=1 if fault_inject else None)
     m = J.meta["m"]
+    check_source_size(gm_size(m, triple))  # the search would refuse G_m; spare building it
     Gm = build_Gm(m, triple)
 
     trees = c.parse_trees()

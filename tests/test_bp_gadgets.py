@@ -10,9 +10,10 @@ from brute import complete_assignment, distances
 from homforge import gadgets
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
-from homforge.gadgets import (GadgetPair, GadgetTriple, build_Gk, build_Gm,
-                              build_Jn, certify_blocks, check_normal_form,
-                              dump_gadget, embed_bp, load_gadget)
+from homforge.gadgets import (ATTACH, L_MARK, P_MARK, R_MARK, GadgetPair,
+                              GadgetTriple, build_Gk, build_Gm, build_Jn,
+                              certify_blocks, check_normal_form, dump_gadget,
+                              embed_bp, gm_size, load_gadget)
 from homforge.graphs import Graph, enumerate_homs
 from homforge.labels import mono
 from homforge.randgen import random_layered_bp
@@ -241,6 +242,73 @@ def test_build_Jn_product_of_sums(certified_triple):
     J_fault = build_Jn(c, certified_triple, fault_swap_level=1)
     assert J_fault.meta["fault_swap_level"] == 1
     assert J_fault.graph.n == J.graph.n
+
+
+DEPTH_TWO = """\
+gate 0 input a
+gate 1 input b
+gate 2 input c
+gate 3 input d
+gate 4 input e
+gate 5 add 0 1
+gate 6 add 2
+gate 7 mul 5 6
+gate 8 add 3
+gate 9 add 4
+gate 10 mul 8 9
+gate 11 add 7
+gate 12 add 10
+gate 13 mul 11 12
+output 13
+"""
+
+
+def assert_template_rule(g, triple, swap=None):
+    """Blocks follow I_0 / odd I_1 / even I_2 by their depth from the root
+    block, flipped only at ``swap``; each path has c_max interior vertices
+    and runs from its parent's L/R mark to its child's P_MARK."""
+    home = {v: blk for blk in g.blocks for v in blk.vmap.values()}
+    root = home[g.anchors["root"]]
+    assert g.anchors["root"] == root.vmap[ATTACH]
+    depth, kids = {root.key: 0}, {}
+    for pth in g.paths:
+        parent, child = home[pth.src], home[pth.dst]
+        assert pth.src in (parent.vmap[L_MARK], parent.vmap[R_MARK])
+        assert pth.dst == child.vmap[P_MARK]
+        assert len(pth.interior) == triple.c_max
+        walk = [pth.src, *pth.interior, pth.dst]
+        assert all(g.graph.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+        kids.setdefault(parent.key, []).append(child.key)
+    queue = [root.key]
+    for key in queue:
+        for kid in kids.get(key, []):
+            assert depth.setdefault(kid, depth[key] + 1) == depth[key] + 1
+            queue.append(kid)
+    assert depth.keys() == {blk.key for blk in g.blocks}
+    for blk in g.blocks:
+        d = depth[blk.key]
+        odd = d % 2 == 1
+        want = triple.i0 if d == 0 else (triple.i1 if odd != (d == swap) else triple.i2)
+        assert blk.template is want, (blk.key, d, swap)
+
+
+def test_tree_gadgets_follow_the_template_rule(certified_triple):
+    g = build_Gm(8, certified_triple)
+    assert len(g.blocks) == 15 and len(g.paths) == 14
+    assert_template_rule(g, certified_triple)
+    for m in (1, 2, 4, 8):
+        assert gm_size(m, certified_triple) == build_Gm(m, certified_triple).graph.n
+    c = Circuit.from_text(DEPTH_TWO)
+    inputs = {("copy", gid, side): lab for gid, lab in enumerate("abcde")
+              for side in "LR"}
+    for swap in (None, 1, 2):
+        J = build_Jn(c, certified_triple, fault_swap_level=swap)
+        assert J.meta["depth"] == 2
+        assert_template_rule(J, certified_triple, swap)
+        # the path into an input block carries the input's label
+        for pth in J.paths:
+            child = next(b for b in J.blocks if pth.dst in b.vmap.values())
+            assert J.edge_label(pth.interior[-1], pth.dst) == inputs.get(child.key, 1)
 
 
 def test_build_Jn_rejects_non_normal(certified_triple):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homforge import verify
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.cli import main, read_assignment_file
@@ -522,6 +524,42 @@ def test_verify_parse_hom_and_fault(capsys, circuit_file, triple_file):
                        "--fault-inject")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def deep_circuit_text(depth: int) -> str:
+    """2^depth one-input sums, paired up by x/+ levels to x-depth ``depth``."""
+    lines, sums, n = [], [], 0
+    for i in range(1 << depth):
+        lines += [f"gate {n} input x{i}", f"gate {n + 1} add {n}"]
+        sums.append(n + 1)
+        n += 2
+    while len(sums) > 2:
+        pairs, sums = zip(sums[::2], sums[1::2]), []
+        for a, b in pairs:
+            lines += [f"gate {n} mul {a} {b}", f"gate {n + 1} add {n}"]
+            sums.append(n + 1)
+            n += 2
+    lines += [f"gate {n} mul {sums[0]} {sums[1]}", f"output {n}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_parse_hom_refuses_deep_circuit_before_building_Gm(
+        capsys, tmp_path, triple_file, monkeypatch):
+    # x-depth 10 needs G_1024, with 34,790 vertices; the refusal comes from
+    # its size alone, before G_m or any parse tree is built
+    def too_soon(*_args, **_kwargs):
+        raise AssertionError("G_m built before the refusal")
+
+    monkeypatch.setattr(verify, "build_Gm", too_soon)
+    f = tmp_path / "deep.ct"
+    f.write_text(deep_circuit_text(10))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--theorem", "parse-hom",
+                         "--circuit", str(f), "--triple", triple_file)
+    assert code == 2 and out == ""
+    assert ("error: homomorphism search takes at most 800 source vertices, "
+            "got 34790") in err
+    assert time.perf_counter() - start < 3
 
 
 def test_verify_missing_inputs(capsys, bp_file):

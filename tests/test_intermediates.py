@@ -9,10 +9,10 @@ from homforge import intermediates
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
-                                    _eval_def, clause_space, count_via_coefficient,
-                                    eval_definitional, eval_fast, family_plan,
-                                    hc_from_coefficient, literals, registry,
-                                    standard_projection)
+                                    _eval_def, _projected, clause_space,
+                                    count_via_coefficient, eval_definitional,
+                                    eval_fast, family_plan, hc_from_coefficient,
+                                    literals, registry)
 from homforge.labels import mono, xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
@@ -216,22 +216,18 @@ def test_eval_definitional_over_trunc_ring():
     F = Field(3)
     inst = all_ones("vc", 2, F)
     R = TruncRing(F, 4, 4)
-    out = eval_definitional(inst, R)
+    out = _eval_def("vc", 2, F.q, R, [R.monomial(0, 0, v) for v in inst.values])
     # every variable is a nonzero constant, so the value is the (0,0) cell
     assert out.coefficient(0, 0) == eval_definitional(inst)
-    with pytest.raises(ValueError):
-        eval_definitional(inst, TruncRing(Field(5), 4, 4))
-    with pytest.raises(TypeError):
-        eval_definitional(inst, Field(3))
 
 
-def test_standard_projection_validation():
-    with pytest.raises(TypeError):
-        standard_projection("sat", 2, Graph.complete(2))
-    with pytest.raises(ValueError):
-        standard_projection("vc", 3, Graph.complete(4))
-    with pytest.raises(TypeError):
-        standard_projection("tdm", 2, Graph.complete(2))
+def test_count_via_coefficient_refuses_wrong_instance_type():
+    with pytest.raises(TypeError, match="sat projection needs a CNF instance"):
+        count_via_coefficient("sat", Graph.complete(2), Field(3))
+    with pytest.raises(TypeError, match="vc projection needs a Graph instance"):
+        count_via_coefficient("vc", CNF(2, ((1, 2, -1),)), Field(3), k=1)
+    with pytest.raises(TypeError, match="tdm projection needs a Hypergraph3 instance"):
+        count_via_coefficient("tdm", Graph.complete(2), Field(3))
 
 
 def test_count_via_coefficient_sat():
@@ -329,9 +325,7 @@ def test_count_via_coefficient_random_vs_oracles():
 
 def projected_sum(family, instance, q, ring, zero, strict_recipe=False):
     """The family sum over F_q under the standard projection, summed in ``ring``."""
-    images = {"0": zero, "1": ring.one, "z": ring.z, "t": ring.t}
-    proj = standard_projection(family, instance.n, instance, strict_recipe)
-    vals = [images[proj.output[lab]] for lab in registry(family, instance.n)]
+    vals = _projected(family, instance, strict_recipe, (zero, ring.one, ring.z, ring.t))
     return _eval_def(family, instance.n, q, ring, vals)
 
 
