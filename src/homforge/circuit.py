@@ -156,15 +156,24 @@ class Circuit:
     def eval_batch(self, assignment: dict[str, np.ndarray], field: Field) -> np.ndarray:
         """Vectorised evaluation of many field assignments at once.
 
-        Each label maps to an int array; all arrays share one shape.  Live gates
-        fill one value matrix a ``_groups`` group at a time.  The matrix has the
-        narrowest unsigned dtype that holds every intermediate value: over F_p
-        (p-1)^2 + (p-1), with a sum or product reduced mod p just before it
-        could overflow and once at the end of its group; over F_q the largest
-        add/mul table index q*q - 1.  An F_p reduction is x - p*(x // p), by
-        floor division by the scalar p (see ``_reduce``).  Inputs are reduced
-        mod p over F_p and must lie in range(q) over F_q before they are
-        narrowed, so every value is exact.  Returns a new int64 array, not a
+        Each label maps to an integer array (dtype kind i, u or b; anything
+        else is refused); all arrays share one shape.  Live gates fill one
+        value matrix a ``_groups`` group at a time.  The matrix has the
+        narrowest unsigned dtype that holds every intermediate value: over
+        F_p (p-1)^2 + (p-1), over F_q the largest add table index q*q - 1.
+
+        Over F_p a row holds residues.  A sum or product is reduced mod p
+        just before it could overflow and once at the end of its group; a
+        reduction is x - p*(x // p), by floor division by the scalar p (see
+        ``_reduce``).  Over F_q a row holds discrete-log codes (see
+        ``rings``): 0 has code q-1, the largest, and g^i code i.  A product
+        sums its factors' codes, reduced mod q-1 in the same way, and keeps
+        a running maximum of them, which is q-1 exactly where a factor was
+        0; at the end that maximum, floored to 0 or q-1, overrides the
+        reduced sum.  A sum still gathers from the code add table at
+        ``acc*q + arg``.  Inputs are reduced mod p over F_p and must lie in
+        range(q) over F_q before they are narrowed (and, over F_q, mapped to
+        codes), so every value is exact.  Returns a new int64 array, not a
         view of the matrix.
         """
         width = np.shape(next(iter(assignment.values()))) if assignment else ()
@@ -172,49 +181,76 @@ class Circuit:
         if prime and (p - 1) ** 2 >= 2**63:
             raise ValueError(f"eval_batch needs (p-1)^2 < 2^63; p = {p}")
         dtype, cap = _narrowest((p - 1) ** 2 + p - 1 if prime else q * q - 1)
-        tables = {} if prime else {ADD: field._add_table.ravel().astype(dtype),
-                                   MUL: field._mul_table.ravel().astype(dtype)}
         n_rows, out, widest, leaves, groups = self._groups
         # leaves are filled and checked in int64, so 257 cannot wrap into range
         leaf = np.empty((leaves[-1][2].stop, *width), dtype=np.int64)
         for op, key, rows in leaves:
-            if op == INPUT and key not in assignment:
+            if op == CONST:
+                leaf[rows] = field.from_int(key)
+                continue
+            if key not in assignment:
                 raise ValueError(f"unassigned input {key!r}")
-            leaf[rows] = field.from_int(key) if op == CONST else assignment[key]
+            value = np.asarray(assignment[key])
+            if value.dtype.kind not in "iub":
+                raise ValueError(f"input {key!r} has dtype {value.dtype}, not an integer dtype")
+            leaf[rows] = value
         if prime:
             leaf %= p
         elif leaf.size and (leaf.min() < 0 or leaf.max() >= q):
             raise ValueError(f"inputs over F_{q} must lie in range({q})")
         vals = np.empty((n_rows, *width), dtype=dtype)
-        vals[:len(leaf)] = leaf
+        vals[:len(leaf)] = leaf if prime else field._log[leaf]
         buf = np.empty((widest, *width), dtype)
         p_, q_ = dtype(p), dtype(q)
+        if not prime:
+            qm1 = dtype(q - 1)
+            code_add = field._code_add.ravel().astype(dtype)
+            zbuf = np.empty_like(buf)
         for op, rows, args in groups:
             acc, arg = vals[rows], buf[:rows.stop - rows.start]
             # the plan's rows are in range; "clip" skips the copy "raise" makes,
             # and gathering into arg skips the one an overlap with vals makes
             vals.take(args[0], axis=0, out=arg, mode="clip")
             acc[...] = arg
-            top = p - 1  # the largest value acc can hold, over F_p
-            for col in args[1:]:
-                # reduce before the gather, while arg is free to be the scratch
-                if prime and (top + p - 1 if op == ADD else top * (p - 1)) > cap:
+            if prime:
+                top = p - 1  # the largest value acc can hold
+                for col in args[1:]:
+                    # reduce before the gather, while arg is free to be the scratch
+                    if (top + p - 1 if op == ADD else top * (p - 1)) > cap:
+                        _reduce(acc, p_, arg)
+                        top = p - 1
+                    vals.take(col, axis=0, out=arg, mode="clip")
+                    if op == ADD:
+                        acc += arg
+                        top += p - 1
+                    else:
+                        acc *= arg
+                        top *= p - 1
+                if top >= p:
                     _reduce(acc, p_, arg)
-                    top = p - 1
-                vals.take(col, axis=0, out=arg, mode="clip")
-                if not prime:
+            elif op == ADD:
+                for col in args[1:]:
+                    vals.take(col, axis=0, out=arg, mode="clip")
                     acc *= q_
                     acc += arg
-                    tables[op].take(acc, out=acc, mode="clip")
-                elif op == ADD:
+                    code_add.take(acc, out=acc, mode="clip")
+            else:  # codes add mod q-1; zero keeps the largest, q-1 iff a factor is 0
+                zero = zbuf[:len(arg)]
+                zero[...] = arg
+                top = q - 1
+                for col in args[1:]:
+                    if top + q - 1 > cap:
+                        _reduce(acc, qm1, arg)
+                        top = q - 2
+                    vals.take(col, axis=0, out=arg, mode="clip")
                     acc += arg
-                    top += p - 1
-                else:
-                    acc *= arg
-                    top *= p - 1
-            if top >= p:
-                _reduce(acc, p_, arg)
-        return vals[out].astype(np.int64)
+                    np.maximum(zero, arg, out=zero)
+                    top += q - 1
+                _reduce(acc, qm1, arg)
+                zero //= qm1  # q-1 where a factor was 0, else 0; no masked write
+                zero *= qm1
+                np.maximum(acc, zero, out=acc)
+        return vals[out].astype(np.int64) if prime else field._exp[vals[out]]
 
     @cached_property
     def _groups(self) -> tuple[int, int, int, list[tuple], list[tuple]]:

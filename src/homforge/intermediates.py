@@ -184,15 +184,15 @@ def _eval_def(family: str, n: int, q: int, ring, vals):
     return _DEFS[family](plan, ring, X, Y)
 
 
-def _factors(ring, values, qm1: int) -> list:
-    """The (q-1)-th powers of ``values``, with None standing for the ring's
-    one, so each sum tests a factor once instead of once per term."""
-    one = ring.one
-    out = []
-    for v in values:
-        f = one if v == one else ring.pow(v, qm1)
-        out.append(None if f == one else f)
-    return out
+def _factors(ring, values, qm1: int) -> dict:
+    """The (q-1)-th powers of ``values`` that are not the ring's one, by
+    index; a missing index stands for one.  Each sum tests a factor once
+    instead of once per term, and reads only the factors that are not one:
+    under a projection, the sat sum reads the instance's clauses, not all
+    8n^3 clause slots."""
+    one, pow_ = ring.one, ring.pow
+    powers = {i: pow_(v, qm1) for i, v in enumerate(values) if v != one}
+    return {i: f for i, f in powers.items() if f != one}
 
 
 def _product(mul, factors):
@@ -211,14 +211,13 @@ def _def_sat(plan: FamilyPlan, ring, X, Y):
     # with i false and second literal j true, and triples[i, j, k] the rest;
     # only the clauses whose factor is not one are grouped
     rows, pairs, triples = {}, {}, {}
-    for idx, f in enumerate(Y):
-        if f is not None:
-            i, j, k = _positions(idx, n)
-            for group, key in ((rows, i), (pairs, (i, j)), (triples, (i, j, k))):
-                group[key] = mul(group[key], f) if key in group else f
+    for idx, f in Y.items():
+        i, j, k = _positions(idx, n)
+        for group, key in ((rows, i), (pairs, (i, j)), (triples, (i, j, k))):
+            group[key] = mul(group[key], f) if key in group else f
     # (need, forbid, factor): the factor enters every term whose true-literal
     # mask meets ``need`` and misses ``forbid``; X_v needs literal +v
-    groups = [(1 << 2 * v, 0, f) for v, f in enumerate(X) if f is not None]
+    groups = [(1 << 2 * v, 0, f) for v, f in X.items()]
     groups += [(1 << i, 0, f) for i, f in rows.items()]
     groups += [(1 << j, 1 << i, f) for (i, j), f in pairs.items()]
     groups += [(1 << k, 1 << i | 1 << j, f) for (i, j, k), f in triples.items()]
@@ -243,8 +242,8 @@ def _def_vc(plan: FamilyPlan, ring, X, Y):
     mul = ring.mul
     # an edge factor enters when the cover holds either endpoint, a vertex
     # factor when it holds the vertex
-    groups = [(1 << u | 1 << v, f) for (u, v), f in zip(plan.edges, X) if f is not None]
-    groups += [(1 << v, f) for v, f in enumerate(Y) if f is not None]
+    groups = [(sum(1 << v for v in plan.edges[e]), f) for e, f in X.items()]
+    groups += [(1 << v, f) for v, f in Y.items()]
     total, one = ring.zero, ring.one
     for bits in range(1 << plan.n):
         term = one
@@ -268,9 +267,9 @@ def _touch_sum(plan: FamilyPlan, ring, X, Y):
     # step[idx][fresh]: X of edge idx times Y of the endpoints in bitmask
     # ``fresh``, the ones that no earlier edge of the subset touched
     masks, step = [], []
-    for x, e in zip(X, edges):
+    for idx, e in enumerate(edges):
         masks.append(sum(1 << v for v in e))
-        step.append({sum(1 << v for v in s): _product(mul, (x, *(Y[v] for v in s)))
+        step.append({sum(1 << v for v in s): _product(mul, (X.get(idx), *map(Y.get, s)))
                      for r in range(len(e) + 1) for s in combinations(e, r)})
     total = ring.zero
 
@@ -290,10 +289,10 @@ def _def_clow(plan: FamilyPlan, ring, X, Y):
     # Xm[u, w] is the factor for the move u -> w; step[u, w] also carries
     # Y of w, for a move onto a vertex the walk has not visited yet
     Xm, step = {}, {}
-    for (u, v), f in zip(plan.edges, X):
-        Xm[u, v] = Xm[v, u] = f
-        step[u, v] = _product(mul, (f, Y[v]))
-        step[v, u] = _product(mul, (f, Y[u]))
+    for idx, (u, v) in enumerate(plan.edges):
+        Xm[u, v] = Xm[v, u] = f = X.get(idx)
+        step[u, v] = _product(mul, (f, Y.get(v)))
+        step[v, u] = _product(mul, (f, Y.get(u)))
     total = ring.zero
     if n < 2:
         return total
@@ -311,7 +310,7 @@ def _def_clow(plan: FamilyPlan, ring, X, Y):
                        visited | (1 << w))
 
     for head in range(n - 1):
-        base = ring.one if Y[head] is None else Y[head]
+        base = Y.get(head, ring.one)
         for w in range(head + 1, n):
             f = step[head, w]
             extend(head, w, n - 1, base if f is None else mul(base, f),

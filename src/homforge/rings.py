@@ -8,6 +8,15 @@ range(q).  The tables are built by numpy broadcasts and gathers over
 element indices, and the product table doubles as the modulus check:
 F_p[x]/(f) is a field iff it has no zero divisors iff f is irreducible, so
 a modulus is refused iff its table holds a 0 off the zero row and column.
+
+For ``Circuit.eval_batch`` a field with k > 1 also holds discrete-log
+codes (Zech-logarithm arithmetic; Lidl and Niederreiter, ch. 2): for a
+primitive element g, g^i has code i < q-1 and 0 has code q-1, the largest.
+``_exp`` maps a code to its element, ``_log`` back, and ``_code_add`` is
+the add table relabelled into codes.  A product of nonzero elements is
+then a sum of codes mod q-1, while a sum still goes through a table.  g is
+found by walking rows of the product table, not by ``mul``; it need not
+be x (x^2 + 1 is irreducible but not primitive over F_3 and over F_7).
 The characteristic p is tested by Miller-Rabin, exact below about 3.3e24
 (``_PRIME_LIMIT``); a larger p is refused.
 
@@ -95,6 +104,7 @@ class Field:
             self.modulus = modulus
             self._add_table, self._mul_table = add, mul
             self._neg_table = mul[p - 1]  # -a = (p - 1) * a
+            self._exp, self._log, self._code_add = _code_tables(add, mul)
 
     @classmethod
     def from_spec(cls, spec: str, modulus: tuple[int, ...] | None = None) -> "Field":
@@ -119,6 +129,10 @@ class Field:
         return 1
 
     def from_int(self, n: int) -> int:
+        """The image of the integer n; anything but an int is refused, so a
+        float or a string never passes for an element."""
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{n!r} is not an integer")
         return n % self.p
 
     def add(self, a: int, b: int) -> int:
@@ -211,6 +225,26 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.nd
         lo, hi = p ** (d - 1), p**d
         mul[hi : hi * p] = add[times_x[mul[lo:hi, None]], scaled].reshape(-1, q)
     return add, mul
+
+
+def _code_tables(add: np.ndarray, mul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp, log, code add table) of the discrete-log codes of a field of
+    order q >= 4 with these tables (see the module docstring).
+
+    g is the first element whose walk 1, g, g^2, ... along its row of
+    ``mul`` comes back to 1 only after q-1 steps.
+    """
+    q = len(mul)
+    for g in range(2, q):
+        row, powers = mul[g].tolist(), [1]
+        while (x := row[powers[-1]]) != 1:
+            powers.append(x)
+        if len(powers) == q - 1:
+            break
+    exp = np.array(powers + [0], dtype=np.int64)
+    log = np.empty(q, dtype=np.int64)
+    log[exp] = np.arange(q)
+    return exp, log, log[add[exp[:, None], exp]]
 
 
 class TruncRing:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from math import isqrt, log
 
@@ -314,6 +315,47 @@ def test_eval_batch_exact_over_extension_fields(q):
     batch = {f"x{i}": np.concatenate([np.arange(q), rng.integers(0, q, size=8)])
              for i in range(3)}
     assert_every_gate_matches_scalar(long_gates_circuit(120, 45), F, batch)
+
+
+@pytest.mark.parametrize("q, n_prod", [(4, 150), (16, 40), (49, 1500)])
+def test_eval_batch_reduces_code_sums_mid_group(q, n_prod):
+    # over F_q a product sums its factors' discrete-log codes, at most q-2 for
+    # a nonzero factor, so an unreduced sum of n_prod codes q-2 would wrap:
+    # past 255 after 128 factors at q = 4 and 19 at q = 16 (uint8), past 65535
+    # after 1,395 at q = 49 (uint16); 0, code q-1, is first, in the middle,
+    # last or everywhere in some columns, also after a wrap point
+    p, k = {4: (2, 2), 16: (2, 4), 49: (7, 2)}[q]
+    F = Field(p, k)
+    c = Circuit([Gate("input", label=f"x{i}") for i in range(n_prod)]
+                + [Gate("mul", args=tuple(range(n_prod)))], n_prod)
+    values = np.random.default_rng(q).integers(1, q, size=(n_prod, 9))
+    values[:, 0] = values[:, 1] = F._exp[q - 2]
+    values[-1, 1] = 0
+    values[0, 2] = values[n_prod // 2, 3] = values[-1, 4] = 0
+    values[:, 5] = 0
+    values[:, 6] = 1
+    batch = {f"x{i}": row for i, row in enumerate(values)}
+    assert_batch_matches_scalar(c, F, batch)
+    assert c.eval_batch(batch, F)[1:6].tolist() == [0] * 5
+
+
+@pytest.mark.parametrize("F", [Field(5), Field(2, 2)])
+def test_non_integer_inputs_refused(F):
+    # numpy would cast [1.7, 2.2] and ["1", "2"] to [1, 2], and 1.7 % 5 is no
+    # element of F_5
+    c = small_circuit()
+    for bad in (np.array([1.7, 2.2]), np.array(["1", "2"]), np.array([1, 2], dtype=object)):
+        batch = {"x": np.array([1, 2]), "y": bad, "z": np.array([0, 3])}
+        with pytest.raises(ValueError, match=re.escape(f"input 'y' has dtype {bad.dtype}")):
+            c.eval_batch(batch, F)
+    for bad in (1.7, "1"):
+        with pytest.raises(ValueError):
+            c.eval({"x": 1, "y": bad, "z": 0}, F)
+    # bool and every integer dtype are read as they are
+    for dtype in (bool, np.uint8, np.int16, np.int64):
+        batch = {"x": np.array([1, 0], dtype=dtype), "y": np.array([0, 1], dtype=dtype),
+                 "z": np.array([1, 1], dtype=dtype)}
+        assert_batch_matches_scalar(c, F, batch)
 
 
 def _largest_primes(dtype, count: int) -> list[int]:

@@ -166,6 +166,32 @@ def test_tables_match_pairwise_reference():
                 assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+def test_code_tables_are_discrete_logs(monkeypatch):
+    # g is found on the product table, not through Field.mul, whose calls the
+    # benchmark counts; x is not primitive under x^2 + 1 over F_3 or F_7
+    monkeypatch.setattr(Field, "mul", lambda *args: pytest.fail("Field.mul called"))
+    for q, m in DEFAULT_MODULI.items():
+        k = len(m) - 1
+        p = round(q ** (1 / k))
+        for c in range(1, p):  # the default modulus and its non-monic multiples
+            F = Field(p, k, tuple(c * x for x in m))
+            exp, log = F._exp, F._log
+            assert sorted(exp.tolist()) == list(range(q)) and exp[q - 1] == 0
+            assert np.array_equal(log[exp], np.arange(q)) and np.array_equal(exp[log], np.arange(q))
+            i = np.arange(q - 1)
+            assert np.array_equal(exp[(i[:, None] + i) % (q - 1)], F._mul_table[np.ix_(exp[i], exp[i])])
+            assert np.array_equal(exp[F._code_add], F._add_table[np.ix_(exp, exp)])
+    assert Field(3, 2)._exp[1] != 3 and Field(7, 2)._exp[1] != 7
+
+
+def test_from_int_refuses_non_integers():
+    F = Field(5)
+    assert F.from_int(np.int64(7)) == 2 and F.from_int(True) == 1 and F.from_int(-1) == 4
+    for bad in (1.7, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            F.from_int(bad)
+
+
 def test_large_extension_field_builds():
     F = Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))  # x^11 + x^2 + 1
     x = 2
