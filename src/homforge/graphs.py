@@ -23,7 +23,6 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-UNREACHABLE = 10**9  # the distance between vertices in different components
 # the most source vertices enumerate_homs takes: its search recurses once per
 # source vertex, and Python's default recursion limit is 1,000 frames (800
 # leaves room for the callers' frames), so a larger source is refused with
@@ -183,18 +182,6 @@ class Graph:
                     elif colour[y] == colour[x]:
                         return False
         return True
-
-    def bfs(self, s: int) -> list[int]:
-        """BFS distances from s, indexed by vertex, unreachable = UNREACHABLE."""
-        d = [UNREACHABLE] * (self.n + 1)
-        d[s] = 0
-        queue = [s]
-        for x in queue:  # the loop also visits what it appends
-            for y in self.adj[x]:
-                if d[y] == UNREACHABLE:
-                    d[y] = d[x] + 1
-                    queue.append(y)
-        return d
 
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:

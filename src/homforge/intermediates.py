@@ -13,13 +13,13 @@ The module provides:
   concrete instance (the standard projection) turns a single coefficient
   of the family polynomial into the answer of a #P-style counting problem.
 
-Values travel as tuples in registry order.  Labels are met only at the
-edges: ``FamilyInstance`` reads its dict into a tuple once, and
-``count_via_coefficient`` builds the projected tuple without formatting a
-label.  The sums read int index lists from a ``FamilyPlan``, built once
-per (family, n).  A factor equal to the ring's one is dropped before a sum
-starts, so the sat sum's work per term follows its non-one factors: under
-a projection, the instance's clauses rather than all 8n^3 clause slots.
+Values travel as tuples in registry order; ``FamilyInstance`` reads its
+label dict into one once.  The sums read int index lists from a
+``FamilyPlan``, built once per (family, n), and their values keyed by
+registry index, a missing index standing for one: a sat projection holds
+one entry per distinct clause, not n + 8n^3 slots.  The sat, vc, cis and
+tdm sums run through one frontier walk, ``_walk``, which still forms and
+adds every one of their 2^N terms.
 
 Exponent convention: all variables appear as (q-1)-th powers, so by
 Fermat a nonzero value contributes 1 and a zero value kills the term.
@@ -173,26 +173,24 @@ def _budget_check(family: str, n: int) -> None:
 def eval_definitional(inst: FamilyInstance) -> int:
     """The defining sum over the instance field."""
     _budget_check(inst.family, inst.n)
-    return _eval_def(inst.family, inst.n, inst.field.q, inst.field, inst.values)
+    return _eval_def(inst.family, inst.n, inst.field.q, inst.field,
+                     dict(enumerate(inst.values)))
 
 
-def _eval_def(family: str, n: int, q: int, ring, vals):
-    """The defining sum of ``vals``, ring elements in registry order."""
+def _eval_def(family: str, n: int, q: int, ring, vals: dict):
+    """The defining sum of ``vals``, ring elements keyed by registry index,
+    a missing index standing for one; only the (q-1)-th powers that are not
+    one reach the family's sum."""
     plan = family_plan(family, n)
-    X = _factors(ring, vals[:plan.nx], q - 1)
-    Y = _factors(ring, vals[plan.nx:], q - 1)
+    one, pow_, nx = ring.one, ring.pow, plan.nx
+    X, Y = {}, {}
+    for i, v in vals.items():
+        if v != one and (f := pow_(v, q - 1)) != one:
+            if i < nx:
+                X[i] = f
+            else:
+                Y[i - nx] = f
     return _DEFS[family](plan, ring, X, Y)
-
-
-def _factors(ring, values, qm1: int) -> dict:
-    """The (q-1)-th powers of ``values`` that are not the ring's one, by
-    index; a missing index stands for one.  Each sum tests a factor once
-    instead of once per term, and reads only the factors that are not one:
-    under a projection, the sat sum reads the instance's clauses, not all
-    8n^3 clause slots."""
-    one, pow_ = ring.one, ring.pow
-    powers = {i: pow_(v, qm1) for i, v in enumerate(values) if v != one}
-    return {i: f for i, f in powers.items() if f != one}
 
 
 def _product(mul, factors):
@@ -204,84 +202,81 @@ def _product(mul, factors):
     return acc
 
 
-def _def_sat(plan: FamilyPlan, ring, X, Y):
-    n, mul = plan.n, ring.mul
-    # group the satisfied-clause product by the first true literal:
-    # rows[i] covers clauses whose first literal i is true, pairs[i, j] those
-    # with i false and second literal j true, and triples[i, j, k] the rest;
-    # only the clauses whose factor is not one are grouped
-    rows, pairs, triples = {}, {}, {}
-    for idx, f in Y.items():
-        i, j, k = _positions(idx, n)
-        for group, key in ((rows, i), (pairs, (i, j)), (triples, (i, j, k))):
-            group[key] = mul(group[key], f) if key in group else f
-    # (need, forbid, factor): the factor enters every term whose true-literal
-    # mask meets ``need`` and misses ``forbid``; X_v needs literal +v
-    groups = [(1 << 2 * v, 0, f) for v, f in X.items()]
-    groups += [(1 << i, 0, f) for i, f in rows.items()]
-    groups += [(1 << j, 1 << i, f) for (i, j), f in pairs.items()]
-    groups += [(1 << k, 1 << i | 1 << j, f) for (i, j, k), f in triples.items()]
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    # true-literal mask of each assignment, bit v of the index is x_{v+1}:
-    # all false makes every negative literal true, and setting x_{v+1}
-    # swaps the bits of literals +(v+1) and -(v+1)
-    masks = [sum(2 << 2 * v for v in range(n))]
-    for v in range(n):
-        masks += [m ^ 3 << 2 * v for m in masks]
-    total, one = ring.zero, ring.one
-    for tm in masks:
-        term = one
-        for need, forbid, f in groups:
-            if tm & need and not tm & forbid:
-                term = mul(term, f)
+
+def _walk(ring, choices, touch: dict):
+    """Sum over one option per item of the options' own factors times the
+    factor of every bit the options touch, each bit counted once.
+
+    ``choices[i]`` lists item i's options as (own factor or None, touch
+    mask); ``touch`` maps a bit to its factor, a missing bit standing for
+    one.  The frontier holds one term per choice prefix beside the mask of
+    the bits that prefix touched, so every term is formed and added.  An
+    option's step factor depends only on the bits it newly touches, and a
+    memo per option keeps it by those bits.
+    """
+    mul, live = ring.mul, sum(1 << j for j in touch)
+    terms, seen = [ring.one], [0]
+    for options in choices:
+        next_terms, next_seen = [], []
+        for own, mask in options:
+            mask &= live
+            if own is None and not mask:
+                next_terms += terms
+                next_seen += seen
+                continue
+            memo = {}
+            for term, s in zip(terms, seen):
+                fresh = mask & ~s
+                f = memo.get(fresh, memo)  # memo itself marks a miss
+                if f is memo:
+                    f = memo[fresh] = _product(mul, (own, *map(touch.get, _bits(fresh))))
+                next_terms.append(term if f is None else mul(term, f))
+                next_seen.append(s | mask)
+        terms, seen = next_terms, next_seen
+    total = ring.zero
+    for term in terms:
         total = ring.add(total, term)
     return total
+
+
+def _def_sat(plan: FamilyPlan, ring, X, Y):
+    # variable v is false or true, which makes literal -v or +v true; a
+    # literal touches the clauses that hold it.  Clauses over the same
+    # literals are touched together, so one bit stands for all of them.
+    n, mul = plan.n, ring.mul
+    by_literals = {}
+    for idx, f in Y.items():
+        key = frozenset(_positions(idx, n))
+        by_literals[key] = mul(by_literals[key], f) if key in by_literals else f
+    masks = [0] * (2 * n)
+    for b, key in enumerate(by_literals):
+        for pos in key:
+            masks[pos] |= 1 << b
+    choices = [((None, masks[2 * v + 1]), (X.get(v), masks[2 * v])) for v in range(n)]
+    return _walk(ring, choices, dict(enumerate(by_literals.values())))
 
 
 def _def_vc(plan: FamilyPlan, ring, X, Y):
-    mul = ring.mul
-    # an edge factor enters when the cover holds either endpoint, a vertex
-    # factor when it holds the vertex
-    groups = [(sum(1 << v for v in plan.edges[e]), f) for e, f in X.items()]
-    groups += [(1 << v, f) for v, f in Y.items()]
-    total, one = ring.zero, ring.one
-    for bits in range(1 << plan.n):
-        term = one
-        for mask, f in groups:
-            if bits & mask:
-                term = mul(term, f)
-        total = ring.add(total, term)
-    return total
+    # a vertex is out of the cover or in it, and then touches its edges
+    masks = [0] * plan.n
+    for e, ends in enumerate(plan.edges):
+        for v in ends:
+            masks[v] |= 1 << e
+    return _walk(ring, [((None, 0), (Y.get(v), m)) for v, m in enumerate(masks)], X)
 
 
-def _touch_sum(plan: FamilyPlan, ring, X, Y):
-    """Sum over every subset S of the edges of the product of X[e] over e in
-    S times Y[v] over the vertices v that S touches (each vertex once); the
-    cis and tdm sums.
-
-    Subsets are walked depth-first, so subsets that share a prefix share its
-    product; every subset still adds its own term.
-    """
-    mul = ring.mul
-    edges = plan.edges
-    # step[idx][fresh]: X of edge idx times Y of the endpoints in bitmask
-    # ``fresh``, the ones that no earlier edge of the subset touched
-    masks, step = [], []
-    for idx, e in enumerate(edges):
-        masks.append(sum(1 << v for v in e))
-        step.append({sum(1 << v for v in s): _product(mul, (X.get(idx), *map(Y.get, s)))
-                     for r in range(len(e) + 1) for s in combinations(e, r)})
-    total = ring.zero
-
-    def walk(start: int, term, touched: int) -> None:
-        nonlocal total
-        total = ring.add(total, term)
-        for idx in range(start, len(edges)):
-            f = step[idx][masks[idx] & ~touched]
-            walk(idx + 1, term if f is None else mul(term, f), touched | masks[idx])
-
-    walk(0, ring.one, 0)
-    return total
+def _def_touch(plan: FamilyPlan, ring, X, Y):
+    # cis and tdm: an edge is out of the subset or in it, and then touches
+    # its vertices
+    return _walk(ring, [((None, 0), (X.get(e), sum(1 << v for v in ends)))
+                        for e, ends in enumerate(plan.edges)], Y)
 
 
 def _def_clow(plan: FamilyPlan, ring, X, Y):
@@ -318,8 +313,8 @@ def _def_clow(plan: FamilyPlan, ring, X, Y):
     return total
 
 
-_DEFS = {"sat": _def_sat, "vc": _def_vc, "cis": _touch_sum, "clow": _def_clow,
-         "tdm": _touch_sum}
+_DEFS = {"sat": _def_sat, "vc": _def_vc, "cis": _def_touch, "clow": _def_clow,
+         "tdm": _def_touch}
 
 
 # -- fast evaluation ----------------------------------------------------------
@@ -423,18 +418,20 @@ _INSTANCE_TYPES = {"sat": CNF, "vc": Graph, "cis": Graph, "clow": Graph,
                    "tdm": Hypergraph3}
 
 
-def _projected(family: str, instance, strict_recipe: bool, images) -> list:
-    """The standard projection of ``instance`` in registry order, each
-    variable given as its entry of ``images``, the images of (0, 1, z, t).
+def _projected(family: str, instance, strict_recipe: bool, images) -> dict:
+    """The standard projection of ``instance``: the images that are not one,
+    keyed by registry index, each given as its entry of ``images``, the
+    images of (0, z, t).  A sat projection holds one entry per distinct
+    clause and none for the other clause slots.
 
     For tdm, absent hyperedges go to 0; ``strict_recipe`` sends them to 1,
     under which the coefficient also counts subsets of absent hyperedges
     and the matching identity fails.
     """
-    zero, one, z, t = images
+    zero, z, t = images
     n = instance.n
     if family == "sat":
-        out = [one] * (n + 8 * n ** 3)
+        out = {}
         for c in instance.clauses:
             if any(not 0 < abs(l) <= n for l in c):
                 raise ValueError(f"clause {c} uses literals outside the registry")
@@ -442,9 +439,14 @@ def _projected(family: str, instance, strict_recipe: bool, images) -> list:
             out[n + (a * 2 * n + b) * 2 * n + d] = t
         return out
     if family == "tdm":
-        absent = one if strict_recipe else zero
-        return [z if e in instance.edges else absent for e in _triples(n)] + [t] * (3 * n)
-    return [z if instance.has_edge(u, v) else one for (u, v) in _pairs(n)] + [t] * n
+        keys, ny = _triples(n), 3 * n
+        out = {i: z if e in instance.edges else zero for i, e in enumerate(keys)
+               if not strict_recipe or e in instance.edges}
+    else:
+        keys, ny = _pairs(n), n
+        out = {i: z for i, (u, v) in enumerate(keys) if instance.has_edge(u, v)}
+    out.update((len(keys) + i, t) for i in range(ny))
+    return out
 
 
 @dataclass
@@ -516,8 +518,7 @@ def count_via_coefficient(family: str, instance, field: Field,
     # units of q-1: z stands for z^(q-1) and t for t^(q-1), and each factor
     # enters to the first power, as over F_2
     ring = CountRing(dz, dt)
-    vals = _projected(family, instance, strict_recipe,
-                      (ring.dead, ring.one, ring.z, ring.t))
+    vals = _projected(family, instance, strict_recipe, (ring.dead, ring.z, ring.t))
     total = _eval_def(family, n, 2, ring, vals)
     coeff = field.from_int(total[dz << ring.shift | dt])
     qm1 = field.q - 1

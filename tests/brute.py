@@ -23,8 +23,10 @@ import numpy as np
 
 from homforge.circuit import Circuit
 from homforge.gadgets import GadgetGraph
-from homforge.graphs import UNREACHABLE, Graph
+from homforge.graphs import Graph
 from homforge.labels import Monomial, mono_mul, yedge, zvar
+
+UNREACHABLE = 10**9  # the distance between vertices in different components
 
 
 def is_homomorphism(G: Graph, H: Graph, phi) -> bool:

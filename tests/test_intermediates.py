@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -12,7 +13,7 @@ from homforge.intermediates import (DEF_BUDGETS, FAMILIES, FamilyInstance,
                                     _eval_def, _projected, clause_space,
                                     count_via_coefficient, eval_definitional,
                                     eval_fast, family_plan, hc_from_coefficient,
-                                    literals, registry)
+                                    literals, registry, tdm_vertex)
 from homforge.labels import mono, xedge, xhyper, xvar, yclause, yvert
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
                               count_sat3, count_vc)
@@ -181,7 +182,8 @@ def test_definitional_budget_error_mentions_fast_path():
 def definitional_polynomial(family: str, n: int, q: int) -> dict:
     """Symbolic expansion of the family polynomial with integer coefficients."""
     ring = SymbolicRing(bound=500_000)
-    return _eval_def(family, n, q, ring, [ring.var(lab) for lab in registry(family, n)])
+    return _eval_def(family, n, q, ring, {i: ring.var(lab)
+                                          for i, lab in enumerate(registry(family, n))})
 
 
 def test_definitional_polynomial_sat_dense():
@@ -201,6 +203,40 @@ def test_definitional_polynomial_sat_dense():
             assert definitional_polynomial("sat", n, q) == want, (n, q)
 
 
+def subset_expansion(items, q: int) -> dict:
+    """Sum over every subset of ``items``, each a (label, touched labels)
+    pair, of the (q-1)-th powers of the chosen labels and of every label
+    the subset touches, each once."""
+    want: dict = {}
+    for r in range(len(items) + 1):
+        for chosen in combinations(items, r):
+            touched = {lab for _, labs in chosen for lab in labs}
+            m = mono(*((lab, q - 1) for lab, _ in chosen), *((lab, q - 1) for lab in touched))
+            want[m] = want.get(m, 0) + 1
+    return want
+
+
+def test_definitional_polynomial_vc_cis_tdm_dense():
+    # every factor is a variable, so every term is its own monomial and a
+    # dropped or doubled term shows.  vc: a cover holds vertices and
+    # touches their edges; cis and tdm: a subset holds edges (hyperedges)
+    # and touches their vertices
+    n = 3
+    pairs = list(combinations(range(1, n + 1), 2))
+    for q in (2, 3):
+        covers = [(yvert(v), [xedge(*e) for e in pairs if v in e]) for v in range(1, n + 1)]
+        assert definitional_polynomial("vc", n, q) == subset_expansion(covers, q), q
+        cliques = [(xedge(*e), [yvert(v) for v in e]) for e in pairs]
+        assert definitional_polynomial("cis", n, q) == subset_expansion(cliques, q), q
+    for n in (1, 2):
+        for q in (2, 3):
+            matchings = [(xhyper(*e), [yvert(tdm_vertex(part, i)) for part, i in zip("ABC", e)])
+                         for e in product(range(1, n + 1), repeat=3)]
+            want = subset_expansion(matchings, q)
+            assert len(want) == 2 ** n ** 3
+            assert definitional_polynomial("tdm", n, q) == want, (n, q)
+
+
 def test_definitional_polynomial_vc2():
     # index-2 VC polynomial over F_2: 1 + X(Y1 + Y2 + Y1 Y2)
     p = definitional_polynomial("vc", 2, 2)
@@ -216,7 +252,7 @@ def test_eval_definitional_over_trunc_ring():
     F = Field(3)
     inst = all_ones("vc", 2, F)
     R = TruncRing(F, 4, 4)
-    out = _eval_def("vc", 2, F.q, R, [R.monomial(0, 0, v) for v in inst.values])
+    out = _eval_def("vc", 2, F.q, R, {i: R.monomial(0, 0, v) for i, v in enumerate(inst.values)})
     # every variable is a nonzero constant, so the value is the (0,0) cell
     assert out.coefficient(0, 0) == eval_definitional(inst)
 
@@ -257,6 +293,15 @@ def test_count_via_coefficient_sat_edge_cases(cnf, p):
     assert cc.value == count_sat3(cnf, p).modp
     assert cc.t_degree == len(set(cnf.clauses)) * (p - 1)
     assert_count_table(cc, "sat", cnf, F)
+
+
+def test_sat_projection_holds_one_entry_per_distinct_clause():
+    # the clause slots that no clause fills are one, and stay out of the map
+    cnf = CNF(4, ((1, -2, 3), (3, 3, -4), (1, -2, 3), (-1, -1, -1)))
+    vals = _projected("sat", cnf, False, ("zero", "z", "t"))
+    index = family_plan("sat", 4).index
+    assert vals == {index[yclause(*c)]: "t" for c in cnf.distinct_clauses()}
+    assert len(vals) == 3
 
 
 def test_count_via_coefficient_vc():
@@ -325,7 +370,7 @@ def test_count_via_coefficient_random_vs_oracles():
 
 def projected_sum(family, instance, q, ring, zero, strict_recipe=False):
     """The family sum over F_q under the standard projection, summed in ``ring``."""
-    vals = _projected(family, instance, strict_recipe, (zero, ring.one, ring.z, ring.t))
+    vals = _projected(family, instance, strict_recipe, (zero, ring.z, ring.t))
     return _eval_def(family, instance.n, q, ring, vals)
 
 
