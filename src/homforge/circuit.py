@@ -48,11 +48,10 @@ class Gate:
 class ParseTree:
     """A parse tree of a multiplicatively disjoint circuit.
 
-    gates is the set of gate ids kept by the tree; coeff multiplies out the
-    constant leaves and monomial collects the input-leaf labels.
+    coeff multiplies out the constant leaves and monomial collects the
+    input-leaf labels.
     """
 
-    gates: frozenset[int]
     coeff: int
     monomial: Monomial
 
@@ -348,21 +347,16 @@ class Circuit:
                 return memo[gid]
             op = ops[gid]
             if op == CONST:
-                res = [ParseTree(frozenset([gid]), keys[gid], ())]
+                res = [ParseTree(keys[gid], ())]
             elif op == INPUT:
-                res = [ParseTree(frozenset([gid]), 1, ((keys[gid], 1),))]
+                res = [ParseTree(1, ((keys[gid], 1),))]
             elif op == ADD:
-                res = [
-                    ParseTree(t.gates | {gid}, t.coeff, t.monomial)
-                    for a in args[gid]
-                    for t in rec(a)
-                ]
+                res = [t for a in args[gid] for t in rec(a)]
             else:
-                res = [ParseTree(frozenset([gid]), 1, ())]
+                res = [ParseTree(1, ())]
                 for a in args[gid]:
                     res = [
-                        ParseTree(t.gates | s.gates, t.coeff * s.coeff,
-                                  mono_mul(t.monomial, s.monomial))
+                        ParseTree(t.coeff * s.coeff, mono_mul(t.monomial, s.monomial))
                         for t in res
                         for s in rec(a)
                     ]

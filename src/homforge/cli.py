@@ -97,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--decomp", required=True,
                     help="nice tree decomposition file (.td)")
     sp.add_argument("--target", help="target graph file (.gr)")
-    sp.add_argument("--target-size", "--complete-target", type=int,
-                    dest="target_size",
+    sp.add_argument("--target-size", type=int,
                     help="use a complete target graph on this many vertices")
     sp.add_argument("--out", help="write the circuit text here")
     common(sp)

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from .gadgets import GadgetPair, GadgetTriple
-from .graphs import Graph, are_incomparable, is_rigid, neighbourhood
+from .graphs import Graph, are_incomparable, is_rigid, reach
 
 # per-size sample budgets chosen so the default search reliably reaches a
 # triple of 8-vertex blocks in seconds; the n=7 budget only sets the stream
@@ -49,15 +49,9 @@ def _prefilter(nbr: Sequence[int]) -> bool:
             m ^= low
         if common & ~nbr[v] & ~(1 << v):
             return False
-    # breadth-first from vertex 1: an edge inside one level closes an odd
-    # cycle, and a connected graph reaches every vertex
-    seen = frontier = 2
-    odd = False
-    while frontier:
-        reach = neighbourhood(nbr, frontier)
-        odd = odd or bool(reach & frontier)
-        frontier = reach & ~seen
-        seen |= frontier
+    # a block is connected, and an edge inside one breadth-first layer
+    # closes an odd cycle
+    seen, odd = reach(nbr, 1)
     return odd and seen == (1 << (n + 1)) - 2
 
 

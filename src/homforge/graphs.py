@@ -47,6 +47,20 @@ def neighbourhood(nbr: Sequence[int], mask: int) -> int:
     return out
 
 
+def reach(nbr: Sequence[int], start: int) -> tuple[int, bool]:
+    """The mask of vertices reached from ``start`` under the neighbour
+    masks nbr, and whether an edge joins two vertices of one breadth-first
+    layer, that is, whether the component of start has an odd cycle."""
+    seen = frontier = 1 << start
+    odd = False
+    while frontier:
+        out = neighbourhood(nbr, frontier)
+        odd = odd or bool(out & frontier)
+        frontier = out & ~seen
+        seen |= frontier
+    return seen, odd
+
+
 def ball_rings(nbr: Sequence[int], h: int) -> list[int]:
     """rings[d] is the mask of vertices within distance d of h under the
     neighbour masks nbr, for d from 0 to the eccentricity of h in its
@@ -145,42 +159,16 @@ class Graph:
 
     # -- standard predicates --------------------------------------------------
 
-    def components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        out = []
-        for s in self.vertices():
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(comp)
-        return out
-
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or reach(self.nbr_masks, 1)[0] == (1 << (self.n + 1)) - 2
 
     def is_bipartite(self) -> bool:
-        colour: dict[int, int] = {}
-        for s in self.vertices():
-            if s in colour:
-                continue
-            colour[s] = 0
-            queue = [s]
-            while queue:
-                x = queue.pop()
-                for y in self.adj[x]:
-                    if y not in colour:
-                        colour[y] = 1 - colour[x]
-                        queue.append(y)
-                    elif colour[y] == colour[x]:
-                        return False
+        left = (1 << (self.n + 1)) - 2
+        while left:
+            seen, odd = reach(self.nbr_masks, (left & -left).bit_length() - 1)
+            if odd:
+                return False
+            left &= ~seen
         return True
 
     @cached_property
@@ -317,7 +305,6 @@ def enumerate_homs(
     *,
     order: list[int] | None = None,
     distance_prune: bool = False,
-    first_only: bool = False,
 ) -> list[tuple[int, ...]]:
     """All homomorphisms G -> H, sorted lexicographically as map tuples.
 
@@ -353,12 +340,12 @@ def enumerate_homs(
     results: list[tuple[int, ...]] = []
     image = [0] * (n + 1)  # image[v] for assigned v
 
-    def rec(i: int) -> bool:
+    def rec(i: int) -> None:
         if i == n:
             results.append(tuple(image[1:]))
             if cap is not None and len(results) > cap:
                 raise HomCapExceeded(cap, len(results))
-            return first_only
+            return
         v = order[i]
         cand = every
         for w in earlier_nbrs[i]:
@@ -378,9 +365,7 @@ def enumerate_homs(
             low = cand & -cand
             cand ^= low
             image[v] = low.bit_length() - 1
-            if rec(i + 1):
-                return True
-        return False
+            rec(i + 1)
 
     rec(0)
     results.sort()
@@ -388,7 +373,12 @@ def enumerate_homs(
 
 
 def has_hom(G: Graph, H: Graph) -> bool:
-    return bool(enumerate_homs(G, H, first_only=True))
+    """Some homomorphism G -> H: the search stops at the first map."""
+    try:
+        enumerate_homs(G, H, cap=0)
+    except HomCapExceeded:
+        return True
+    return False
 
 
 def is_rigid(G: Graph) -> bool:

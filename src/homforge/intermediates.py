@@ -8,7 +8,8 @@ The module provides:
   field (``_eval_def`` sums it in any ring with zero/one/add/mul/pow);
 * ``eval_fast`` — the polynomial-time evaluation over F_q, exploiting the
   fact that every exponent is a multiple of q-1, so only zero/nonzero
-  patterns of the assignment matter;
+  patterns of the assignment matter; it counts in Python ints, exact for
+  every prime;
 * ``count_via_coefficient`` — substituting z/t for the variables of a
   concrete instance (the standard projection) turns a single coefficient
   of the family polynomial into the answer of a #P-style counting problem.
@@ -19,7 +20,9 @@ label dict into one once.  The sums read int index lists from a
 registry index, a missing index standing for one: a sat projection holds
 one entry per distinct clause, not n + 8n^3 slots.  The sat, vc, cis and
 tdm sums run through one frontier walk, ``_walk``, which still forms and
-adds every one of their 2^N terms.
+adds every one of their 2^N terms.  Both clow routes are frontier walks
+from each head, a closed walk's least vertex: the sum keeps one term per
+walk prefix, the fast route one walk count mod p per current vertex.
 
 Exponent convention: all variables appear as (q-1)-th powers, so by
 Fermat a nonzero value contributes 1 and a zero value kills the term.
@@ -30,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-
-import numpy as np
 
 from .formulas import CNF
 from .graphs import Graph, Hypergraph3
@@ -280,6 +281,9 @@ def _def_touch(plan: FamilyPlan, ring, X, Y):
 
 
 def _def_clow(plan: FamilyPlan, ring, X, Y):
+    # a clow is a closed walk of n moves from its head, its least vertex,
+    # through vertices above the head and back to it.  The frontier holds
+    # one entry per walk prefix: (term, current vertex, visited mask)
     n, mul = plan.n, ring.mul
     # Xm[u, w] is the factor for the move u -> w; step[u, w] also carries
     # Y of w, for a move onto a vertex the walk has not visited yet
@@ -288,28 +292,24 @@ def _def_clow(plan: FamilyPlan, ring, X, Y):
         Xm[u, v] = Xm[v, u] = f = X.get(idx)
         step[u, v] = _product(mul, (f, Y.get(v)))
         step[v, u] = _product(mul, (f, Y.get(u)))
+
+    def moves(frontier, above):
+        for term, cur, seen in frontier:
+            for w in above:
+                if w != cur:
+                    f = Xm[cur, w] if seen >> w & 1 else step[cur, w]
+                    yield term if f is None else mul(term, f), w, seen | 1 << w
+
     total = ring.zero
-    if n < 2:
-        return total
-
-    def extend(head: int, cur: int, steps_left: int, term, visited: int):
-        nonlocal total
-        if steps_left == 1:
-            f = Xm[cur, head]
-            total = ring.add(total, term if f is None else mul(term, f))
-            return
-        for w in range(head + 1, n):
-            if w != cur:
-                f = Xm[cur, w] if (visited >> w) & 1 else step[cur, w]
-                extend(head, w, steps_left - 1, term if f is None else mul(term, f),
-                       visited | (1 << w))
-
     for head in range(n - 1):
-        base = Y.get(head, ring.one)
-        for w in range(head + 1, n):
-            f = step[head, w]
-            extend(head, w, n - 1, base if f is None else mul(base, f),
-                   (1 << head) | (1 << w))
+        above = range(head + 1, n)
+        frontier = [(Y.get(head, ring.one), head, 0)]
+        for _ in range(n - 2):
+            frontier = list(moves(frontier, above))
+        # the last move and the closing edge go straight into the total
+        for term, w, _ in moves(frontier, above):
+            f = Xm[w, head]
+            total = ring.add(total, term if f is None else mul(term, f))
     return total
 
 
@@ -379,32 +379,26 @@ def _fast_alive(inst: FamilyInstance) -> int:
 
 
 def _fast_clow(inst: FamilyInstance) -> int:
-    n, F = inst.n, inst.field
-    if n < 2:
-        return 0
-    p = F.p
-    A = np.zeros((n, n), dtype=np.int64)
+    # closed walks on the live edges: from each head, walk counts mod p per
+    # current vertex above the head, one move out of the head, n - 2 moves
+    # among the vertices above it, then an edge back to the head
+    n, p = inst.n, inst.field.p
+    nbrs = [[] for _ in range(n)]
     for u, v in _alive(inst):
-        A[u, v] = A[v, u] = 1
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     total = 0
-    for head in range(n):
-        Ai = A.copy()
-        Ai[:head, :] = 0
-        Ai[:, :head] = 0
-        Anext = Ai.copy()
-        Anext[head, :] = 0
-        Anext[:, head] = 0
-        mid = np.eye(n, dtype=np.int64)
-        e = n - 2
-        base = Anext
-        while e:
-            if e & 1:
-                mid = (mid @ base) % p
-            base = (base @ base) % p
-            e >>= 1
-        prod = (Ai @ mid % p) @ Ai % p
-        total += int(prod[head, head])
-    return F.from_int(total % p)
+    for head in range(n - 1):
+        counts = {w: 1 for w in nbrs[head] if w > head}
+        for _ in range(n - 2):
+            nxt = {}
+            for u, c in counts.items():
+                for w in nbrs[u]:
+                    if w > head:
+                        nxt[w] = nxt.get(w, 0) + c
+            counts = {w: c % p for w, c in nxt.items()}
+        total += sum(counts.get(w, 0) for w in nbrs[head])
+    return inst.field.from_int(total)
 
 
 _FASTS = {"sat": _fast_sat, "vc": _fast_vc, "cis": _fast_alive, "clow": _fast_clow,

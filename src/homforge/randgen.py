@@ -111,19 +111,11 @@ def random_hypergraph(n: int, m: int, rng: random.Random) -> Hypergraph3:
     return Hypergraph3(n, frozenset(rng.sample(space, min(m, len(space)))))
 
 
-def random_layered_bp(ell: int, width: int, rng: random.Random,
-                      label_prefix: str = "w") -> LayeredBP:
+def random_layered_bp(ell: int, width: int, rng: random.Random) -> LayeredBP:
     """A random program with ``ell`` layers, width <= ``width``, fresh arc
     labels, and at least one source-to-sink path."""
     sizes = [1] + [rng.randint(1, width) for _ in range(ell - 2)] + [1]
     arcs = []
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        counter += 1
-        return f"{label_prefix}{counter}"
-
     chosen = set()
     # guaranteed path
     prev = 0
@@ -135,7 +127,7 @@ def random_layered_bp(ell: int, width: int, rng: random.Random,
         for i in range(sizes[l]):
             for j in range(sizes[l + 1]):
                 if (l, i, j) in chosen or rng.random() < 0.4:
-                    arcs.append(Arc(l, i, j, fresh()))
+                    arcs.append(Arc(l, i, j, f"w{len(arcs) + 1}"))
     return LayeredBP(sizes, arcs, source=0, sink=0)
 
 

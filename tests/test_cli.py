@@ -178,6 +178,14 @@ def test_eval_over_large_characteristic(capsys):
     assert code == 2 and "primality is decided only below" in err
 
 
+def test_eval_clow_over_a_70_bit_prime(capsys):
+    # walk counts mod a 70-bit prime do not fit a 64-bit word; the 14 clows
+    # of K_4 are counted exactly
+    code, out, _ = run(capsys, "eval", "--family", "clow", "--n", "4", "--field",
+                       "1180591620717411303389", "--format", "kv")
+    assert code == 0 and "value=14" in out.splitlines()
+
+
 def test_eval_with_assignment_file(capsys, tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("Yv:1 0  # drop vertex 1 from every subset\n")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from homforge.circuit import Circuit, Gate
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergraph3,
                              are_incomparable, ball_rings, enumerate_homs,
-                             has_hom, is_rigid, unimplied_balls)
+                             has_hom, is_rigid, reach, unimplied_balls)
 from homforge.randgen import random_layered_bp
 from homforge.verify import _blocks_first_order
 
@@ -45,10 +45,12 @@ def test_edge_normalisation():
 
 def test_components_and_connectivity():
     g = Graph.from_edges(6, [(1, 2), (2, 3), (5, 6)])
-    comps = sorted(map(sorted, g.components()))
-    assert comps == [[1, 2, 3], [4], [5, 6]]
+    assert reach(g.nbr_masks, 2) == (0b1110, False)
+    assert reach(g.nbr_masks, 4) == (0b10000, False)
+    assert reach(g.nbr_masks, 6) == (0b1100000, False)
     assert not g.is_connected()
     assert Graph.cycle(4).is_connected()
+    assert Graph.empty(0).is_connected() and Graph.empty(1).is_connected()
 
 
 def test_bipartiteness():
@@ -57,6 +59,27 @@ def test_bipartiteness():
     assert Graph.path(5).is_bipartite()
     assert not Graph.complete(3).is_bipartite()
     assert Graph.empty(2).is_bipartite()
+    # the odd cycle sits in the second component
+    assert not Graph.from_edges(6, [(1, 2), (4, 5), (5, 6), (4, 6)]).is_bipartite()
+
+
+def test_reach_matches_set_searches():
+    # every graph on at most 5 vertices: connected iff a search from vertex
+    # 1 meets every vertex, bipartite iff some 2-colouring splits every edge
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            reached, stack = {1}, [1]
+            while stack:
+                for w in g.adj.get(stack.pop(), ()):
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            assert g.is_connected() == (n <= 1 or len(reached) == n)
+            two_colourable = any(all((c >> u & 1) != (c >> v & 1) for u, v in g.edges)
+                                 for c in range(1 << (n + 1)))
+            assert g.is_bipartite() == two_colourable
 
 
 def test_distances():
@@ -105,11 +128,9 @@ def test_hom_cap():
     assert len(enumerate_homs(Graph.complete(3), Graph.complete(3), cap=6)) == 6
 
 
-def test_first_only_and_has_hom():
+def test_has_hom():
     assert has_hom(Graph.cycle(6), Graph.complete(2))
     assert not has_hom(Graph.cycle(5), Graph.complete(2))
-    out = enumerate_homs(Graph.cycle(6), Graph.complete(2), first_only=True)
-    assert len(out) == 1
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -133,15 +154,9 @@ DISCONNECTED_CASES = [
 
 def check_against_brute_force(G: Graph, H: Graph) -> None:
     want = brute_homs(G, H)
+    assert has_hom(G, H) == bool(want)
     for prune in (False, True):
         assert enumerate_homs(G, H, distance_prune=prune) == want
-        first = enumerate_homs(G, H, distance_prune=prune, first_only=True)
-        assert len(first) == min(1, len(want)) and set(first) <= set(want)
-        # in vertex order with candidates tried in ascending order, the
-        # first map found is the lexicographically smallest
-        lex = enumerate_homs(G, H, order=list(G.vertices()),
-                             distance_prune=prune, first_only=True)
-        assert lex == want[:1]
         for cap in (0, 1, 3):
             if len(want) > cap:
                 with pytest.raises(HomCapExceeded) as exc:

@@ -156,6 +156,34 @@ def test_fast_clow_matrix_powering():
     assert eval_fast(inst1) == F.zero
 
 
+# 2^61 - 1 and a 70-bit prime: walk counts mod either overflow 64-bit words
+BIG_PRIMES = (2**61 - 1, 1180591620717411303389)
+
+
+def test_fast_clow_is_exact_over_large_primes():
+    # on K_n, a clow with head h walks among the k = n-1-h vertices above
+    # it: k choices for the first move, k - 1 for each of the n - 2 moves
+    # among them, and the last move goes back to h
+    n, F = 20, Field(2**61 - 1)
+    want = sum(k * (k - 1) ** (n - 2) for k in range(1, n))
+    assert want % F.p == 270096990808978253
+    assert eval_fast(all_ones("clow", n, F)) == 270096990808978253
+    assert eval_fast(all_ones("clow", 4, Field(BIG_PRIMES[1]))) == 14
+
+
+def test_fast_equals_definitional_clow_over_large_primes():
+    rng = random.Random(2261)
+    for p in BIG_PRIMES:
+        F = Field(p)
+        for n in range(2, DEF_BUDGETS["clow"] + 1):
+            for _ in range(3):
+                # zeros often enough that the live edges vary
+                assign = {lab: rng.choice((0, 1, rng.randrange(p)))
+                          for lab in registry("clow", n)}
+                inst = FamilyInstance("clow", n, F, assign)
+                assert eval_fast(inst) == eval_definitional(inst), (p, n, assign)
+
+
 def test_fast_equals_definitional_random():
     rng = random.Random(77)
     sizes = {"sat": 3, "vc": 4, "cis": 4, "clow": 4, "tdm": 2}
@@ -235,6 +263,25 @@ def test_definitional_polynomial_vc_cis_tdm_dense():
             want = subset_expansion(matchings, q)
             assert len(want) == 2 ** n ** 3
             assert definitional_polynomial("tdm", n, q) == want, (n, q)
+
+
+def test_definitional_polynomial_clow_dense():
+    # every clow written out: a closed walk of n moves from its head, the
+    # least vertex, through vertices above it and back, never standing
+    # still; each move's X and each distinct vertex's Y enter to the power
+    # q-1, so a walk that repeats an edge raises its X further
+    for n in (3, 4):
+        for q in (2, 3):
+            want: dict = {}
+            for head in range(1, n + 1):
+                for inner in product(range(head + 1, n + 1), repeat=n - 1):
+                    walk = (head, *inner, head)
+                    if any(u == v for u, v in zip(walk, walk[1:])):
+                        continue
+                    m = mono(*((xedge(u, v), q - 1) for u, v in zip(walk, walk[1:])),
+                             *((yvert(v), q - 1) for v in set(walk)))
+                    want[m] = want.get(m, 0) + 1
+            assert definitional_polynomial("clow", n, q) == want, (n, q)
 
 
 def test_definitional_polynomial_vc2():
