@@ -161,19 +161,18 @@ class Circuit:
         narrowest unsigned dtype that holds every intermediate value: over
         F_p (p-1)^2 + (p-1), over F_q the largest add table index q*q - 1.
 
-        Over F_p a row holds residues.  A sum or product is reduced mod p
-        just before it could overflow and once at the end of its group; a
-        reduction is x - p*(x // p), by floor division by the scalar p (see
-        ``_reduce``).  Over F_q a row holds discrete-log codes (see
-        ``rings``): 0 has code q-1, the largest, and g^i code i.  A product
-        sums its factors' codes, reduced mod q-1 in the same way, and keeps
-        a running maximum of them, which is q-1 exactly where a factor was
-        0; at the end that maximum, floored to 0 or q-1, overrides the
-        reduced sum.  A sum still gathers from the code add table at
-        ``acc*q + arg``.  Inputs are reduced mod p over F_p and must lie in
-        range(q) over F_q before they are narrowed (and, over F_q, mapped to
-        codes), so every value is exact.  Returns a new int64 array, not a
-        view of the matrix.
+        Over F_p a row holds residues, over F_q discrete-log codes (see
+        ``rings``; 0 has code q-1, the largest).  F_p sums, F_p products and
+        F_q products share one loop that accumulates mod m, p or q-1: F_p
+        products multiply and the other two add.  It reduces, as
+        x - m*(x // m) (see ``_reduce``), just before a step could overflow
+        and at the end of the group if needed.  An F_q product also keeps a
+        running maximum of its codes, q-1 exactly where a factor was 0,
+        which, floored to 0 or q-1, overrides the reduced sum.  An F_q sum
+        gathers from the code add table at ``acc*q + arg``.  Inputs are
+        reduced mod p over F_p and must lie in range(q) over F_q before they
+        are narrowed (and, over F_q, mapped to codes), so every value is
+        exact.  Returns a new int64 array, not a view of the matrix.
         """
         width = np.shape(next(iter(assignment.values()))) if assignment else ()
         prime, p, q = field.k == 1, field.p, field.q
@@ -200,54 +199,46 @@ class Circuit:
         vals = np.empty((n_rows, *width), dtype=dtype)
         vals[:len(leaf)] = leaf if prime else field._log[leaf]
         buf = np.empty((widest, *width), dtype)
-        p_, q_ = dtype(p), dtype(q)
+        hi, m = (p - 1, p) if prime else (q - 1, q - 1)  # hi: the largest value of a row
+        m_ = dtype(m)
         if not prime:
-            qm1 = dtype(q - 1)
-            code_add = field._code_add.ravel().astype(dtype)
+            q_, code_add = dtype(q), field._code_add.ravel().astype(dtype)
             zbuf = np.empty_like(buf)
         for op, rows, args in groups:
             acc, arg = vals[rows], buf[:rows.stop - rows.start]
+            # an F_q product's zero keeps the largest code, q-1 iff a factor is 0
+            zero = None if prime or op == ADD else zbuf[:len(arg)]
+            first = arg if zero is None else zero
             # the plan's rows are in range; "clip" skips the copy "raise" makes,
-            # and gathering into arg skips the one an overlap with vals makes
-            vals.take(args[0], axis=0, out=arg, mode="clip")
-            acc[...] = arg
-            if prime:
-                top = p - 1  # the largest value acc can hold
-                for col in args[1:]:
-                    # reduce before the gather, while arg is free to be the scratch
-                    if (top + p - 1 if op == ADD else top * (p - 1)) > cap:
-                        _reduce(acc, p_, arg)
-                        top = p - 1
-                    vals.take(col, axis=0, out=arg, mode="clip")
-                    if op == ADD:
-                        acc += arg
-                        top += p - 1
-                    else:
-                        acc *= arg
-                        top *= p - 1
-                if top >= p:
-                    _reduce(acc, p_, arg)
-            elif op == ADD:
+            # and gathering into a buffer skips the one an overlap with vals makes
+            vals.take(args[0], axis=0, out=first, mode="clip")
+            acc[...] = first
+            if not prime and op == ADD:
                 for col in args[1:]:
                     vals.take(col, axis=0, out=arg, mode="clip")
                     acc *= q_
                     acc += arg
                     code_add.take(acc, out=acc, mode="clip")
-            else:  # codes add mod q-1; zero keeps the largest, q-1 iff a factor is 0
-                zero = zbuf[:len(arg)]
-                zero[...] = arg
-                top = q - 1
-                for col in args[1:]:
-                    if top + q - 1 > cap:
-                        _reduce(acc, qm1, arg)
-                        top = q - 2
-                    vals.take(col, axis=0, out=arg, mode="clip")
-                    acc += arg
+                continue
+            # F_p products multiply; F_p sums and F_q products (of codes) add
+            step, grow = ((np.multiply, operator.mul) if prime and op == MUL
+                          else (np.add, operator.add))
+            top = hi  # the largest value acc can hold
+            for col in args[1:]:
+                # reduce before the gather, while arg is free to be the scratch
+                if grow(top, hi) > cap:
+                    _reduce(acc, m_, arg)
+                    top = m - 1
+                vals.take(col, axis=0, out=arg, mode="clip")
+                step(acc, arg, out=acc)
+                top = grow(top, hi)
+                if zero is not None:
                     np.maximum(zero, arg, out=zero)
-                    top += q - 1
-                _reduce(acc, qm1, arg)
-                zero //= qm1  # q-1 where a factor was 0, else 0; no masked write
-                zero *= qm1
+            if top >= m:
+                _reduce(acc, m_, arg)
+            if zero is not None:
+                zero //= m_  # q-1 where a factor was 0, else 0; no masked write
+                zero *= m_
                 np.maximum(acc, zero, out=acc)
         return vals[out].astype(np.int64) if prime else field._exp[vals[out]]
 

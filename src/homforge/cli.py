@@ -15,15 +15,15 @@ import json
 import sys
 
 from .circuit import Circuit
-from .compiler import InvalidDecomposition, compile_hom
+from .compiler import InvalidDecomposition, check_table_size, compile_hom
 from .formulas import CNF
 from .bp import LayeredBP
 from .gadget_search import search_gadgets
 from .gadgets import GadgetPair, GadgetTriple, dump_gadget, load_gadget
 from .graphs import Graph, HomCapExceeded, Hypergraph3
 from .intermediates import (FAMILIES, FamilyInstance, count_via_coefficient,
-                            eval_definitional, eval_fast, hc_from_coefficient,
-                            registry)
+                            eval_definitional, eval_fast, family_plan,
+                            hc_from_coefficient)
 from .labels import read_lines
 from .oracles import (count_3dm, count_clique, count_clows, count_hc,
                       count_sat3, count_vc)
@@ -163,10 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _field(spec: str) -> Field:
-    return Field.from_spec(spec)
-
-
 def _load_gad(path: str, rep: Reporter):
     return load_gadget(json.loads(_read(path, rep)))
 
@@ -188,12 +184,13 @@ def cmd_compile(args, rep: Reporter) -> int:
     dtext = _read(args.decomp, rep)
     if (args.target is None) == (args.target_size is None):
         raise ValueError("give exactly one of --target / --target-size")
+    d = NiceTreeDecomp.from_text(dtext)
     if args.target:
         H = Graph.from_text(_read(args.target, rep))
     else:
+        check_table_size(d, args.target_size)  # before K_N's edges exist
         H = Graph.complete(args.target_size)
     rep.header(f"target_size={H.n}")
-    d = NiceTreeDecomp.from_text(dtext)
     try:
         compiled = compile_hom(G, d, H)
     except InvalidDecomposition as e:
@@ -209,13 +206,13 @@ def cmd_compile(args, rep: Reporter) -> int:
 
 
 def cmd_eval(args, rep: Reporter) -> int:
-    F = _field(args.field)
+    F = Field.from_spec(args.field)
     rep.header(f"field={F.q}")
-    labels = registry(args.family, args.n)
+    plan = family_plan(args.family, args.n)
     values = {}
     if args.assign:
         values = read_assignment_file(_read(args.assign, rep))
-        unknown = [lab for lab in values if lab not in set(labels)]
+        unknown = [lab for lab in values if lab not in plan.index]
         if unknown:
             raise ValueError(
                 f"labels not in the {args.family} n={args.n} registry: "
@@ -223,7 +220,7 @@ def cmd_eval(args, rep: Reporter) -> int:
     # values are reduced mod p over F_p but are element indices over F_q,
     # where FamilyInstance refuses any outside range(q)
     value = F.from_int if F.k == 1 else int
-    assignment = {lab: value(values.get(lab, args.default)) for lab in labels}
+    assignment = {lab: value(values.get(lab, args.default)) for lab in plan.labels}
     inst = FamilyInstance(args.family, args.n, F, assignment)
     val = (eval_fast if args.method == "fast" else eval_definitional)(inst)
     rep.result(f"value={val}")
@@ -247,7 +244,7 @@ def _count_instance(args, rep: Reporter):
 
 
 def cmd_count(args, rep: Reporter) -> int:
-    F = _field(args.field)
+    F = Field.from_spec(args.field)
     rep.header(f"field={F.q}")
     inst = _count_instance(args, rep)
     cc = count_via_coefficient(args.family, inst, F, k=args.k,

@@ -30,6 +30,22 @@ from .labels import yedge, zvar
 from .treedecomp import NiceTreeDecomp, validate_nice
 
 
+# Largest number of bag-table entries, sum over nodes t of |V(H)|^|bag_t|,
+# that compile_hom builds.  The n = 20 benchmark compile into K6 holds
+# 51,655 and a 14-cycle into K20 holds 101,241 (0.49 s on 2 vCPUs); a 14-cycle
+# into K50 holds 1,532,601 and took 15.7 s and 890 MiB.
+TABLE_LIMIT = 10**6
+
+
+def check_table_size(d: NiceTreeDecomp, target_n: int) -> None:
+    """Refuse a compile whose bag tables, one entry per node and mapping of
+    its bag into a target on ``target_n`` vertices, pass ``TABLE_LIMIT``."""
+    entries = sum(target_n ** len(nd.bag) for nd in d.nodes)
+    if entries > TABLE_LIMIT:
+        raise ValueError(f"compile builds at most {TABLE_LIMIT} bag-table entries, "
+                         f"got {entries}")
+
+
 class InvalidDecomposition(ValueError):
     """``compile_hom``'s refusal; ``problems`` lists what ``validate_nice`` found."""
 
@@ -62,6 +78,7 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
         raise InvalidDecomposition(errs)
     if H.n < 1:
         raise ValueError("target graph needs at least one vertex")
+    check_table_size(d, H.n)
 
     b = CircuitBuilder()
     hs = list(H.vertices())

@@ -2,23 +2,25 @@
 
 Field elements are plain ints in range(q).  For k = 1 the int is the
 residue itself; for k > 1 it encodes a polynomial-basis coordinate vector
-(c_0, ..., c_{k-1}) as sum(c_i * p**i), and arithmetic goes through
-precomputed addition and multiplication tables, which reject ints outside
-range(q).  The tables are built by numpy broadcasts and gathers over
-element indices, and the product table doubles as the modulus check:
-F_p[x]/(f) is a field iff it has no zero divisors iff f is irreducible, so
-a modulus is refused iff its table holds a 0 off the zero row and column.
+(c_0, ..., c_{k-1}) as sum(c_i * p**i), and every operation, scalar or in
+``Circuit.eval_batch``, goes through one representation, the discrete-log
+codes of F_q's cyclic multiplicative group (Zech-logarithm arithmetic;
+Lidl and Niederreiter, ch. 2): for a primitive element g, g^i has code
+i < q-1 and 0 has code q-1, the largest.  ``_exp`` maps a code to its
+element, ``_log`` back, and ``_code_add`` is the add table in codes.  A
+product of nonzero elements is a sum of codes mod q-1, a power a multiple
+of a code mod q-1, and a sum one lookup in ``_code_add``; ints outside
+range(q) are refused.
 
-For ``Circuit.eval_batch`` a field with k > 1 also holds discrete-log
-codes (Zech-logarithm arithmetic; Lidl and Niederreiter, ch. 2): for a
-primitive element g, g^i has code i < q-1 and 0 has code q-1, the largest.
-``_exp`` maps a code to its element, ``_log`` back, and ``_code_add`` is
-the add table relabelled into codes.  A product of nonzero elements is
-then a sum of codes mod q-1, while a sum still goes through a table.  g is
-found by walking rows of the product table, not by ``mul``; it need not
-be x (x^2 + 1 is irreducible but not primitive over F_3 and over F_7).
-The characteristic p is tested by Miller-Rabin, exact below about 3.3e24
-(``_PRIME_LIMIT``); a larger p is refused.
+The element add and mul tables exist only while a field is built.  They
+come from numpy broadcasts and gathers over element indices, and the
+product table doubles as the modulus check: F_p[x]/(f) is a field iff it
+has no zero divisors iff f is irreducible, so a modulus is refused iff its
+table holds a 0 off the zero row and column.  g is found by walking rows
+of the product table, not by ``mul``; it need not be x (x^2 + 1 is
+irreducible but not primitive over F_3 and over F_7).  The characteristic
+p is tested by Miller-Rabin, exact below about 3.3e24 (``_PRIME_LIMIT``);
+a larger p is refused.
 
 TruncPoly models F_q[z, t] / (z^(Dz+1), t^(Dt+1)): addition is
 coordinate-wise and multiplication is a truncated 2-D convolution.  The
@@ -97,14 +99,10 @@ class Field:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ValueError("modulus must have degree exactly k")
-            add, mul = _tables(p, k, modulus)
-            # F_p[x]/(f) has zero divisors exactly when f factors
-            if not mul[1:, 1:].all():
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-            self._add_table, self._mul_table = add, mul
-            self._neg_table = mul[p - 1]  # -a = (p - 1) * a
-            self._exp, self._log, self._code_add = _code_tables(add, mul)
+            self._exp, self._log, self._code_add = _tables(p, k, modulus)
+            # plain-int copies for the scalar ops, which index one per call
+            self._exps, self._logs = self._exp.tolist(), self._log.tolist()
 
     @classmethod
     def from_spec(cls, spec: str, modulus: tuple[int, ...] | None = None) -> "Field":
@@ -114,9 +112,6 @@ class Field:
             ptxt, _, ktxt = spec.partition("^")
             return cls(int(ptxt), int(ktxt), modulus)
         return cls(int(spec), 1, modulus)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- arithmetic on raw ints ----------------------------------------------
 
@@ -138,42 +133,33 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return int(self._add_table[self._check(a), self._check(b)])
+        logs = self._logs
+        return self._exps[self._code_add.item(logs[self._check(a)], logs[self._check(b)])]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return int(self._neg_table[self._check(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.mul(a, self.p - 1)  # -a = (p - 1) * a
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        return int(self._mul_table[self._check(a), self._check(b)])
+        a, b = self._check(a), self._check(b)
+        if a and b:  # the codes of nonzero elements add mod q-1
+            return self._exps[(self._logs[a] + self._logs[b]) % (self.q - 1)]
+        return 0
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; e < 0 inverts first."""
-        self._check(a)
-        if e < 0:
-            a, e = self.inv(a), -e
+        """a^e for e of either sign; 0^0 is 1, and 0^e for e < 0 raises
+        ZeroDivisionError."""
+        if self._check(a) == 0 and e < 0:
+            raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
         if self.k == 1:
             return pow(a, e, self.p)
-        acc = 1
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self._exps[self._logs[a] * e % (self.q - 1)] if a else int(e == 0)
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
-        return self.pow(a, self.q - 2)
+        return self.pow(a, -1)
 
     def _check(self, a: int) -> int:
         """a itself, if it is an element index of this field."""
@@ -198,13 +184,17 @@ class Field:
         return f"Field({self.p}^{self.k})"
 
 
-def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The add and mul tables of F_p[x]/(modulus), indexed by element.
+def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp, log, code add table) of the discrete-log codes of F_p[x]/(modulus)
+    (see the module docstring); a ValueError if the modulus is reducible.
 
-    Addition and the F_p multiples c * a act coordinate by coordinate, so
-    their tables grow one coordinate at a time by broadcasting.  Row b of
-    the product table is b * a for every a, gathered from rows of fewer
-    coordinates as b * a = ((b // p) * a) * x + (b % p) * a.
+    They come from the element add and mul tables.  Addition and the F_p
+    multiples c * a act coordinate by coordinate, so their tables grow one
+    coordinate at a time by broadcasting.  Row b of the product table is
+    b * a for every a, gathered from rows of fewer coordinates as
+    b * a = ((b // p) * a) * x + (b % p) * a.  g is the first element whose
+    walk 1, g, g^2, ... along its row of the product table comes back to 1
+    only after q-1 steps.
     """
     q, top = p**k, p ** (k - 1)
     i = np.arange(p, dtype=np.int64)
@@ -224,17 +214,9 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     for d in range(1, k):  # rows b of d + 1 coordinates
         lo, hi = p ** (d - 1), p**d
         mul[hi : hi * p] = add[times_x[mul[lo:hi, None]], scaled].reshape(-1, q)
-    return add, mul
-
-
-def _code_tables(add: np.ndarray, mul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(exp, log, code add table) of the discrete-log codes of a field of
-    order q >= 4 with these tables (see the module docstring).
-
-    g is the first element whose walk 1, g, g^2, ... along its row of
-    ``mul`` comes back to 1 only after q-1 steps.
-    """
-    q = len(mul)
+    # F_p[x]/(f) has zero divisors exactly when f factors
+    if not mul[1:, 1:].all():
+        raise ValueError(f"modulus {modulus} is reducible over F_{p}")
     for g in range(2, q):
         row, powers = mul[g].tolist(), [1]
         while (x := row[powers[-1]]) != 1:

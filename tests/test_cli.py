@@ -204,6 +204,19 @@ def test_eval_rejects_unknown_label(capsys, tmp_path):
     assert code == 2 and "registry" in err
 
 
+def test_eval_checks_a_long_assignment_file_in_linear_time(capsys, tmp_path):
+    # each label is looked up in the plan's index; a set of the 13,836 sat
+    # n = 12 labels per file label took 3.7 s for this file
+    from homforge.intermediates import registry
+    f = tmp_path / "a.txt"
+    f.write_text("".join(f"{lab} 1\n" for lab in registry("sat", 12)[:5000]))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--family", "sat", "--n", "12",
+                       "--field", "5", "--assign", str(f), "--format", "kv")
+    assert code == 0 and out.endswith("value=1\n")
+    assert time.perf_counter() - start < 1.5
+
+
 def test_eval_rejects_default_sentinel_label(capsys, tmp_path):
     # "__default__" was the in-band key that carried --default, so this
     # line used to be dropped without a word
@@ -472,6 +485,56 @@ def test_compile_wants_exactly_one_target(capsys, tmp_path, k4_file):
                        "--decomp", str(td), "--target", k4_file,
                        "--target-size", "3")
     assert code == 2
+
+
+def _fail_if_called(name):
+    def fail(*_args, **_kwargs):
+        raise AssertionError(f"{name} called before the refusal")
+    return fail
+
+
+def test_compile_refuses_oversized_tables_before_building(capsys, tmp_path, monkeypatch):
+    # a single edge into K_3000: each two-vertex bag has 3000^2 mappings;
+    # the count comes from the decomposition alone, before K_3000 exists
+    from homforge import compiler
+    monkeypatch.setattr(compiler, "CircuitBuilder", _fail_if_called("CircuitBuilder"))
+    monkeypatch.setattr(Graph, "complete", _fail_if_called("Graph.complete"))
+    gr, td = tmp_path / "edge.gr", tmp_path / "edge.td"
+    gr.write_text("p 2 1\ne 1 2\n")
+    td.write_text("bag 0 leaf 1\nbag 1 intro:2 1 2\nbag 2 forget:1 2\nbag 3 forget:2\n"
+                  "child 1 0\nchild 2 1\nchild 3 2\nroot 3\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compile", "--graph", str(gr), "--decomp", str(td),
+                         "--target-size", "3000")
+    assert code == 2 and out == ""
+    assert err == "error: compile builds at most 1000000 bag-table entries, got 9006001\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_compile_hom_refuses_oversized_tables_before_building(monkeypatch):
+    # a 14-cycle into K50, whose compile took 15.7 s and 890 MiB before the limit
+    from homforge import compiler
+    from homforge.treedecomp import _make_nice, heuristic_decomp
+    G = Graph.cycle(14)
+    d = _make_nice(heuristic_decomp(G))
+    monkeypatch.setattr(compiler, "CircuitBuilder", _fail_if_called("CircuitBuilder"))
+    with pytest.raises(ValueError, match="bag-table entries, got 1532601$"):
+        compiler.compile_hom(G, d, Graph.complete(50))
+
+
+@pytest.mark.parametrize("family, n, size", [("vc", 100000, 5000050000), ("cis", 1414, 1000405),
+                                             ("sat", 50, 1000050), ("tdm", 101, 1030604)])
+def test_eval_refuses_oversized_registry_before_building(capsys, monkeypatch, family, n, size):
+    from homforge import intermediates
+    for name in ("combinations", "_triples", "clause_space"):
+        monkeypatch.setattr(intermediates, name, _fail_if_called(name))
+    monkeypatch.setattr(intermediates.FamilyPlan, "labels", property(_fail_if_called("labels")))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--family", family, "--n", str(n), "--field", "5")
+    assert code == 2 and out == ""
+    assert err == (f"error: a family registry holds at most 1000000 labels; "
+                   f"{family} n={n} has {size}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_decomp_heuristic(capsys, k4_file):

@@ -13,7 +13,8 @@ from homforge import rings
 from homforge.rings import DEFAULT_MODULI, CountRing, Field, TruncPoly, TruncRing, is_prime
 
 
-FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(7)]
+FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(7), Field(2, 3), Field(3, 2),
+          Field(7, 2)]
 
 
 def test_from_spec():
@@ -38,8 +39,7 @@ def test_from_int_embeds_characteristic():
 def test_field_axioms_sampled():
     rng = random.Random(11)
     for F in FIELDS:
-        elems = list(F.elements())
-        assert len(elems) == F.q
+        elems = range(F.q)
         for _ in range(200):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert F.add(a, b) == F.add(b, a)
@@ -48,12 +48,12 @@ def test_field_axioms_sampled():
             assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
             assert F.add(a, F.neg(a)) == F.zero
-            assert F.sub(a, b) == F.add(a, F.neg(b))
+            assert F.add(F.add(a, F.neg(b)), b) == a
 
 
 def test_inverses_and_powers():
     for F in FIELDS:
-        for a in F.elements():
+        for a in range(F.q):
             if a == F.zero:
                 with pytest.raises(ZeroDivisionError):
                     F.inv(a)
@@ -61,17 +61,23 @@ def test_inverses_and_powers():
             assert F.mul(a, F.inv(a)) == F.one
             # Fermat / multiplicative group order
             assert F.pow(a, F.q - 1) == F.one
+            power = F.one
+            for e in range(F.q + 1):
+                assert F.pow(a, e) == power and F.pow(a, -e) == F.pow(F.inv(a), e)
+                power = F.mul(power, a)
         assert F.pow(F.zero, 0) == F.one
         assert F.pow(F.zero, 3) == F.zero
+        with pytest.raises(ZeroDivisionError):
+            F.pow(F.zero, -1)
 
 
 def test_extension_field_is_not_mod_4():
     F4 = Field(2, 2)
     # characteristic 2: every element doubles to zero
-    for a in F4.elements():
+    for a in range(F4.q):
         assert F4.add(a, a) == F4.zero
     # and there is a cube root of unity outside {0,1}
-    cubes = [a for a in F4.elements() if F4.pow(a, 3) == F4.one]
+    cubes = [a for a in range(F4.q) if F4.pow(a, 3) == F4.one]
     assert len(cubes) == 3
 
 
@@ -155,33 +161,48 @@ def test_reducible_modulus_of_degree_six_refused():
         Field(2, 6, modulus=(1,) * 7)
 
 
-def test_tables_match_pairwise_reference():
+def _default_fields():
+    """Every ``DEFAULT_MODULI`` field under its modulus and the modulus's
+    non-monic multiples."""
     for q, m in DEFAULT_MODULI.items():
         k = len(m) - 1
         p = round(q ** (1 / k))
-        for c in range(1, p):  # the default modulus and its non-monic multiples
-            F = Field(p, k, tuple(c * x for x in m))
-            for got, want in zip((F._add_table, F._mul_table, F._neg_table),
-                                 field_tables_reference(p, k, F.modulus)):
-                assert got.dtype == np.int64 and np.array_equal(got, want)
+        for c in range(1, p):
+            yield Field(p, k, tuple(c * x for x in m))
+
+
+def test_tables_match_pairwise_reference():
+    for F in _default_fields():
+        add, mul, neg = field_tables_reference(F.p, F.k, F.modulus)
+        pairs = list(product(range(F.q), repeat=2))
+        assert [F.add(a, b) for a, b in pairs] == add.ravel().tolist()
+        assert [F.mul(a, b) for a, b in pairs] == mul.ravel().tolist()
+        assert [F.neg(a) for a in range(F.q)] == neg.tolist()
 
 
 def test_code_tables_are_discrete_logs(monkeypatch):
     # g is found on the product table, not through Field.mul, whose calls the
     # benchmark counts; x is not primitive under x^2 + 1 over F_3 or F_7
     monkeypatch.setattr(Field, "mul", lambda *args: pytest.fail("Field.mul called"))
-    for q, m in DEFAULT_MODULI.items():
-        k = len(m) - 1
-        p = round(q ** (1 / k))
-        for c in range(1, p):  # the default modulus and its non-monic multiples
-            F = Field(p, k, tuple(c * x for x in m))
-            exp, log = F._exp, F._log
-            assert sorted(exp.tolist()) == list(range(q)) and exp[q - 1] == 0
-            assert np.array_equal(log[exp], np.arange(q)) and np.array_equal(exp[log], np.arange(q))
-            i = np.arange(q - 1)
-            assert np.array_equal(exp[(i[:, None] + i) % (q - 1)], F._mul_table[np.ix_(exp[i], exp[i])])
-            assert np.array_equal(exp[F._code_add], F._add_table[np.ix_(exp, exp)])
+    for F in _default_fields():
+        q = F.q
+        add, mul, _ = field_tables_reference(F.p, F.k, F.modulus)
+        exp, log = F._exp, F._log
+        assert sorted(exp.tolist()) == list(range(q)) and exp[q - 1] == 0
+        assert np.array_equal(log[exp], np.arange(q)) and np.array_equal(exp[log], np.arange(q))
+        assert (F._exps, F._logs) == (exp.tolist(), log.tolist())
+        i = np.arange(q - 1)
+        assert np.array_equal(exp[(i[:, None] + i) % (q - 1)], mul[np.ix_(exp[i], exp[i])])
+        assert np.array_equal(exp[F._code_add], add[np.ix_(exp, exp)])
     assert Field(3, 2)._exp[1] != 3 and Field(7, 2)._exp[1] != 7
+
+
+def test_extension_field_keeps_one_square_table():
+    # the element add and mul tables exist only while the field is built
+    for F in [*_default_fields(), Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))]:
+        square = [name for name, v in vars(F).items()
+                  if isinstance(v, np.ndarray) and v.size >= F.q * F.q]
+        assert square == ["_code_add"]
 
 
 def test_from_int_refuses_non_integers():
