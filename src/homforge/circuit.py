@@ -202,7 +202,7 @@ class Circuit:
         hi, m = (p - 1, p) if prime else (q - 1, q - 1)  # hi: the largest value of a row
         m_ = dtype(m)
         if not prime:
-            q_, code_add = dtype(q), field._code_add.ravel().astype(dtype)
+            q_, code_add = dtype(q), field._code_add.ravel()
             zbuf = np.empty_like(buf)
         for op, rows, args in groups:
             acc, arg = vals[rows], buf[:rows.stop - rows.start]

@@ -17,14 +17,25 @@ bag.  Leaf and Introduce nodes emit no gate (Introduce only zeroes the
 mappings that break an H edge), and a Join multiplies its children's
 gates, whose factors are disjoint.  Join-free decompositions give skew
 circuits.
+
+A node's table is a flat list of gate ids, one per mapping of its bag,
+row-major over the bag's vertices in order of introduction (digit i is
+H-vertex i + 1).  Gates are appended as the tables are walked, in an order
+that the compiled text pins: a Forget node emits one mul gate per term in
+its child's row order, each after the Z and Ye inputs it is the first to
+use (a term whose child gate is the zero constant emits none but still
+makes its inputs), then one add gate per row with two or more live terms;
+a Join emits its products in row order.  The folds are the builder's: 0
+annihilates, 1 drops out, and a lone factor or term stands for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
-from .circuit import Circuit, CircuitBuilder
+from .circuit import OP_ADD, OP_MUL, Circuit, CircuitBuilder
 from .graphs import Graph
 from .labels import yedge, zvar
 from .treedecomp import NiceTreeDecomp, validate_nice
@@ -81,61 +92,87 @@ def compile_hom(G: Graph, d: NiceTreeDecomp, H: Graph) -> CompiledHom:
     check_table_size(d, H.n)
 
     b = CircuitBuilder()
-    hs = list(H.vertices())
-    zero = b.const(0)
-    z_input = cache(lambda u, h: b.input(zvar(u, h)))
-    y_input = cache(lambda a, h: b.input(yedge(a, h)))
-    nbr, every = H.nbr_masks, (1 << (H.n + 1)) - 2  # every: bits 1..H.n
+    n, push = H.n, b._push
+    zero, one = b.const(0), b.const(1)
+    adj = [m >> 1 for m in H.nbr_masks[1:]]  # bit j of adj[i]: H-vertices i+1, j+1 adjacent
+    grid = cache(lambda k: list(product(range(n), repeat=k)))  # row -> its images
+    # ye[a][h] = ye[h][a]: the id of input Ye:a+1:h+1, or 0 (the zero constant's
+    # id, never an input's) until a term first uses it
+    ye = [[0] * n for _ in range(n)]
 
-    def images(phi: tuple[int, ...], nbr_pos: list[int]) -> int:
-        """Bit mask of the h adjacent in H to phi[i] for each i in nbr_pos."""
-        mask = every
-        for i in nbr_pos:
-            mask &= nbr[phi[i]]
-        return mask
+    def allowed(k: int, pos: list[int]) -> list[int]:
+        """Per row of a k-vertex table, the mask of H-vertices adjacent to
+        the row's image of each vertex at a position in pos."""
+        masks = [(1 << n) - 1] * n ** k
+        for i in pos:
+            masks = [m & adj[row[i]] for m, row in zip(masks, grid(k))]
+        return masks
 
-    # per node: sorted bag, and map phi-tuple -> gate id
-    bag_sorted: dict[int, list[int]] = {}
-    table: dict[int, dict[tuple[int, ...], int]] = {}
+    # per node: its bag's vertices in order of introduction, and its table
+    axes: dict[int, list[int]] = {}
+    table: dict[int, list[int]] = {}
 
     for t in d.postorder():
         nd = d.nodes[t]
-        bs = sorted(nd.bag)
-        bag_sorted[t] = bs
         if nd.kind == "leaf":
-            table[t] = {(h,): b.const(1) for h in hs}
+            axes[t], table[t] = list(nd.bag), [one] * n
         elif nd.kind == "intro":
-            t1 = nd.children[0]
-            pos = bs.index(nd.vertex)
-            child_bs = bag_sorted[t1]
-            nbr_pos = [i for i, v in enumerate(child_bs) if G.has_edge(nd.vertex, v)]
-            ok = {phi1: images(phi1, nbr_pos) for phi1 in table[t1]}
-            table[t] = {phi1[:pos] + (h,) + phi1[pos:]: g1 if ok[phi1] >> h & 1 else zero
-                        for phi1, g1 in table[t1].items() for h in hs}
+            ax, child = axes.pop(nd.children[0]), table.pop(nd.children[0])
+            masks = allowed(len(ax), [i for i, v in enumerate(ax) if G.has_edge(nd.vertex, v)])
+            axes[t] = ax + [nd.vertex]
+            table[t] = [g1 if m >> h & 1 else zero
+                        for g1, m in zip(child, masks) for h in range(n)]
         elif nd.kind == "forget":
-            t1 = nd.children[0]
+            ax, child = axes.pop(nd.children[0]), table.pop(nd.children[0])
             u = nd.vertex
-            pos = bag_sorted[t1].index(u)
-            nbr_pos = [i for i, v in enumerate(bs) if G.has_edge(u, v)]
-            terms: dict[tuple[int, ...], list[int]] = {}
-            ok = {}
-            for phi1, g1 in table[t1].items():
-                phi, h = phi1[:pos] + phi1[pos + 1:], phi1[pos]
-                if phi not in terms:
-                    terms[phi], ok[phi] = [], images(phi, nbr_pos)
+            stride = n ** (len(ax) - 1 - ax.index(u))
+            ax.remove(u)
+            axes[t] = ax
+            # u's Ye factors, in order of neighbour vertex
+            pos = [ax.index(v) for v in sorted(v for v in ax if G.has_edge(u, v))]
+            masks = allowed(len(ax), pos)
+            images = [[row[i] for i in pos] for row in grid(len(ax))]
+            z = [0] * n  # z[h]: the id of input Z:u:h+1, or 0 until first used
+            terms: list[list[int]] = [[] for _ in masks]
+            # the child's rows in order: u's image h splits row r = pre + s of t
+            # into the digits of pre, before u's, and those of s, after them
+            walk = product(range(0, len(masks), stride), range(n), range(stride))
+            for (pre, h, s), g1 in zip(walk, child):
+                r = pre + s
                 # a term breaking an H edge is zero (and yedge(h, h) is no label)
-                if ok[phi] >> h & 1:
-                    factors = [z_input(u, h)]
-                    factors += [y_input(phi[i], h) for i in nbr_pos]
-                    factors.append(g1)
-                    terms[phi].append(b.mul(factors))
-            table[t] = {phi: b.add(ts) for phi, ts in terms.items()}
+                if not masks[r] >> h & 1:
+                    continue
+                # inputs are made on first use, by a zero term too
+                zh = z[h]
+                if not zh:
+                    zh = z[h] = b.input(zvar(u, h + 1))
+                factors = [zh]
+                for a in images[r]:
+                    y = ye[a][h]
+                    if not y:
+                        y = ye[a][h] = ye[h][a] = b.input(yedge(a + 1, h + 1))
+                    factors.append(y)
+                if g1 != zero:
+                    if g1 != one:
+                        factors.append(g1)
+                    terms[r].append(push(OP_MUL, None, factors) if len(factors) > 1 else zh)
+            table[t] = [push(OP_ADD, None, ts) if len(ts) > 1 else ts[0] if ts else zero
+                        for ts in terms]
         else:  # join
             t1, t2 = nd.children
-            table[t] = {phi: b.mul([g1, table[t2][phi]])
-                        for phi, g1 in table[t1].items()}
+            ax, ax2 = axes.pop(t1), axes.pop(t2)
+            rows, other = table.pop(t1), table.pop(t2)
+            if ax2 != ax:  # t2's rows in t1's order: idx[r] is t2's row for t1's row r
+                idx = [0]
+                for v in ax:
+                    step = n ** (len(ax) - 1 - ax2.index(v))
+                    idx = [i + j for i in idx for j in range(0, n * step, step)]
+                other = [other[i] for i in idx]
+            axes[t] = ax
+            table[t] = [zero if zero in (g1, g2) else g2 if g1 == one else g1 if g2 == one
+                        else push(OP_MUL, None, [g1, g2]) for g1, g2 in zip(rows, other)]
 
-    out = table[d.root][()]
+    out = table[d.root][0]
     circuit = b.build(out)
 
     width = d.width()

@@ -149,7 +149,7 @@ class FamilyInstance:
     """A family member with a total assignment into its field.
 
     The assignment is read once, at construction, into ``values``, a tuple
-    in registry order; the evaluators read only that tuple.
+    of Python ints in registry order; the evaluators read only that tuple.
     """
 
     family: str
@@ -166,9 +166,10 @@ class FamilyInstance:
             raise ValueError(
                 f"assignment must cover the registry exactly; "
                 f"missing {missing}, unexpected {extra}")
-        self.values = tuple(self.assignment[lab] for lab in self.plan.labels)
-        for v in self.values:
-            self.field._check(v)
+        # checked, then stored as Python ints: numpy ints pass the check but
+        # not the evaluators' three-argument pow
+        self.values = tuple(int(self.field._check(self.assignment[lab]))
+                            for lab in self.plan.labels)
 
 
 def _budget_check(family: str, n: int) -> None:

@@ -226,7 +226,8 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     exp = np.array(powers + [0], dtype=np.int64)
     log = np.empty(q, dtype=np.int64)
     log[exp] = np.arange(q)
-    return exp, log, log[add[exp[:, None], exp]]
+    # in the dtype of eval_batch's value matrix over F_q, which reads it uncopied
+    return exp, log, log[add[exp[:, None], exp]].astype(np.min_scalar_type(q * q - 1))
 
 
 class TruncRing:

@@ -9,6 +9,7 @@ and hand-rolled backtracking.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -165,6 +166,18 @@ def test_criterion_01_compiler_matches_brute_force(acceptance_log):
                 got = compiled.circuit.eval_batch(assignment, F)
                 assert np.array_equal(got, want), (G.edges, H.edges, F.q)
         assert time.time() - t0 <= 120.0
+
+
+# sha256 of the to_text of every compiled_pairs() circuit, in order, as the
+# dict-table compiler wrote them
+CORPUS_TEXT_SHA256 = "741a5d2a970ccf711c4987a317ad6d78ad5bc1132b3a92d30fadf638e066f18e"
+
+
+def test_criterion_01_corpus_text_is_pinned():
+    digest = hashlib.sha256()
+    for (_G, _H, _width, compiled) in compiled_pairs():
+        digest.update(compiled.circuit.to_text().encode())
+    assert digest.hexdigest() == CORPUS_TEXT_SHA256
 
 
 def test_criterion_02_size_bound_zero_violations(acceptance_log):

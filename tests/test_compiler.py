@@ -135,6 +135,57 @@ def test_compiled_text_is_pinned_and_round_trips():
     assert digest.hexdigest() == PINNED_TEXT_SHA256
 
 
+def _text(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+# A Forget node's folds, each pinned by its exact compiled text as the
+# dict-table compiler wrote it: (source, its nice decomposition, target, text)
+FORGET_FOLDS = {
+    # the term Z:3:3 * Ye:2:3 * 0 is the first to use Z:3:3, so Z:3:3 comes
+    # before the mul gate of the term Z:3:2 * Ye:2:3 * Z:4:3 * Ye:2:3
+    "zero-child-term-makes-its-inputs": (
+        Graph.cycle(4),
+        _text("bag 0 leaf 1", "bag 1 intro:3 1 3", "bag 2 intro:4 1 3 4",
+              "bag 3 forget:4 1 3", "bag 4 intro:2 1 2 3", "bag 5 forget:3 1 2",
+              "bag 6 forget:2 1", "bag 7 forget:1", "child 1 0", "child 2 1",
+              "child 3 2", "child 4 3", "child 5 4", "child 6 5", "child 7 6", "root 7"),
+        Graph.from_edges(3, [(2, 3)]),
+        _text("gate 0 input Z:4:3", "gate 1 input Ye:2:3", "gate 2 mul 0 1 1",
+              "gate 3 input Z:4:2", "gate 4 mul 3 1 1", "gate 5 input Z:3:2",
+              "gate 6 input Z:3:3", "gate 7 mul 5 1 2", "gate 8 mul 6 1 4",
+              "gate 9 input Z:2:3", "gate 10 mul 9 1 7", "gate 11 input Z:2:2",
+              "gate 12 mul 11 1 8", "gate 13 input Z:1:2", "gate 14 mul 13 10",
+              "gate 15 input Z:1:3", "gate 16 mul 15 12", "gate 17 add 14 16",
+              "output 17")),
+    # no bag neighbour and a leaf's 1: each term is a bare Z input
+    "lone-z-factor-is-the-term": (
+        Graph.empty(1),
+        _text("bag 0 leaf 1", "bag 1 forget:1", "child 1 0", "root 1"),
+        Graph.complete(2),
+        _text("gate 0 input Z:1:1", "gate 1 input Z:1:2", "gate 2 add 0 1", "output 2")),
+    # vertex 2 mapped to an end of the path 1-2-3 leaves vertex 1 one image:
+    # that row's single term (gates 4 and 6) is read with no add gate
+    "one-live-term-needs-no-add": (
+        Graph.path(2),
+        _text("bag 0 leaf 1", "bag 1 intro:2 1 2", "bag 2 forget:1 2", "bag 3 forget:2",
+              "child 1 0", "child 2 1", "child 3 2", "root 3"),
+        Graph.path(3),
+        _text("gate 0 input Z:1:1", "gate 1 input Ye:1:2", "gate 2 mul 0 1",
+              "gate 3 input Z:1:2", "gate 4 mul 3 1", "gate 5 input Ye:2:3",
+              "gate 6 mul 3 5", "gate 7 input Z:1:3", "gate 8 mul 7 5", "gate 9 add 2 8",
+              "gate 10 input Z:2:1", "gate 11 mul 10 4", "gate 12 input Z:2:2",
+              "gate 13 mul 12 9", "gate 14 input Z:2:3", "gate 15 mul 14 6",
+              "gate 16 add 11 13 15", "output 16")),
+}
+
+
+@pytest.mark.parametrize("case", FORGET_FOLDS)
+def test_forget_folds_are_pinned(case):
+    G, td, H, text = FORGET_FOLDS[case]
+    assert compile_hom(G, NiceTreeDecomp.from_text(td), H).circuit.to_text() == text
+
+
 def test_compiled_gates_are_all_live(monkeypatch):
     compiled = [(G, H, compile_hom(G, d, H)) for G, d, H in pruning_cases()]
     for _, _, comp in compiled:

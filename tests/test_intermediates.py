@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from brute import SymbolicRing
@@ -65,6 +66,15 @@ def test_instance_validation():
     bad_val[yvert(1)] = 3  # not an element of F_3
     with pytest.raises(ValueError):
         FamilyInstance("vc", 2, F, bad_val)
+
+
+def test_numpy_int_values_evaluate_as_plain_ints():
+    # numpy ints pass the field's check; both evaluators then read Python ints
+    F = Field(5)
+    for v in (2, np.int64(2)):
+        inst = FamilyInstance("vc", 3, F, dict.fromkeys(registry("vc", 3), v))
+        assert all(type(x) is int for x in inst.values)
+        assert eval_fast(inst) == eval_definitional(inst) == 3
 
 
 def test_family_plan_is_shared_and_holds_no_values():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from brute import field_tables_reference, is_prime_trial
 from homforge import rings
+from homforge.circuit import _narrowest
 from homforge.rings import DEFAULT_MODULI, CountRing, Field, TruncPoly, TruncRing, is_prime
 
 
@@ -198,11 +199,16 @@ def test_code_tables_are_discrete_logs(monkeypatch):
 
 
 def test_extension_field_keeps_one_square_table():
-    # the element add and mul tables exist only while the field is built
-    for F in [*_default_fields(), Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))]:
+    # the element add and mul tables exist only while the field is built; the
+    # code add table is in eval_batch's dtype for F_q, so eval_batch reads it
+    # without a copy
+    big = Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
+    for F in [*_default_fields(), big]:
         square = [name for name, v in vars(F).items()
                   if isinstance(v, np.ndarray) and v.size >= F.q * F.q]
         assert square == ["_code_add"]
+        assert F._code_add.dtype == _narrowest(F.q * F.q - 1)[0]
+    assert big._code_add.nbytes == 16 * 2**20
 
 
 def test_from_int_refuses_non_integers():
