@@ -7,13 +7,26 @@ walk every graph on up to 6 vertices, and every 7-vertex graph up to
 isomorphism.  The search draws seeded random graphs from 7 vertices up,
 with a budget per size; the 7-vertex draws only advance the stream.  The
 8-vertex blocks we return come from sampling, deterministic through the seed.
+
+A sample is G(n, 1/2) with one ``random.Random.random()`` draw per vertex
+pair, in lexicographic pair order, an edge where the draw is below 1/2.
+CPython builds each such float from two 32-bit Mersenne Twister words and
+the float is below 1/2 exactly when the first word is below 2^31, so the
+sampler draws a whole batch of samples, two words per pair, in one
+``getrandbits`` call on the same generator.  It rejects a batch's
+non-blocks with array tests and passes only the survivors, in sample
+order, to the rigidity check.  When the wanted blocks are found partway
+through a batch, it rewinds the generator to the words those samples
+used, so the stream, and the state it leaves, are exactly those of the
+draw-by-draw sampler.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from itertools import combinations
+
+import numpy as np
 
 from .gadgets import GadgetPair, GadgetTriple
 from .graphs import Graph, are_incomparable, is_rigid, reach
@@ -22,69 +35,74 @@ from .graphs import Graph, are_incomparable, is_rigid, reach
 # triple of 8-vertex blocks in seconds; the n=7 budget only sets the stream
 SAMPLE_BUDGETS = {7: 1500, 8: 25000, 9: 25000, 10: 25000}
 
+# samples per getrandbits call, and per pool check of search_gadgets
+BATCH = 500
 
-def _prefilter(nbr: Sequence[int]) -> bool:
-    """Cheap necessary conditions for a rigid non-bipartite block.
 
-    ``nbr[v]`` is the neighbour mask of vertex v (entry 0 unused), as in
-    ``Graph.nbr_masks``.  A degree-<=1 vertex or a vertex whose
-    neighbourhood is contained in a non-neighbour's always yields a
-    nontrivial endomorphism; a block must also be connected and not
-    bipartite.
+def _prefilter(adj: np.ndarray) -> list[tuple[int, list[int]]]:
+    """The samples of a batch that pass cheap necessary conditions for a
+    rigid non-bipartite block, as (index, neighbour masks) in index order.
+
+    ``adj`` is a (batch, n, n) 0/1 adjacency array over vertices 1..n; the
+    masks are as in ``Graph.nbr_masks`` (entry 0 unused).  A degree-<=1
+    vertex, or a vertex v whose neighbourhood is contained in that of a
+    non-neighbour w != v, always yields a nontrivial endomorphism; a block
+    must also be connected and not bipartite.
     """
-    n = len(nbr) - 1
+    n = adj.shape[1]
     if n < 3:  # too small for an odd cycle
-        return False
-    for m in nbr[1:]:
-        if not m & (m - 1):
-            return False
-    for v in range(1, n + 1):
-        # the vertices adjacent to every neighbour of v: v itself and any
-        # vertex whose neighbourhood contains v's
-        common = -1
-        m = nbr[v]
-        while m:
-            low = m & -m
-            common &= nbr[low.bit_length() - 1]
-            m ^= low
-        if common & ~nbr[v] & ~(1 << v):
-            return False
-    # a block is connected, and an edge inside one breadth-first layer
-    # closes an odd cycle
-    seen, odd = reach(nbr, 1)
-    return odd and seen == (1 << (n + 1)) - 2
+        return []
+    deg = adj.sum(axis=2)
+    # common[s, v, w] = |N(v) & N(w)|, which is deg(v) iff N(v) <= N(w)
+    common = adj @ adj.transpose(0, 2, 1)
+    dominated = (common == deg[:, :, None]) & (adj == 0) & ~np.eye(n, dtype=bool)
+    keep = np.flatnonzero((deg >= 2).all(axis=1) & ~dominated.any(axis=(1, 2)))
+    rows = np.packbits(adj[keep], axis=2, bitorder="little")
+    full = (1 << (n + 1)) - 2
+    out = []
+    for s, packed in zip(keep.tolist(), rows):
+        nbr = [0] + [int.from_bytes(r.tobytes(), "little") << 1 for r in packed]
+        # a block is connected, and an edge inside one breadth-first layer
+        # closes an odd cycle
+        seen, odd = reach(nbr, 1)
+        if odd and seen == full:
+            out.append((s, nbr))
+    return out
 
 
-def _graph(nbr: Sequence[int]) -> Graph:
+def _graph(nbr: list[int]) -> Graph:
     n = len(nbr) - 1
     return Graph.from_edges(n, [(u, w) for u in range(1, n + 1)
                                 for w in range(u + 1, n + 1) if nbr[u] >> w & 1])
 
 
-def _sample_masks(n: int, rng: random.Random) -> list[int]:
-    """Neighbour masks of G(n, 1/2), one draw per vertex pair in
-    lexicographic order."""
-    nbr = [0] * (n + 1)
-    for u, v in combinations(range(1, n + 1), 2):
-        if rng.random() < 0.5:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-    return nbr
-
-
 def sample_rigid_blocks(n: int, rng: random.Random, want: int,
                         max_samples: int) -> list[Graph]:
-    """Up to ``want`` rigid non-bipartite blocks found by random sampling."""
+    """Up to ``want`` rigid non-bipartite blocks among ``max_samples``
+    draws of G(n, 1/2) from ``rng``, stopping after the sample that
+    completes them (after the first block when ``want`` <= 0).  ``rng`` is
+    left as one ``random()`` call per vertex pair would leave it."""
+    pairs = n * (n - 1) // 2
+    upper = np.triu_indices(n, 1)  # the vertex pairs in lexicographic order
     found: list[Graph] = []
-    for _ in range(max_samples):
-        nbr = _sample_masks(n, rng)
-        if not _prefilter(nbr):
-            continue
-        g = _graph(nbr)
-        if is_rigid(g):
-            found.append(g)
-            if len(found) >= want:
-                break
+    for start in range(0, max_samples, BATCH):
+        size = min(BATCH, max_samples - start)
+        before = rng.getstate()
+        words = 2 * pairs * size
+        # getrandbits puts the first word drawn in the lowest 32 bits
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            dtype="<u4")
+        adj = np.zeros((size, n, n), dtype=np.int32)
+        adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = (
+            raw[::2] < 1 << 31).reshape(size, pairs)
+        for s, nbr in _prefilter(adj):
+            g = _graph(nbr)
+            if is_rigid(g):
+                found.append(g)
+                if len(found) >= want:
+                    rng.setstate(before)
+                    rng.getrandbits(64 * pairs * (s + 1))
+                    return found
     return found
 
 
@@ -122,10 +140,10 @@ def search_gadgets(max_n: int, need: str = "triple",
     want = 2 if need == "pair" else 3
     for n in range(min(SAMPLE_BUDGETS), max_n + 1):
         budget = SAMPLE_BUDGETS.get(n, SAMPLE_BUDGETS[max(SAMPLE_BUDGETS)])
-        # keep sampling this size, 500 draws at a time, until the budget
+        # keep sampling this size, one batch at a time, until the budget
         # runs out or the pool supports the requested gadget
-        for spent in range(0, budget, 500):
-            pool.extend(sample_rigid_blocks(n, rng, want, min(500, budget - spent)))
+        for spent in range(0, budget, BATCH):
+            pool.extend(sample_rigid_blocks(n, rng, want, min(BATCH, budget - spent)))
             found = _find(pool, want, inc)
             if found is not None:
                 return found

@@ -280,21 +280,25 @@ class HomCapExceeded(RuntimeError):
 
 
 def _search_order(G: Graph) -> list[int]:
-    """Max-degree seed, then grow connected (BFS by degree); disconnected
-    components follow in the same fashion."""
-    rank = {v: (-G.degree(v), v) for v in G.vertices()}.__getitem__
-    remaining = set(G.vertices())
+    """Max-degree seed, then grow connected: the next vertex is the first
+    in (-degree, id) order among the unplaced neighbours of the placed
+    vertices, or among all unplaced vertices when there are none (the
+    next component)."""
+    nbr = G.nbr_masks
+    ranked = sorted(G.vertices(), key=lambda v: (-nbr[v].bit_count(), v))
+    # bit i of a mask below stands for ranked[i], so the lowest bit is the
+    # first vertex in rank order
+    rank_bit = {v: 1 << i for i, v in enumerate(ranked)}
+    near = [sum(rank_bit[w] for w in G.adj[v]) for v in ranked]
+    left = (1 << G.n) - 1
+    reached = 0
     order: list[int] = []
-    while remaining:
-        frontier = [min(remaining, key=rank)]
-        while frontier:
-            frontier.sort(key=rank)
-            v = frontier.pop(0)
-            if v not in remaining:
-                continue
-            remaining.discard(v)
-            order.append(v)
-            frontier += [w for w in G.adj[v] if w in remaining]
+    while left:
+        pick = reached & left or left
+        i = (pick & -pick).bit_length() - 1
+        order.append(ranked[i])
+        left ^= 1 << i
+        reached |= near[i]
     return order
 
 

@@ -10,20 +10,24 @@ parse trees and for compiled polynomials over the integers.
 ``treewidth_dp_reference`` is the exact treewidth recurrence with one
 depth-first fill-degree search per (subset, vertex) pair.
 ``field_tables_reference`` multiplies and reduces polynomials pair by pair,
-``is_prime_trial`` divides by every odd number up to the square root, and
-``reachable_reference`` peels dead gates one round per link of a dead chain.
+``is_prime_trial`` divides by every odd number up to the square root,
+``reachable_reference`` peels dead gates one round per link of a dead chain,
+``search_order_reference`` grows the hom search's vertex order from a
+re-sorted frontier list, and ``sample_rigid_blocks_reference`` samples
+G(n, 1/2) with one ``rng.random()`` call per vertex pair.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from homforge.circuit import Circuit
 from homforge.gadgets import GadgetGraph
-from homforge.graphs import Graph
+from homforge.graphs import Graph, is_rigid
 from homforge.labels import Monomial, mono_mul, yedge, zvar
 
 UNREACHABLE = 10**9  # the distance between vertices in different components
@@ -95,6 +99,41 @@ def count_homs(G: Graph, H: Graph, cap: int) -> int:
 
     rec(0)
     return count
+
+
+def search_order_reference(G: Graph) -> list[int]:
+    """Max-degree seed, then grow connected (BFS by degree); disconnected
+    components follow in the same fashion."""
+    rank = {v: (-G.degree(v), v) for v in G.vertices()}.__getitem__
+    remaining = set(G.vertices())
+    order: list[int] = []
+    while remaining:
+        frontier = [min(remaining, key=rank)]
+        while frontier:
+            frontier.sort(key=rank)
+            v = frontier.pop(0)
+            if v not in remaining:
+                continue
+            remaining.discard(v)
+            order.append(v)
+            frontier += [w for w in G.adj[v] if w in remaining]
+    return order
+
+
+def sample_rigid_blocks_reference(n: int, rng: random.Random, want: int,
+                                  max_samples: int) -> list[Graph]:
+    """Rigid connected non-bipartite graphs among ``max_samples`` draws of
+    G(n, 1/2), one ``rng.random()`` call per vertex pair in lexicographic
+    order, stopping after the sample that brings the count to ``want``."""
+    found: list[Graph] = []
+    for _ in range(max_samples):
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                 if rng.random() < 0.5])
+        if g.is_connected() and not g.is_bipartite() and is_rigid(g):
+            found.append(g)
+            if len(found) >= want:
+                break
+    return found
 
 
 def _elim_degree(adj: list[int], T: int, v: int) -> int:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import distances, is_homomorphism
+from brute import distances, is_homomorphism, search_order_reference
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergraph3,
                              are_incomparable, ball_rings, enumerate_homs,
-                             has_hom, is_rigid, reach, unimplied_balls)
+                             _search_order, has_hom, is_rigid, reach,
+                             unimplied_balls)
 from homforge.randgen import random_layered_bp
 from homforge.verify import _blocks_first_order
 
@@ -280,6 +281,18 @@ def test_reduced_kernel_matches_all_pairs_kernel(certified_triple):
         want = all_pairs_homs(g.graph, target.graph, order)
         assert enumerate_homs(g.graph, target.graph, order=order,
                               distance_prune=True) == want
+
+
+def test_search_order_matches_frontier_reference():
+    # small graphs of every density, disconnected ones among them, and a few
+    # large sparse ones
+    rng = random.Random(77)
+    sizes = [rng.randint(0, 14) for _ in range(3000)] + [60, 120, 200]
+    for n in sizes:
+        p = rng.choice((0.05, 0.2, 0.5, 0.8)) if n <= 14 else 3 / n
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                 if rng.random() < p])
+        assert _search_order(g) == search_order_reference(g), sorted(g.edges)
 
 
 def test_custom_order_checked():

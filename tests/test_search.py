@@ -8,11 +8,13 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
-from brute import count_homs
+from brute import count_homs, sample_rigid_blocks_reference
 from homforge import gadget_search
 from homforge.gadget_search import (
+    BATCH,
     SAMPLE_BUDGETS,
     sample_rigid_blocks,
     search_gadgets,
@@ -22,21 +24,35 @@ from homforge.gadgets import GadgetPair, GadgetTriple, dump_gadget
 from homforge.graphs import Graph
 
 
+def adjacency(graphs, n: int) -> np.ndarray:
+    """The (batch, n, n) 0/1 adjacency array of graphs on vertices 1..n."""
+    adj = np.zeros((len(graphs), n, n), dtype=np.int32)
+    for s, g in enumerate(graphs):
+        for u, v in g.edges:
+            adj[s, u - 1, v - 1] = adj[s, v - 1, u - 1] = 1
+    return adj
+
+
+def passes(g: Graph) -> bool:
+    return bool(_prefilter(adjacency([g], g.n)))
+
+
 def test_prefilter_rejects_obvious_non_blocks():
-    assert not _prefilter(Graph.path(4).nbr_masks)   # degree-1 endpoints
-    assert not _prefilter(Graph.cycle(6).nbr_masks)  # bipartite
+    assert not passes(Graph.path(4))   # degree-1 endpoints
+    assert not passes(Graph.cycle(6))  # bipartite
     # disconnected
-    assert not _prefilter(Graph.from_edges(5, [(1, 2), (2, 3), (1, 3)]).nbr_masks)
+    assert not passes(Graph.from_edges(5, [(1, 2), (2, 3), (1, 3)]))
     # dominated vertex: N(4) = {1} subset of N(2); folding 4 onto 2 is an endo
     g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3), (1, 4)])
-    assert not _prefilter(g.nbr_masks)
+    assert not passes(g)
 
 
 def test_prefilter_is_necessary_not_sufficient():
     # K4 passes every cheap filter but has 24 automorphisms
     from homforge.graphs import is_rigid
-    assert _prefilter(Graph.complete(4).nbr_masks)
-    assert not is_rigid(Graph.complete(4))
+    k4 = Graph.complete(4)
+    assert _prefilter(adjacency([k4], 4)) == [(0, list(k4.nbr_masks))]
+    assert not is_rigid(k4)
 
 
 def reference_prefilter(n: int, edges) -> bool:
@@ -77,21 +93,30 @@ def labelled_graphs(n: int):
         yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
+def check_batch(graphs, n: int) -> int:
+    """Compare one batch prefilter call with the set reference, graph by
+    graph, survivors' masks included; the number that pass."""
+    got = dict(_prefilter(adjacency(graphs, n)))
+    for s, g in enumerate(graphs):
+        assert (s in got) == reference_prefilter(n, g.edges), sorted(g.edges)
+        if s in got:
+            assert got[s] == list(g.nbr_masks)
+    return len(got)
+
+
 def test_mask_prefilter_matches_set_reference():
     for n in range(1, 7):
-        passed = 0
-        for g in labelled_graphs(n):
-            want = reference_prefilter(n, g.edges)
-            assert _prefilter(g.nbr_masks) == want, sorted(g.edges)
-            passed += want
+        passed = check_batch(list(labelled_graphs(n)), n)
     assert passed == 1048  # n = 6
     rng = random.Random(2024)
+    by_size: dict[int, list[Graph]] = {7: [], 8: [], 9: []}
     for _ in range(2400):
         n = rng.randint(7, 9)
         p = rng.choice((0.3, 0.5, 0.7))
-        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
-                                 if rng.random() < p])
-        assert _prefilter(g.nbr_masks) == reference_prefilter(n, g.edges), sorted(g.edges)
+        by_size[n].append(Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                               if rng.random() < p]))
+    for n, graphs in by_size.items():
+        check_batch(graphs, n)
 
 
 def test_no_small_rigid_nonbipartite_blocks_exist():
@@ -196,9 +221,9 @@ def test_search_builds_no_graph_below_seven(monkeypatch):
     sizes = set()
     real = gadget_search._prefilter
 
-    def recording(nbr):
-        sizes.add(len(nbr) - 1)
-        return real(nbr)
+    def recording(adj):
+        sizes.add(adj.shape[1])
+        return real(adj)
 
     monkeypatch.setattr(gadget_search, "_prefilter", recording)
     search_gadgets(8, "pair", seed=0)
@@ -219,6 +244,29 @@ def test_sampling_finds_rigid_blocks_at_eight():
     got = sample_rigid_blocks(8, rng, want=1, max_samples=20000)
     assert got, "expected at least one rigid 8-vertex block from sampling"
     assert count_homs(got[0], got[0], cap=2) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9])
+def test_sampler_follows_the_draw_by_draw_stream(n):
+    # the same blocks, the same generator state after the call and the same
+    # next draw as one rng.random() per vertex pair: for stops partway
+    # through a batch, budgets that run out, and budgets of a batch or more
+    stops = 0
+    for seed in range(4):
+        for want in (0, 1, 3):
+            for max_samples in (0, 37, BATCH, 3 * BATCH + 70):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for r in (rng, ref):  # start mid-key, with a cached gauss
+                    r.gauss(0, 1)
+                    for _ in range(97 * seed):
+                        r.random()
+                got = sample_rigid_blocks(n, rng, want, max_samples)
+                expected = sample_rigid_blocks_reference(n, ref, want, max_samples)
+                assert [g.edges for g in got] == [g.edges for g in expected]
+                assert rng.getstate() == ref.getstate()
+                assert rng.random() == ref.random()
+                stops += 0 < len(got) == max(want, 1)
+    assert n < 8 or stops > 0
 
 
 def test_search_gadgets_pair_and_determinism():
