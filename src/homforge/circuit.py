@@ -11,6 +11,8 @@ A circuit is flat arrays, not one object per gate: gate i has op code
 input's label or None) and arguments ``args[offsets[i]:offsets[i + 1]]``.
 Checks, pruning, text and the ``eval_batch`` plan work on the arrays; the
 gate-at-a-time readers use ``per_gate``, lists built once per circuit.
+Text is read and written in one array pass over its UTF-8 bytes, not a
+line at a time.
 ``Gate``, ``Circuit(gates, output)`` and the ``gates`` view remain because
 the benchmark in ``perfbench/`` builds and reads circuits gate by gate.
 """
@@ -118,18 +120,11 @@ class Circuit:
         """Per gate, whether the output reaches it."""
         return _reachable(self.offsets, self.args, self.output)
 
-    def input_labels(self) -> list[str]:
-        """Distinct input labels in order of first use."""
-        return list(dict.fromkeys(self.keys[i] for i in (self.ops == OP_INPUT).nonzero()[0]))
-
     def constants_used(self) -> set[int]:
         return {self.keys[i] for i in (self.ops == OP_CONST).nonzero()[0]}
 
     def wire_count(self) -> int:
         return len(self.args)
-
-    def counts_by_op(self) -> dict[str, int]:
-        return dict(zip(OPS, np.bincount(self.ops, minlength=len(OPS)).tolist()))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -274,7 +269,7 @@ class Circuit:
         # every live gate's argument rows in row order, runs ending at ends
         lens = arity[order]
         ends = lens.cumsum()
-        flat = row[args[np.arange(ends[-1]) + (offsets[order] + lens - ends).repeat(lens)]]
+        flat = row[args[_ranges(offsets[order], lens)]]
         leaves, groups = [], []
         order, lens, ends = order.tolist(), lens.tolist(), ends.tolist()
         for lo, hi in zip(bounds, bounds[1:]):
@@ -359,56 +354,129 @@ class Circuit:
     # -- text format ----------------------------------------------------------
 
     def to_text(self) -> str:
-        words = list(map(str, self.args.tolist()))
-        ends = self.offsets.tolist()
-        lines = [f"gate {gid} {OPS[op]} {key}" if key is not None
-                 else f"gate {gid} {OPS[op]} " + " ".join(words[ends[gid]:ends[gid + 1]])
-                 for gid, (op, key) in enumerate(zip(self.ops.tolist(), self.keys))]
-        lines.append(f"output {self.output}")
-        return "\n".join(lines) + "\n"
+        """One line per gate, ``gate <id> <op> <key or arguments>``, then
+        ``output <id>``, written into one byte buffer: each line's length
+        comes from digit counts, its offset from their running sum, the
+        digits from vectorised division, and each leaf key from ``str(key)``."""
+        ops, offsets, args = self.ops, self.offsets, self.args
+        leaves = (ops < OP_ADD).nonzero()[0]
+        keys = [str(self.keys[i]).encode("utf-8", "surrogatepass") for i in leaves.tolist()]
+        key_len = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+        gid = np.arange(len(ops))
+        id_len, op_len = _TENS.searchsorted(gid, side="right") + 1, _OP_LEN[ops]  # digits
+        # running width of the argument lists, each argument (an earlier
+        # gate's id) with the blank or newline after it
+        width = np.concatenate(([0], (id_len[args] + 1).cumsum()))
+        tail = width[offsets[1:]] - width[offsets[:-1]]  # the line after the op
+        tail[leaves] = key_len + 1
+        length = id_len + op_len + tail + 7  # "gate", three blanks and the rest
+        line_end = length.cumsum()
+        line_start = line_end - length
+        buf = np.full(int(line_end[-1]), ord(" "), dtype=np.uint8)
+        for k, byte in enumerate(b"gate"):
+            buf[line_start + k] = byte
+        _put_ints(buf, line_start + 5 + id_len, gid)
+        op_at = line_start + 6 + id_len
+        for k in range(_OP_NAME.shape[1]):
+            has = op_len > k
+            buf[op_at[has] + k] = _OP_NAME[ops[has], k]
+        tail_at = op_at + op_len + 1
+        _put_ints(buf, (tail_at - width[offsets[:-1]]).repeat(offsets[1:] - offsets[:-1])
+                  + width[1:] - 1, args)
+        buf[_ranges(tail_at[leaves], key_len)] = np.frombuffer(b"".join(keys), dtype=np.uint8)
+        buf[line_end - 1] = ord("\n")
+        return buf.tobytes().decode("utf-8", "surrogatepass") + f"output {self.output}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        ops, keys, offsets, args = [], [], [0], []
-        output = None
+        """Read ``to_text``'s format under the shared line grammar (see
+        ``labels.read_lines``) in one pass over the text's bytes.
 
-        def line(toks):
-            nonlocal output
-            if toks[0] == "gate":
-                if len(toks) < 3:
-                    raise ValueError("malformed gate line")
-                if int(toks[1]) != len(ops):
-                    raise ValueError("gate ids must be consecutive from 0")
-                op = toks[2]
-                if op in (ADD, MUL):
-                    key = None
-                    args.extend(map(int, toks[3:]))
-                elif op == CONST:
-                    if len(toks) != 4:
-                        raise ValueError("const gate takes one value")
-                    key = int(toks[3])
-                elif op == INPUT:
-                    if len(toks) != 4:
-                        raise ValueError("input gate takes one label")
-                    key = toks[3]
-                else:
-                    raise ValueError(f"unknown gate op {op!r}")
-                ops.append(_CODE[op])
-                keys.append(key)
-                offsets.append(len(args))
-            elif toks[0] == "output":
-                if len(toks) != 2:
-                    raise ValueError("malformed output line")
-                if output is not None:
-                    raise ValueError("duplicate output line")
-                output = int(toks[1])
-            else:
-                raise ValueError(f"unrecognised directive {toks[0]!r}")
+        Every token's bounds come from byte masks (after Langdale and Lemire,
+        "Parsing gigabytes of JSON per second", VLDB J. 28, 2019), then every
+        line is checked at once; the first bad line is named with the message
+        ``_line_error`` gives it, the one the line-at-a-time grammar gives.
+        Tokens of 1-18 ASCII digits are read in bulk, every other number by
+        ``int()``, so signs, underscores and Unicode digits read as in Python.
+        """
+        # \r\n is one line break; the other non-ASCII breaks and blanks
+        # become \n and a space, so the byte masks see every one
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        if not text.isascii():
+            text = text.translate(_WIDE)
+        raw = text.encode("utf-8", "surrogatepass")
+        data = np.frombuffer(raw, dtype=np.uint8)
+        # token i is raw[start[i]:end[i]]; a line's bytes from its first "#"
+        # on are blanks; positions are int32 unless the text is 2 GiB or more
+        index = np.int32 if len(data) < 2**31 else np.intp
+        split = np.concatenate(([True], _splits(data), [True]))
+        breaks = _breaks(data).nonzero()[0].astype(index)
+        hashes = (data == ord("#")).nonzero()[0]
+        hash_line = breaks.searchsorted(hashes)
+        first = np.diff(hash_line, prepend=-1) != 0
+        cut = hashes[first]
+        split[_ranges(cut + 1, np.append(breaks, len(data))[hash_line[first]] - cut)] = True
+        bounds = (split[1:] != split[:-1]).nonzero()[0]
+        del split  # free the byte mask and the int64 bounds before the token work
+        start, end = bounds[0::2].astype(index), bounds[1::2].astype(index)
+        del bounds
 
-        lbl.read_lines(text, line)
-        if output is None:
+        # per nonblank line: its first token, token count and kind
+        n_tok = len(start)
+        head = np.zeros(n_tok, dtype=bool)
+        head[:1] = True
+        after = start.searchsorted(breaks)  # the first token after each break
+        head[after[after < n_tok]] = True
+        heads = head.nonzero()[0]
+        count = np.diff(heads, append=n_tok)
+        word = _words(data, start[heads], end[heads])
+        gate, out = word == _WORD["gate"], word == _WORD["output"]
+        op_tok = np.minimum(heads + 2, n_tok - 1)
+        op_word = _words(data, start[op_tok], end[op_tok])
+        code = np.full(len(heads), -1, dtype=np.int8)  # -1: not a gate line with an op
+        for c, name in enumerate(OPS):
+            code[gate & (count >= 3) & (op_word == _WORD[name])] = c
+        # the tokens that must be ints: ids and output values, const values
+        # and, last, the arguments of add and mul
+        arg_lines = code >= OP_ADD
+        arg_tok = _ranges(heads[arg_lines] + 3, count[arg_lines] - 3)
+        has_id, has_value = (gate | out) & (count >= 2), (code == OP_CONST) & (count >= 4)
+        nums = np.concatenate((heads[has_id] + 1, heads[has_value] + 3, arg_tok))
+        parsed, bad, big = _ints(raw, data, start[nums], end[nums])
+        n_ids, n_args = int(has_id.sum()), len(arg_tok)
+        ids = np.full(len(heads), -1, dtype=np.int64)  # per line, its second token's value
+        ids[has_id] = parsed[:n_ids]
+
+        gates_before = gate.cumsum() - gate
+        fault = ~(gate | out) | (gate & (code < 0)) | (out & (count != 2))
+        fault |= gate & (ids != gates_before)
+        fault |= ((code == OP_CONST) | (code == OP_INPUT)) & (count != 4)
+        fault |= out & (out.cumsum() > 1)
+        fault[heads.searchsorted(nums[bad], side="right") - 1] = True
+        if fault.any():
+            i = int(fault.argmax())
+            toks = raw[start[heads[i]]:end[heads[i] + count[i] - 1]]
+            message = _line_error(toks.decode("utf-8", "surrogatepass").split(),
+                                  int(gates_before[i]), bool(out[:i].any()))
+            raise ValueError(f"line {breaks.searchsorted(start[heads[i]]) + 1}: {message}")
+        if not out.any():
             raise ValueError("missing output line")
-        return cls.from_arrays(ops, keys, offsets, args, output)
+        if any(i >= len(nums) - n_args for i in big):  # refused as np.asarray refuses it
+            raise OverflowError("Python int too large to convert to C long")
+
+        lines = gate.nonzero()[0]
+        ops, key_tok = code[lines], heads[lines] + 3
+        keys = [None] * len(lines)
+        # the const values follow the ids in parsed, in gate order
+        for j, i in enumerate((ops == OP_CONST).nonzero()[0].tolist(), start=n_ids):
+            keys[i] = big.get(j, int(parsed[j]))
+        for i in (ops == OP_INPUT).nonzero()[0].tolist():
+            keys[i] = _token(raw, start, end, key_tok[i])
+        arity = np.where(ops >= OP_ADD, count[lines] - 3, 0)
+        return cls.from_arrays(ops, keys, np.concatenate(([0], arity.cumsum())),
+                               parsed[len(nums) - n_args:],
+                               int(_token(raw, start, end, heads[out.argmax()] + 1)))
 
 
 class _GateView(Sequence):
@@ -545,10 +613,135 @@ def _release(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray,
              pending: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     """Count down ``pending`` once per entry of the runs ``flat[starts[i]:
     starts[i] + lens[i]]``, and return the gates it brought to 0, once each."""
-    ends = lens.cumsum()
-    r = flat[(starts - ends + lens).repeat(lens) + np.arange(ends[-1])]
+    r = flat[_ranges(starts, lens)]
     np.subtract.at(pending, r, 1)
     r = r[pending[r] == 0]
     # one stamp per gate survives
     stamp[r] = slot = np.arange(len(r))
     return r[stamp[r] == slot]
+
+
+# -- text helpers -------------------------------------------------------------
+
+# The non-ASCII characters that end a line for str.splitlines, and the
+# other non-ASCII blanks of str.split: from_text maps them to \n and " ".
+_WIDE = str.maketrans({**dict.fromkeys("\x85\u2028\u2029", "\n"),
+                       **dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+                                       "\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000", " ")})
+_WORD = {w: int.from_bytes(w.encode().ljust(7, b"\0") + bytes([len(w)]), "little")
+         for w in ("gate", "output", *OPS)}
+_OP_LEN = np.array([len(op) for op in OPS])
+_OP_NAME = np.array([list(op.encode().ljust(5)) for op in OPS], dtype=np.uint8)
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _breaks(data: np.ndarray) -> np.ndarray:
+    r"""Per byte, whether it ends a line for str.splitlines (\r\n aside):
+    \n \v \f \r, or the separators \x1c-\x1e."""
+    return ((data - np.uint8(10)) <= 3) | ((data - np.uint8(28)) <= 2)
+
+
+def _splits(data: np.ndarray) -> np.ndarray:
+    r"""Per byte, whether it ends a token: a str.split blank (\t-\r,
+    \x1c-\x1f and " ") or "#", which starts a comment."""
+    return ((data - np.uint8(9)) <= 4) | ((data - np.uint8(28)) <= 4) | (data == ord("#"))
+
+
+def _token(raw: bytes, start: np.ndarray, end: np.ndarray, i) -> str:
+    return raw[start[i]:end[i]].decode("utf-8", "surrogatepass")
+
+
+def _words(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Each token's first 7 bytes, zero-padded, and its length (at most 255)
+    as the 8th, read as one little-endian int64: see ``_WORD``."""
+    size = end - start
+    word = np.minimum(size, 255).astype(np.int64) << 56
+    for k in range(7):
+        byte = data[np.minimum(start + k, len(data) - 1)]
+        byte *= size > k
+        word |= byte.astype(np.int64) << (8 * k)
+    return word
+
+
+def _ints(raw: bytes, data: np.ndarray, start: np.ndarray,
+          end: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Each token's ``int()`` value as int64, whether ``int()`` refuses it,
+    and {index: value} for the values outside int64 (whose int64 is -1).
+
+    Tokens of 1-18 ASCII digits are read by Horner's rule over columns
+    aligned at the token's end; every other token goes through ``int()``.
+    """
+    size = end - start
+    width = int(min(size.max(initial=0), 18))
+    value = np.zeros(len(start), dtype=np.int64)
+    plain = size <= 18
+    at = end - width  # > -len(data): some token is width long
+    for col in range(width, 0, -1):  # places from the end
+        digit = data[at] - np.uint8(ord("0"))  # wraps below "0"
+        digit *= size >= col
+        plain &= digit <= 9
+        value *= 10
+        value += digit
+        at += 1
+    bad, big = np.zeros(len(start), dtype=bool), {}
+    for i in (~plain).nonzero()[0].tolist():
+        try:
+            v = int(_token(raw, start, end, i))
+        except ValueError:
+            bad[i] = True
+            continue
+        if not -2**63 <= v < 2**63:
+            big[i], v = v, -1
+        value[i] = v
+    return value, bad, big
+
+
+def _line_error(toks: list[str], gates_before: int, output_seen: bool) -> str | None:
+    """The message for the first fault of a ``.ct`` line, in the order the
+    line grammar checks them, or None for a good line."""
+    try:
+        if toks[0] == "gate":
+            if len(toks) < 3:
+                return "malformed gate line"
+            if int(toks[1]) != gates_before:
+                return "gate ids must be consecutive from 0"
+            op = toks[2]
+            if op in (ADD, MUL):
+                list(map(int, toks[3:]))
+            elif op == CONST:
+                if len(toks) != 4:
+                    return "const gate takes one value"
+                int(toks[3])
+            elif op == INPUT:
+                if len(toks) != 4:
+                    return "input gate takes one label"
+            else:
+                return f"unknown gate op {op!r}"
+        elif toks[0] == "output":
+            if len(toks) != 2:
+                return "malformed output line"
+            if output_seen:
+                return "duplicate output line"
+            int(toks[1])
+        else:
+            return f"unrecognised directive {toks[0]!r}"
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _put_ints(buf: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
+    """Write each value (>= 0) in decimal into buf, ending just before ends."""
+    ends = ends - 1
+    while len(values):
+        # floor_divide by a scalar is a multiply and a shift; % is not
+        tens = values // 10
+        buf[ends] = values - tens * 10 + ord("0")
+        more = tens > 0
+        ends, values = ends[more] - 1, tens[more]
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + lens[i] - 1, concatenated."""
+    ends = lens.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lens).repeat(lens)

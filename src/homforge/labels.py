@@ -23,6 +23,8 @@ its integer coefficients.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 SCALARS = ("z", "t", "y")
 
 Monomial = tuple[tuple[str, int], ...]
@@ -102,8 +104,12 @@ def xhyper(a: int, b: int, c: int) -> str:
     return f"X:{a}:{b}:{c}"
 
 
+@lru_cache(maxsize=1 << 16)
 def is_valid_label(s: str) -> bool:
-    """Accept registry-shaped labels and free names (no blanks, nonempty)."""
+    """Accept registry-shaped labels and free names (no blanks, nonempty).
+
+    Cached per label: a circuit's input labels repeat across compiles.
+    """
     if not s or any(ch.isspace() for ch in s):
         return False
     head, _, rest = s.partition(":")

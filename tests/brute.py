@@ -15,6 +15,9 @@ depth-first fill-degree search per (subset, vertex) pair.
 ``search_order_reference`` grows the hom search's vertex order from a
 re-sorted frontier list, and ``sample_rigid_blocks_reference`` samples
 G(n, 1/2) with one ``rng.random()`` call per vertex pair.
+``ct_to_text_reference`` and ``ct_from_text_reference`` write and read the
+``.ct`` format a line at a time, through f-strings and ``read_lines``.
+``input_labels`` and ``counts_by_op`` read a circuit's arrays for tests.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from homforge.circuit import Circuit
+from homforge.circuit import ADD, CONST, INPUT, MUL, OP_INPUT, OPS, Circuit
 from homforge.gadgets import GadgetGraph
 from homforge.graphs import Graph, is_rigid
-from homforge.labels import Monomial, mono_mul, yedge, zvar
+from homforge.labels import Monomial, mono_mul, read_lines, yedge, zvar
 
 UNREACHABLE = 10**9  # the distance between vertices in different components
 
@@ -267,13 +270,77 @@ def reachable_reference(offsets: np.ndarray, args: np.ndarray, output: int) -> n
     return ~dead
 
 
+def input_labels(c: Circuit) -> list[str]:
+    """Distinct input labels in order of first use."""
+    return list(dict.fromkeys(c.keys[i] for i in (c.ops == OP_INPUT).nonzero()[0]))
+
+
+def counts_by_op(c: Circuit) -> dict[str, int]:
+    return dict(zip(OPS, np.bincount(c.ops, minlength=len(OPS)).tolist()))
+
+
+def ct_to_text_reference(c: Circuit) -> str:
+    """``Circuit.to_text``, one f-string per gate."""
+    words = list(map(str, c.args.tolist()))
+    ends = c.offsets.tolist()
+    lines = [f"gate {gid} {OPS[op]} {key}" if key is not None
+             else f"gate {gid} {OPS[op]} " + " ".join(words[ends[gid]:ends[gid + 1]])
+             for gid, (op, key) in enumerate(zip(c.ops.tolist(), c.keys))]
+    lines.append(f"output {c.output}")
+    return "\n".join(lines) + "\n"
+
+
+def ct_from_text_reference(text: str) -> Circuit:
+    """``Circuit.from_text``, one ``read_lines`` call per line."""
+    ops, keys, offsets, args = [], [], [0], []
+    output = None
+
+    def line(toks):
+        nonlocal output
+        if toks[0] == "gate":
+            if len(toks) < 3:
+                raise ValueError("malformed gate line")
+            if int(toks[1]) != len(ops):
+                raise ValueError("gate ids must be consecutive from 0")
+            op = toks[2]
+            if op in (ADD, MUL):
+                key = None
+                args.extend(map(int, toks[3:]))
+            elif op == CONST:
+                if len(toks) != 4:
+                    raise ValueError("const gate takes one value")
+                key = int(toks[3])
+            elif op == INPUT:
+                if len(toks) != 4:
+                    raise ValueError("input gate takes one label")
+                key = toks[3]
+            else:
+                raise ValueError(f"unknown gate op {op!r}")
+            ops.append(OPS.index(op))
+            keys.append(key)
+            offsets.append(len(args))
+        elif toks[0] == "output":
+            if len(toks) != 2:
+                raise ValueError("malformed output line")
+            if output is not None:
+                raise ValueError("duplicate output line")
+            output = int(toks[1])
+        else:
+            raise ValueError(f"unrecognised directive {toks[0]!r}")
+
+    read_lines(text, line)
+    if output is None:
+        raise ValueError("missing output line")
+    return Circuit.from_arrays(ops, keys, offsets, args, output)
+
+
 Poly = dict[Monomial, int]  # monomial -> nonzero integer coefficient
 
 
 def eval_symbolic(c: Circuit, bound: int = 10**6) -> Poly:
     """Expand the circuit into an integer polynomial (terms capped by bound)."""
     ring = SymbolicRing(bound)
-    return c.eval({name: ring.var(name) for name in c.input_labels()}, ring)
+    return c.eval({name: ring.var(name) for name in input_labels(c)}, ring)
 
 
 class BoundExceeded(RuntimeError):

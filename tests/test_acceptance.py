@@ -395,7 +395,7 @@ def test_criterion_09_gadget_certification(acceptance_log, certified_triple):
 
 
 def test_criterion_10_clow_matrix_identity(acceptance_log):
-    name = ("criterion 10 matrix-powering vs naive closed-walk enumeration "
+    name = ("criterion 10 fast walk count vs naive closed-walk enumeration "
             "(50 weighted cases, n <= 6)")
     with criterion(acceptance_log, name):
         rng = random.Random(1010)

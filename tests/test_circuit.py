@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import eval_symbolic, reachable_reference
+from brute import counts_by_op, eval_symbolic, input_labels, reachable_reference
 from homforge.circuit import Circuit, CircuitBuilder, Gate, _levels, _reachable, _reduce
 from homforge.labels import mono
 from homforge.rings import Field, is_prime
@@ -31,7 +31,7 @@ def test_eval_over_fields():
     rng = random.Random(1)
     for F in (Field(2), Field(3), Field(5), Field(2, 2)):
         for _ in range(40):
-            a = {lab: rng.randrange(F.q) for lab in c.input_labels()}
+            a = {lab: rng.randrange(F.q) for lab in input_labels(c)}
             want = F.mul(F.add(a["x"], a["y"]),
                          F.add(F.mul(a["x"], a["z"]), F.from_int(2)))
             assert c.eval(a, F) == want
@@ -84,7 +84,7 @@ def test_eval_batch_matches_scalar():
     for c in (small_circuit(), dead, Circuit.from_text(DEAD_BETWEEN_TEXT)):
         for F in FIELDS:
             for width in ((), (1,), (25,)):
-                batch = {lab: rng.integers(0, F.q, size=width) for lab in c.input_labels()}
+                batch = {lab: rng.integers(0, F.q, size=width) for lab in input_labels(c)}
                 assert_batch_matches_scalar(c, F, batch)
 
 
@@ -185,7 +185,7 @@ def test_eval_batch_returns_a_copy():
     c = Circuit.from_text(DEAD_GATES_TEXT)
     for F in (Field(5), Field(257), Field(65537), Field(2, 4)):
         for width in ((), (1,), (25,)):
-            batch = {lab: np.full(width, 2) for lab in c.input_labels()}
+            batch = {lab: np.full(width, 2) for lab in input_labels(c)}
             out = c.eval_batch(batch, F)
             assert out.base is None
             assert out.dtype == np.int64
@@ -454,7 +454,7 @@ def test_eval_symbolic_agrees_with_eval():
     p = eval_symbolic(c)
     rng = random.Random(9)
     for _ in range(30):
-        a = {lab: rng.randrange(5) for lab in c.input_labels()}
+        a = {lab: rng.randrange(5) for lab in input_labels(c)}
         at_a = 0
         for m, coeff in p.items():
             term = F.from_int(coeff)
@@ -589,7 +589,7 @@ def test_text_round_trip():
     c2 = Circuit.from_text(c.to_text())
     assert c2.to_text() == c.to_text()
     F = Field(5)
-    a = {lab: 3 for lab in c.input_labels()}
+    a = {lab: 3 for lab in input_labels(c)}
     assert c.eval(a, F) == c2.eval(a, F)
 
 
@@ -629,7 +629,7 @@ def test_from_text_rejects_garbage():
 
 def test_counts_by_op_and_wires():
     c = small_circuit()
-    counts = c.counts_by_op()
+    counts = counts_by_op(c)
     assert counts["input"] == 3
     assert counts["const"] == 1
     assert counts["add"] == 2

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brute import SymbolicRing, eval_symbolic, hom_poly_oracle
+from brute import (SymbolicRing, ct_to_text_reference, eval_symbolic, hom_poly_oracle,
+                   input_labels)
 from homforge.circuit import CONST, INPUT, Circuit, CircuitBuilder, Gate
 from homforge.compiler import InvalidDecomposition, compile_hom
 from homforge.graphs import Graph, enumerate_homs
@@ -21,6 +22,20 @@ from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, ma
 FIELDS = (Field(2), Field(3), Field(2, 2), Field(5))
 
 
+@pytest.fixture(autouse=True)
+def text_matches_the_line_writer(monkeypatch):
+    """Every circuit this module compiles has the text the line-at-a-time
+    writer ``ct_to_text_reference`` gives it."""
+    real = compile_hom
+
+    def checked(*args, **kwargs):
+        compiled = real(*args, **kwargs)
+        assert compiled.circuit.to_text() == ct_to_text_reference(compiled.circuit)
+        return compiled
+
+    monkeypatch.setitem(globals(), "compile_hom", checked)
+
+
 def all_labels(G: Graph, H: Graph) -> list[str]:
     labs = [zvar(u, a) for u in G.vertices() for a in H.vertices()]
     labs += [yedge(a, b) for (a, b) in sorted(H.edges)]
@@ -32,7 +47,7 @@ def project(c: Circuit, sigma: dict[str, int | str]) -> Circuit:
 
     ``sigma`` must cover every input label; gate structure is unchanged.
     """
-    labels = c.input_labels()
+    labels = input_labels(c)
     missing = [lab for lab in labels if lab not in sigma]
     if missing:
         raise ValueError(f"projection must cover all inputs; missing {missing}")
@@ -332,10 +347,10 @@ def test_specialize_z_counts_by_edges_only():
     _, d = treewidth_exact(G)
     compiled = compile_hom(G, d, H).circuit
     c = project(compiled, {lab: 1 if lab.startswith("Z:") else lab
-                           for lab in compiled.input_labels()})
-    assert all(lab.startswith("Ye:") for lab in c.input_labels())
+                           for lab in input_labels(compiled)})
+    assert all(lab.startswith("Ye:") for lab in input_labels(c))
     F = Field(5)
-    ones = {lab: F.one for lab in c.input_labels()}
+    ones = {lab: F.one for lab in input_labels(c)}
     assert c.eval(ones, F) == F.from_int(len(enumerate_homs(G, H)))
 
 
@@ -345,15 +360,15 @@ def test_project_substitutes_and_validates():
     compiled = compile_hom(G, d, H)
     c = compiled.circuit
     sigma = {}
-    for lab in c.input_labels():
+    for lab in input_labels(c):
         sigma[lab] = "1" if lab.startswith("Z:") else "w"
     proj = project(c, sigma)
-    assert set(proj.input_labels()) == {"w"}
+    assert set(input_labels(proj)) == {"w"}
     F = Field(3)
     # duplicated edge variable: f = sum over 2 homs of w^2
     assert proj.eval({"w": 1}, F) == F.from_int(2)
     with pytest.raises(ValueError):
-        project(c, {lab: "2" for lab in c.input_labels()})
+        project(c, {lab: "2" for lab in input_labels(c)})
 
 
 def test_rejects_mismatched_decomposition():

@@ -9,6 +9,9 @@ directive words and int and non-int tokens.  The JSON gadget reader
 fuzzed branching programs through both ``.bp`` verifiers exit 0
 (verified) or 2 (refused), never 1, and fuzzed ``.td`` files through
 ``compile`` exit 0 exactly when they hold a valid nice decomposition.
+``Circuit.from_text`` and ``to_text`` work on the whole text at once; they
+must agree with the line-at-a-time references in ``brute`` on every fuzzed
+``.ct`` text, odd blanks, breaks and comments included.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute import ct_from_text_reference, ct_to_text_reference
 from homforge.bp import LayeredBP
 from homforge.circuit import Circuit
 from homforge.cli import main, read_assignment_file
@@ -119,6 +124,95 @@ def test_reader_fuzz_raises_only_value_errors_naming_real_lines(fmt):
                 assert 1 <= int(m[1]) <= len(text.splitlines()), str(e)
 
     check()
+
+
+def ct_outcome(read, text):
+    """What a ``.ct`` reader makes of text: the circuit's arrays, or the
+    error's type and message."""
+    try:
+        c = read(text)
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+    return (c.ops.tolist(), [(type(k), k) for k in c.keys], c.offsets.tolist(),
+            c.args.tolist(), c.output)
+
+
+def assert_ct_reads_as_reference(text):
+    got = ct_outcome(Circuit.from_text, text)
+    assert got == ct_outcome(ct_from_text_reference, text), repr(text)
+    if not isinstance(got[0], type):
+        c = Circuit.from_text(text)
+        assert c.to_text() == ct_to_text_reference(c)
+
+
+CT_TEXTS = texts("output N", "gate I input x", "gate I input ünï", "gate I const N",
+                 "gate I add N N", "gate I mul N N")
+
+
+@st.composite
+def ct_respaced(draw):
+    """A fuzzed ``.ct`` text with its blanks and line breaks redrawn from
+    every kind str.split and str.splitlines know, and some comments."""
+    out = []
+    for line in draw(CT_TEXTS).split("\n"):
+        words = line.split(" ")
+        line = "".join(w + draw(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000", "  "]))
+                       for w in words[:-1]) + words[-1]
+        if draw(st.integers(0, 4)) == 0:
+            line += draw(st.sampled_from(["#", " # c", "#x 1", "\t# ü"]))
+        out.append(line + draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                                                "\x85", "\u2028", "\n\n"])))
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(CT_TEXTS, ct_respaced()))
+def test_ct_reader_fuzz_matches_the_line_reference(text):
+    assert_ct_reads_as_reference(text)
+
+
+def _error_on_last_line():
+    lines = ["gate 0 input x", *(f"gate {i} add {i - 1}" for i in range(1, 10_000))]
+    lines[-1] = "gate 9999 add x"
+    return "\n".join(lines) + "\noutput 9999\n"
+
+
+@pytest.mark.parametrize("text", [
+    "gate 0 input x\r\ngate 1 input y\r\ngate 2 mul 0 1\r\noutput 2\r\n",
+    "gate 0 input x\rgate 1 input y\rgate 2 mul 0 1\routput 2\r",
+    "gate 0 input x\r\r\ngate 1 add 0\r\n\routput 1",
+    "gate\x0b0 input x\x0bgate 1 add 0\x0boutput 1",
+    "gate\x1c0 input x\x1cgate 1 add 0\x1coutput 1",
+    "gate\u20030\xa0input x\ngate 1 add 0\x85output 1\u2029",
+    "gate 0 input x # the leaf\n# a comment-only line\ngate 1 add 0#0\noutput 1 #",
+    "gate 0 input x#y\n#gate 1 add 0\noutput 0",
+    "gate 0 input ünï\ngate 1 input Yv:ü\ngate 2 mul 0 1\noutput 2\n",
+    "gate 0 input \ud800\noutput 0",
+    "gate 0 const +3\ngate 1 const 0_1\ngate 2 const -1\ngate 3 const 007\n"
+    "gate 4 const 123456789012345678901234567890\ngate 5 add 0 1 2 3 4\noutput 5\n",
+    "gate 0 const ٣\ngate +1 add 00\noutput ٢",
+    "gate 0 const 1_\noutput 0",
+    "gate 0 const " + "9" * 5000 + "\noutput 0",
+    "gate 0 input x\ngate 1 add 0 123456789012345678901234567890\noutput 1",
+    "gate 0 input x\ngate 1 add 0 1234567890123456789\noutput 1",
+    "gate 0 input x\ngate 1 add 0 -1\noutput 1",
+    "gate 0 input x\ngate 2 add 0\noutput 1",
+    "gate 0 input x\noutput 0\noutput 0",
+    "gate 0 input x\noutput 0 0",
+    "gate 0 input x\ngate 1 add\noutput 1",
+    "gate 0\noutput 0", "gate 0 nop 1\noutput 0", "gate 0 const\noutput 0",
+    "gate 0 input x y\noutput 0", "gates 0 input x\noutput 0", "gate 0 input x\n",
+    "", "# only a comment\n",
+    _error_on_last_line(),
+], ids=lambda text: repr(text[:24]))
+def test_ct_reader_matches_the_line_reference(text):
+    assert_ct_reads_as_reference(text)
+
+
+def test_ct_reader_splits_on_every_unicode_blank_and_break():
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        if ch.isspace():
+            assert_ct_reads_as_reference(f"gate 0 input x{ch}gate{ch}1 add 0{ch}output 1")
 
 
 SMALL = st.integers(-1, 10)
