@@ -454,6 +454,9 @@ class Circuit:
         fault |= ((code == OP_CONST) | (code == OP_INPUT)) & (count != 4)
         fault |= out & (out.cumsum() > 1)
         fault[heads.searchsorted(nums[bad], side="right") - 1] = True
+        # an add or mul argument outside int64 is no gate id
+        wide = [i for i in big if i >= len(nums) - n_args]
+        fault[heads.searchsorted(nums[wide], side="right") - 1] = True
         if fault.any():
             i = int(fault.argmax())
             toks = raw[start[heads[i]]:end[heads[i] + count[i] - 1]]
@@ -462,8 +465,6 @@ class Circuit:
             raise ValueError(f"line {breaks.searchsorted(start[heads[i]]) + 1}: {message}")
         if not out.any():
             raise ValueError("missing output line")
-        if any(i >= len(nums) - n_args for i in big):  # refused as np.asarray refuses it
-            raise OverflowError("Python int too large to convert to C long")
 
         lines = gate.nonzero()[0]
         ops, key_tok = code[lines], heads[lines] + 3
@@ -707,7 +708,9 @@ def _line_error(toks: list[str], gates_before: int, output_seen: bool) -> str | 
                 return "gate ids must be consecutive from 0"
             op = toks[2]
             if op in (ADD, MUL):
-                list(map(int, toks[3:]))
+                args = list(map(int, toks[3:]))  # every token is read first
+                if any(not -2**63 <= a < 2**63 for a in args):
+                    return "argument outside the 64-bit range"
             elif op == CONST:
                 if len(toks) != 4:
                     return "const gate takes one value"

@@ -45,12 +45,6 @@ class CNF:
                 return False
         return True
 
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.n} {len(self.clauses)}"]
-        for c in self.clauses:
-            lines.append(" ".join(str(l) for l in c) + " 0")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_dimacs(cls, text: str) -> "CNF":
         n = want = None

@@ -70,12 +70,6 @@ def _prefilter(adj: np.ndarray) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _graph(nbr: list[int]) -> Graph:
-    n = len(nbr) - 1
-    return Graph.from_edges(n, [(u, w) for u in range(1, n + 1)
-                                for w in range(u + 1, n + 1) if nbr[u] >> w & 1])
-
-
 def sample_rigid_blocks(n: int, rng: random.Random, want: int,
                         max_samples: int) -> list[Graph]:
     """Up to ``want`` rigid non-bipartite blocks among ``max_samples``
@@ -96,7 +90,7 @@ def sample_rigid_blocks(n: int, rng: random.Random, want: int,
         adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = (
             raw[::2] < 1 << 31).reshape(size, pairs)
         for s, nbr in _prefilter(adj):
-            g = _graph(nbr)
+            g = Graph.from_masks(nbr)
             if is_rigid(g):
                 found.append(g)
                 if len(found) >= want:

@@ -23,10 +23,12 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-# the most source vertices enumerate_homs takes: its search recurses once per
-# source vertex, and Python's default recursion limit is 1,000 frames (800
-# leaves room for the callers' frames), so a larger source is refused with
-# ValueError instead of hitting RecursionError
+# the most source vertices enumerate_homs takes.  A larger source is an input
+# error (ValueError, CLI exit 2), refused before anything is built: the
+# verifiers check a gadget graph's size before building it, and a .gad
+# block's c_max may not exceed this.  No larger source can be checked by
+# enumeration at desk scale; a depth-10 circuit's tree gadget has 34,790
+# vertices
 MAX_SOURCE_VERTICES = 800
 
 
@@ -35,6 +37,16 @@ def check_source_size(n: int) -> None:
     if n > MAX_SOURCE_VERTICES:
         raise ValueError(f"homomorphism search takes at most {MAX_SOURCE_VERTICES} "
                          f"source vertices, got {n}")
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 def neighbourhood(nbr: Sequence[int], mask: int) -> int:
@@ -61,16 +73,17 @@ def reach(nbr: Sequence[int], start: int) -> tuple[int, bool]:
     return seen, odd
 
 
-def ball_rings(nbr: Sequence[int], h: int) -> list[int]:
-    """rings[d] is the mask of vertices within distance d of h under the
-    neighbour masks nbr, for d from 0 to the eccentricity of h in its
-    component, so rings[-1] is the whole component of h."""
-    ball = frontier = 1 << h
-    rings = [ball]
-    while frontier := neighbourhood(nbr, frontier) & ~ball:
+def extend_rings(nbr: Sequence[int], rings: list[int], d: int) -> None:
+    """Grow rings, the balls around a vertex h (rings[k] is the mask of
+    vertices within distance k of h under the neighbour masks nbr, and
+    rings[0] is 1 << h), out to rings[d].  Past the eccentricity of h each
+    ball is the whole component of h."""
+    ball = rings[-1]
+    frontier = ball & ~rings[-2] if len(rings) > 1 else ball
+    while len(rings) <= d:
+        frontier = neighbourhood(nbr, frontier) & ~ball
         ball |= frontier
         rings.append(ball)
-    return rings
 
 
 def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int, int]]:
@@ -80,21 +93,22 @@ def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int,
     the neighbour mask, and through such a u by induction on distance, as
     d_H(phi v, phi w) <= d(v, u) + d(u, w) = d(v, w).  One BFS by layers
     carries the shadow, the layer's vertices with an earlier vertex on a
-    shortest path back to v."""
+    shortest path back to v.  Once every vertex of a layer is earlier or
+    shadowed, each vertex of the next layer lies next to one and is
+    shadowed too, so the BFS stops there."""
     tests = []
     seen = layer = 1 << v
     shadow = d = 0
     while earlier & ~seen and layer:
         cast = shadow | (layer & earlier)
+        if not layer & ~cast:
+            break
         layer = neighbourhood(nbr, layer) & ~seen
         shadow = neighbourhood(nbr, cast) & layer
         seen |= layer
         d += 1
-        keep = layer & earlier & ~shadow if d >= 2 else 0
-        while keep:
-            low = keep & -keep
-            keep ^= low
-            tests.append((low.bit_length() - 1, d))
+        if d >= 2:
+            tests += [(w, d) for w in bits(layer & earlier & ~shadow)]
     return tests
 
 
@@ -115,6 +129,18 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         return cls(n, frozenset(_norm_edge(u, v) for u, v in edges))
+
+    @classmethod
+    def from_masks(cls, nbr: Sequence[int]) -> "Graph":
+        """The graph on vertices 1..len(nbr) - 1 with neighbour masks nbr,
+        as in ``nbr_masks``: symmetric, bit 0 and bit v of nbr[v] clear."""
+        n = len(nbr) - 1
+        if any(m < 0 for m in nbr):  # bits() would never end
+            raise ValueError("neighbour masks must not be negative")
+        g = cls(n, frozenset((u, w) for u in range(1, n + 1) for w in bits(nbr[u]) if w > u))
+        if g.nbr_masks != tuple(nbr):
+            raise ValueError("neighbour masks must be symmetric, with no loops")
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -288,8 +314,10 @@ def _search_order(G: Graph) -> list[int]:
     ranked = sorted(G.vertices(), key=lambda v: (-nbr[v].bit_count(), v))
     # bit i of a mask below stands for ranked[i], so the lowest bit is the
     # first vertex in rank order
-    rank_bit = {v: 1 << i for i, v in enumerate(ranked)}
-    near = [sum(rank_bit[w] for w in G.adj[v]) for v in ranked]
+    rank_bit = [0] * (G.n + 1)
+    for i, v in enumerate(ranked):
+        rank_bit[v] = 1 << i
+    near = [neighbourhood(rank_bit, nbr[v]) for v in ranked]
     left = (1 << G.n) - 1
     reached = 0
     order: list[int] = []
@@ -318,60 +346,76 @@ def enumerate_homs(
     source with more than MAX_SOURCE_VERTICES vertices is refused with
     ValueError before the search starts.
 
+    The search is one loop over depths, with no recursion: depth i places
+    order[i] and keeps the mask of its candidate images not yet tried.
     Candidate images are bit masks over H's vertices: the AND of the
     neighbour masks of the images of v's earlier neighbours and, with
     distance_prune, of the balls of radius dG(v, w) around the image of
-    each earlier w that unimplied_balls keeps.  A depth's tests are built
-    when the search first reaches it, an image's ball_rings when it is
-    first tested.  Candidates are tried in ascending order.
+    each earlier w that unimplied_balls keeps.  A depth's ball tests are
+    built the first time its neighbour masks leave it a candidate, and the
+    balls around an image only out to the largest radius a test has asked
+    of them (extend_rings).  A depth left with no candidate is never
+    entered.  Candidates are tried in ascending order.
     """
     check_source_size(G.n)
-    order = order if order is not None else _search_order(G)
-    if sorted(order) != list(G.vertices()):
+    if order is None:
+        order = _search_order(G)
+    elif sorted(order) != list(G.vertices()):
         raise ValueError("order must be a permutation of the source vertices")
     n = G.n
-    pos_of = {v: i for i, v in enumerate(order)}
-    # neighbours of order[i] that appear earlier in the order
-    earlier_nbrs: list[list[int]] = []
-    for i, v in enumerate(order):
-        earlier_nbrs.append([w for w in G.adj[v] if pos_of[w] < i])
-    nbr = H.nbr_masks
-    every = (1 << (H.n + 1)) - 2  # bits 1..H.n
-    if distance_prune:
-        tests_at: list[list[tuple[int, int]] | None] = [None] * n
-        rings_of: dict[int, list[int]] = {}
+    if not n:  # the empty map is the one homomorphism
+        if cap is not None and cap < 1:
+            raise HomCapExceeded(cap, 1)
+        return [()]
+    nbrG, nbr = G.nbr_masks, H.nbr_masks
+    # per depth i: the mask of the vertices placed before order[i], and
+    # which of them are its neighbours
+    earlier = [0] * n
+    for i in range(1, n):
+        earlier[i] = earlier[i - 1] | 1 << order[i - 1]
+    earlier_nbrs = [bits(nbrG[v] & placed) for v, placed in zip(order, earlier)]
+    tests_at: list[list[tuple[int, int]] | None] = [None] * n
+    rings_of: list[list[int] | None] = [None] * (H.n + 1)
 
     results: list[tuple[int, ...]] = []
-    image = [0] * (n + 1)  # image[v] for assigned v
-
-    def rec(i: int) -> None:
-        if i == n:
+    image = [0] * (n + 1)  # image[v] for placed v
+    cands = [0] * n  # cands[i]: the images of order[i] left to try
+    cands[0] = every = (1 << (H.n + 1)) - 2  # bits 1..H.n
+    last, i = n - 1, 0
+    while True:
+        cand = cands[i]
+        if not cand:  # depth i is done: back to the one before
+            if not i:
+                break
+            i -= 1
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        image[order[i]] = low.bit_length() - 1
+        if i == last:
             results.append(tuple(image[1:]))
             if cap is not None and len(results) > cap:
                 raise HomCapExceeded(cap, len(results))
-            return
-        v = order[i]
+            continue
+        j = i + 1
         cand = every
-        for w in earlier_nbrs[i]:
+        for w in earlier_nbrs[j]:
             cand &= nbr[image[w]]
         if distance_prune and cand:
-            tests = tests_at[i]
+            tests = tests_at[j]
             if tests is None:
-                earlier = sum(1 << w for w in order[:i])
-                tests = tests_at[i] = unimplied_balls(G.nbr_masks, v, earlier)
+                tests = tests_at[j] = unimplied_balls(nbrG, order[j], earlier[j])
             for w, d in tests:
                 h = image[w]
-                rings = rings_of.get(h)
+                rings = rings_of[h]
                 if rings is None:
-                    rings = rings_of[h] = ball_rings(nbr, h)
-                cand &= rings[d] if d < len(rings) else rings[-1]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[v] = low.bit_length() - 1
-            rec(i + 1)
-
-    rec(0)
+                    rings = rings_of[h] = [1 << h]
+                if d >= len(rings):
+                    extend_rings(nbr, rings, d)
+                cand &= rings[d]
+        if cand:  # a dead end is left at once, without entering depth j
+            cands[j] = cand
+            i = j
     results.sort()
     return results
 

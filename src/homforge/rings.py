@@ -136,11 +136,6 @@ class Field:
         logs = self._logs
         return self._exps[self._code_add.item(logs[self._check(a)], logs[self._check(b)])]
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.mul(a, self.p - 1)  # -a = (p - 1) * a
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p

@@ -13,11 +13,15 @@ depth-first fill-degree search per (subset, vertex) pair.
 ``is_prime_trial`` divides by every odd number up to the square root,
 ``reachable_reference`` peels dead gates one round per link of a dead chain,
 ``search_order_reference`` grows the hom search's vertex order from a
-re-sorted frontier list, and ``sample_rigid_blocks_reference`` samples
-G(n, 1/2) with one ``rng.random()`` call per vertex pair.
+re-sorted frontier list, ``ball_rings`` lists the distance balls around
+a vertex by whole breadth-first layers, and
+``sample_rigid_blocks_reference`` samples G(n, 1/2) with one
+``rng.random()`` call per vertex pair.
 ``ct_to_text_reference`` and ``ct_from_text_reference`` write and read the
 ``.ct`` format a line at a time, through f-strings and ``read_lines``.
-``input_labels`` and ``counts_by_op`` read a circuit's arrays for tests.
+``input_labels`` and ``counts_by_op`` read a circuit's arrays for tests,
+``cnf_to_dimacs`` writes a CNF as DIMACS text and ``field_neg`` negates a
+field element.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from itertools import combinations, product
 import numpy as np
 
 from homforge.circuit import ADD, CONST, INPUT, MUL, OP_INPUT, OPS, Circuit
+from homforge.formulas import CNF
 from homforge.gadgets import GadgetGraph
 from homforge.graphs import Graph, is_rigid
 from homforge.labels import Monomial, mono_mul, read_lines, yedge, zvar
+from homforge.rings import Field
 
 UNREACHABLE = 10**9  # the distance between vertices in different components
 
@@ -121,6 +127,24 @@ def search_order_reference(G: Graph) -> list[int]:
             order.append(v)
             frontier += [w for w in G.adj[v] if w in remaining]
     return order
+
+
+def ball_rings(nbr, h: int) -> list[int]:
+    """rings[d] is the mask of vertices within distance d of h under the
+    neighbour masks nbr, for d from 0 to the eccentricity of h in its
+    component, so rings[-1] is the whole component of h."""
+    ball = frontier = 1 << h
+    rings = [ball]
+    while True:
+        out = 0
+        for v, mask in enumerate(nbr):
+            if frontier >> v & 1:
+                out |= mask
+        frontier = out & ~ball
+        if not frontier:
+            return rings
+        ball |= frontier
+        rings.append(ball)
 
 
 def sample_rigid_blocks_reference(n: int, rng: random.Random, want: int,
@@ -270,6 +294,21 @@ def reachable_reference(offsets: np.ndarray, args: np.ndarray, output: int) -> n
     return ~dead
 
 
+def cnf_to_dimacs(cnf: CNF) -> str:
+    """The DIMACS text that ``CNF.from_dimacs`` reads back as cnf."""
+    lines = [f"p cnf {cnf.n} {len(cnf.clauses)}"]
+    for c in cnf.clauses:
+        lines.append(" ".join(str(l) for l in c) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def field_neg(F: Field, a: int) -> int:
+    """-a in F, as (p - 1) * a through ``F.mul`` in an extension field."""
+    if F.k == 1:
+        return (-a) % F.p
+    return F.mul(a, F.p - 1)
+
+
 def input_labels(c: Circuit) -> list[str]:
     """Distinct input labels in order of first use."""
     return list(dict.fromkeys(c.keys[i] for i in (c.ops == OP_INPUT).nonzero()[0]))
@@ -306,6 +345,8 @@ def ct_from_text_reference(text: str) -> Circuit:
             if op in (ADD, MUL):
                 key = None
                 args.extend(map(int, toks[3:]))
+                if any(not -2**63 <= a < 2**63 for a in args[offsets[-1]:]):
+                    raise ValueError("argument outside the 64-bit range")
             elif op == CONST:
                 if len(toks) != 4:
                     raise ValueError("const gate takes one value")

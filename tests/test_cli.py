@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import counts_by_op, input_labels
+from brute import cnf_to_dimacs, counts_by_op, input_labels
 from homforge import verify
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
@@ -334,7 +334,7 @@ def _count_case(draw):
         literal = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
         clauses = draw(st.lists(st.tuples(literal, literal, literal),
                                 max_size=6 if n else 0))
-        return family, ("sat", "--cnf", CNF(n, tuple(clauses)).to_dimacs(), ()), spec
+        return family, ("sat", "--cnf", cnf_to_dimacs(CNF(n, tuple(clauses))), ()), spec
     if family == "tdm":
         n = draw(st.integers(0, 2))
         edges = draw(st.sets(st.sampled_from(list(product(range(1, n + 1), repeat=3))))
@@ -666,6 +666,8 @@ def test_verify_circuit_repeated_output_is_input_error(capsys, tmp_path,
     ("gate 0 const q\noutput 0\n", "line 1: invalid literal for int() with base 10: 'q'"),
     ("gate 0 input a\ngate 1 add 0 z\noutput 1\n",
      "line 2: invalid literal for int() with base 10: 'z'"),
+    ("gate 0 input a\ngate 1 add 0 123456789012345678901234567890\noutput 1\n",
+     "line 2: argument outside the 64-bit range"),
 ])
 def test_verify_circuit_bad_token_names_its_line(capsys, tmp_path, triple_file,
                                                  text, message):

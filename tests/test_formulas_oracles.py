@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from brute import cnf_to_dimacs
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
 from homforge.oracles import (count_3dm, count_clique, count_clows, count_hc,
@@ -31,7 +32,7 @@ def test_cnf_basics():
 
 def test_cnf_dimacs_round_trip():
     cnf = CNF(4, ((1, -2, 3), (-1, 2, 4), (2, 3, -4)))
-    again = CNF.from_dimacs(cnf.to_dimacs())
+    again = CNF.from_dimacs(cnf_to_dimacs(cnf))
     assert again == cnf
     # short clauses pad by repeating the final literal
     padded = CNF.from_dimacs("p cnf 2 1\n1 2 0\n")

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import distances, is_homomorphism, search_order_reference
+from brute import ball_rings, distances, is_homomorphism, search_order_reference
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergraph3,
-                             are_incomparable, ball_rings, enumerate_homs,
+                             are_incomparable, enumerate_homs, extend_rings,
                              _search_order, has_hom, is_rigid, reach,
                              unimplied_balls)
 from homforge.randgen import random_layered_bp
@@ -206,6 +208,13 @@ def test_masks_and_balls_match_distances():
             assert len(rings) == ecc + 1
             for d, ball in enumerate(rings):
                 assert ball == sum(1 << w for w in reach if dist[v][w] <= d)
+            # the search's rings, extended on demand in two steps, past the
+            # eccentricity too, where every ball is the whole component
+            grown = [1 << v]
+            for d in (rng.randint(0, ecc + 1), ecc + 2):
+                extend_rings(G.nbr_masks, grown, d)
+                assert grown == (rings + [rings[-1]] * 3)[:len(grown)]
+            assert len(grown) == ecc + 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,8 +311,7 @@ def test_custom_order_checked():
 
 @pytest.mark.parametrize("prune", [False, True])
 def test_source_size_limit(prune):
-    # the search recurses once per source vertex: the largest source it
-    # takes still fits the default recursion limit, and a larger one is
+    # the largest source the search takes is searched, and a larger one is
     # refused before the search starts
     k2 = Graph.complete(2)
     at_limit = Graph.path(MAX_SOURCE_VERTICES)
@@ -312,6 +320,51 @@ def test_source_size_limit(prune):
         enumerate_homs(Graph.path(MAX_SOURCE_VERTICES + 1), k2, distance_prune=prune)
     with pytest.raises(ValueError, match="source vertices"):
         is_rigid(Graph.cycle(MAX_SOURCE_VERTICES + 1))
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_search_depth_needs_no_recursion(prune):
+    # the search is one loop over depths, so a source at the size limit
+    # needs no more stack than a small one: 50 frames above this one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        homs = enumerate_homs(Graph.path(MAX_SOURCE_VERTICES), Graph.complete(2),
+                              distance_prune=prune)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert homs == [tuple(1 + (i + s) % 2 for i in range(MAX_SOURCE_VERTICES))
+                    for s in (0, 1)]
+
+
+def test_empty_source_has_one_map():
+    # the empty map: counted against the cap like any other, and a
+    # homomorphism even into the empty graph
+    for H in (Graph.empty(0), Graph.complete(3)):
+        assert enumerate_homs(Graph.empty(0), H) == [()]
+        assert enumerate_homs(Graph.empty(0), H, cap=1, distance_prune=True) == [()]
+        with pytest.raises(HomCapExceeded) as exc:
+            enumerate_homs(Graph.empty(0), H, cap=0)
+        assert (exc.value.cap, exc.value.partial) == (0, 1)
+        assert has_hom(Graph.empty(0), H)
+    assert is_rigid(Graph.empty(0))
+    assert not has_hom(Graph.empty(1), Graph.empty(0))
+
+
+def test_graph_from_masks_matches_from_edges():
+    rng = random.Random(12)
+    graphs = [Graph.empty(0), Graph.empty(3), Graph.complete(5), Graph.cycle(7)]
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(200)]
+    for g in graphs:
+        made = Graph.from_masks(list(g.nbr_masks))
+        want = Graph.from_edges(g.n, g.edges)
+        assert made == want
+        assert (made.edges, made.adj, made.nbr_masks) == (want.edges, want.adj, want.nbr_masks)
+    # masks that are not a simple graph's: one-sided, a loop, bit 0, a vertex
+    # past n, negative
+    for bad in ([0, 0b100, 0], [0, 0b10], [0b10, 0b1], [0, 0b10000, 0, 0], [0, -0b100, 0b10]):
+        with pytest.raises(ValueError):
+            Graph.from_masks(bad)
 
 
 def test_rigidity():
