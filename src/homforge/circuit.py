@@ -2,9 +2,8 @@
 
 Gates are stored in topological order (arguments always point at earlier
 ids) with a single designated output.  Add and mul take one or more
-arguments, const and input none.  Evaluation is generic over any ring
-exposing zero / one / from_int / add / mul, so the same circuit can be run
-over a finite field, a truncated polynomial ring, or the symbolic ring.
+arguments, const and input none.  ``eval_batch`` evaluates many field
+assignments at once.
 
 A circuit is flat arrays, not one object per gate: gate i has op code
 ``ops[i]`` (an index into ``OPS``), key ``keys[i]`` (a constant's value, an
@@ -22,7 +21,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from math import prod
 
@@ -127,25 +126,6 @@ class Circuit:
         return len(self.args)
 
     # -- evaluation -----------------------------------------------------------
-
-    def eval(self, assignment: dict[str, object], ring):
-        """Evaluate over any ring; assignment maps input labels to ring values."""
-        ops, keys, args = self.per_gate
-        vals: list[object] = [None] * len(ops)
-        for gid, op in enumerate(ops):
-            if op == CONST:
-                vals[gid] = ring.from_int(keys[gid])
-            elif op == INPUT:
-                if keys[gid] not in assignment:
-                    raise ValueError(f"unassigned input {keys[gid]!r}")
-                v = assignment[keys[gid]]
-                if isinstance(ring, Field):  # reduced or range-checked, as in eval_batch
-                    v = ring.from_int(v) if ring.k == 1 else ring._check(v)
-                vals[gid] = v
-            else:
-                combine = ring.add if op == ADD else ring.mul
-                vals[gid] = reduce(combine, map(vals.__getitem__, args[gid]))
-        return vals[self.output]
 
     def eval_batch(self, assignment: dict[str, np.ndarray], field: Field) -> np.ndarray:
         """Vectorised evaluation of many field assignments at once.

@@ -218,13 +218,6 @@ class GadgetGraph:
                 return b
         raise KeyError(key)
 
-    def edge_label(self, u: int, v: int) -> str | int:
-        """Label of an edge of the gadget: a variable name or constant 1."""
-        e = (min(u, v), max(u, v))
-        if not self.graph.has_edge(u, v):
-            raise ValueError(f"no edge {e}")
-        return self.labels.get(e, 1)
-
 
 class _Assembler:
     """Allocates vertex ids and accumulates gadget structure."""
@@ -362,8 +355,8 @@ def embed_bp(bp: LayeredBP, mode: str, pair: GadgetPair | None = None) -> Gadget
     trace source-to-sink paths.  ``pair`` was certified when it was
     constructed.
 
-    Returns the gadget graph ``B``; ``B.edge_label`` gives each edge's
-    variable, or 1 for an unlabelled edge.
+    Returns the gadget graph ``B``; ``B.labels`` maps each labelled edge,
+    as (min, max), to its variable; every other edge stands for 1.
     """
     ell = bp.n_layers
     if mode == "cycle":

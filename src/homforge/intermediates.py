@@ -5,7 +5,9 @@ variables X and vertex/clause variables Y); index 0 is the empty instance.
 The module provides:
 
 * ``eval_definitional`` — the defining exponential sum over the instance
-  field (``_eval_def`` sums it in any ring with zero/one/add/mul/pow);
+  field, counted: every term is 0 or 1, and the sum counts in
+  ``CountRing`` the terms whose (q-1)-th powers are all one (``_eval_def``
+  sums in any ring with zero/one/add/mul/pow);
 * ``eval_fast`` — the polynomial-time evaluation over F_q, exploiting the
   fact that every exponent is a multiple of q-1, so only zero/nonzero
   patterns of the assignment matter; it counts in Python ints, exact for
@@ -26,6 +28,8 @@ walk prefix, the fast route one walk count mod p per current vertex.
 
 Exponent convention: all variables appear as (q-1)-th powers, so by
 Fermat a nonzero value contributes 1 and a zero value kills the term.
+``eval_definitional`` does not assume this: it computes each power in the
+field and refuses one that is neither 0 nor 1.
 """
 
 from __future__ import annotations
@@ -181,10 +185,24 @@ def _budget_check(family: str, n: int) -> None:
 
 
 def eval_definitional(inst: FamilyInstance) -> int:
-    """The defining sum over the instance field."""
+    """The defining sum over the instance field, counted.
+
+    Every value enters as its (q-1)-th power, computed in the field, so
+    every term is 0 or 1 and the sum is the number of terms that are 1,
+    mod p.  A power 0 is ``CountRing(0, 0)``'s dead term and a power 1 its
+    one; the sum then runs as ``count_via_coefficient``'s does.
+    """
     _budget_check(inst.family, inst.n)
-    return _eval_def(inst.family, inst.n, inst.field.q, inst.field,
-                     dict(enumerate(inst.values)))
+    F, ring = inst.field, CountRing(0, 0)
+    vals = {}
+    for i, v in enumerate(inst.values):
+        f = F.pow(v, F.q - 1)
+        if f == 0:
+            vals[i] = ring.dead
+        elif f != 1:
+            raise AssertionError(f"{v}^{F.q - 1} = {f} in F_{F.q}, neither 0 nor 1")
+    total = _eval_def(inst.family, inst.n, 2, ring, vals)
+    return F.from_int(total[0])
 
 
 def _eval_def(family: str, n: int, q: int, ring, vals: dict):

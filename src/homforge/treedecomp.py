@@ -494,78 +494,3 @@ def treewidth_exact(G: Graph) -> tuple[int, NiceTreeDecomp]:
             f"witness decomposition width {got} != optimal width {width}")
     return width, nice
 
-
-def _cycle_order(G: Graph) -> list[int] | None:
-    """Vertices of G in cyclic order if G is a single cycle, else None."""
-    if G.n < 3 or G.m != G.n or not G.is_connected():
-        return None
-    if any(G.degree(v) != 2 for v in G.vertices()):
-        return None
-    start = 1
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in sorted(G.adj[cur]) if w != prev]
-        step = nxt[0]
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order
-
-
-def gadget_decomp(g) -> NiceTreeDecomp:
-    """Structural nice decomposition for gadget graphs and cycles.
-
-    Accepts a gadget graph carrying block/path construction metadata, or a
-    plain cycle graph.  A cycle is decomposed through an elimination order
-    that starts at its second vertex, so its bags form a path.  Path-shaped
-    inputs (path gadgets, cycles) produce Join-free decompositions.
-    """
-    if isinstance(g, Graph):
-        order = _cycle_order(g)
-        if order is None:
-            raise ValueError(
-                "gadget_decomp needs construction metadata or a cycle graph")
-        return _make_nice(_decomp_from_elimination(g, order[1:] + order[:1]),
-                          root=order[0])
-
-    graph = getattr(g, "graph", None)
-    blocks = getattr(g, "blocks", None)
-    paths = getattr(g, "paths", None)
-    if graph is None or blocks is None or paths is None:
-        raise ValueError("gadget_decomp needs construction metadata or a cycle graph")
-    if getattr(g, "kind", "") == "parse":
-        raise ValueError(
-            "parse-structure gadgets may share blocks (DAG shape); "
-            "no tree decomposition is provided for them")
-
-    bags = {}
-    edges = []
-    bag_of_block: dict[str, int] = {}
-    nid = 0
-    for blk in blocks:
-        bags[nid] = frozenset(blk.vmap.values())
-        bag_of_block[blk.key] = nid
-        nid += 1
-    vertex_home = {}
-    for idx in bag_of_block.values():
-        for v in bags[idx]:
-            vertex_home[v] = idx
-    for pth in paths:
-        walk = [pth.src, *pth.interior, pth.dst]
-        prev_bag = vertex_home[pth.src]
-        for a, bv in zip(walk, walk[1:]):
-            bags[nid] = frozenset({a, bv})
-            edges.append((prev_bag, nid))
-            prev_bag = nid
-            nid += 1
-        # link the last pair bag {..., dst} to the destination block's bag
-        edges.append((prev_bag, vertex_home[pth.dst]))
-    td = TreeDecompInput(bags, edges)
-    if getattr(g, "kind", "") in ("path", "bp_gadget"):
-        root = bag_of_block[blocks[-1].key]
-    else:
-        root = bag_of_block[blocks[0].key]
-    return make_nice(td, graph, root=root)

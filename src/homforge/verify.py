@@ -65,11 +65,23 @@ def _blocks_first_order(g: GadgetGraph) -> list[int]:
     return order
 
 
-def hom_monomial(G: Graph, phi: tuple[int, ...], target: GadgetGraph) -> Monomial:
-    """Product of target edge labels picked up by a homomorphism."""
+def edge_labels(target: GadgetGraph) -> dict[tuple[int, int], str | int]:
+    """Both orientations of every target edge, mapped to its label or 1."""
+    table = {}
+    for e in target.graph.edges:
+        table[e] = table[e[::-1]] = target.labels.get(e, 1)
+    return table
+
+
+def hom_monomial(G: Graph, phi: tuple[int, ...], labels: dict) -> Monomial:
+    """Product of target edge labels picked up by a homomorphism; ``labels``
+    is the target's ``edge_labels`` table."""
     pairs = []
     for (u, v) in G.edges:
-        lab = target.edge_label(phi[u - 1], phi[v - 1])
+        a, b = phi[u - 1], phi[v - 1]
+        lab = labels.get((a, b))
+        if lab is None:
+            raise ValueError(f"no edge {(min(a, b), max(a, b))}")
         if lab != 1:
             pairs.append((lab, 1))
     return mono(*pairs)
@@ -114,8 +126,9 @@ def verify_cycle_identity(bp: LayeredBP) -> CycleIdentityReport:
 
     y_once = True
     f: Counter = Counter()
+    labels = edge_labels(B)
     for phi in homs:
-        m = hom_monomial(C, phi, B)
+        m = hom_monomial(C, phi, labels)
         if dict(m).get("y") != 1:
             y_once = False
         f[m] += 1
@@ -200,7 +213,8 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair) -> GadgetBijectionR
              for phi in homs for x in g_i2.vmap)
     endpoints = all(phi[a_v - 1] == s_v and phi[b_v - 1] == t_v for phi in homs)
 
-    f = Counter(hom_monomial(Gk.graph, phi, B) for phi in homs)
+    labels = edge_labels(B)
+    f = Counter(hom_monomial(Gk.graph, phi, labels) for phi in homs)
     g = bp.path_polynomial()
     counts_match = len(homs) == bp.count_st_paths()
     monomials = f == g
@@ -254,7 +268,8 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
     order = _blocks_first_order(Gm)
     homs = enumerate_homs(Gm.graph, J.graph, cap=HOM_CAP,
                           order=order, distance_prune=True)
-    hom_mons = Counter(hom_monomial(Gm.graph, phi, J) for phi in homs)
+    labels = edge_labels(J)
+    hom_mons = Counter(hom_monomial(Gm.graph, phi, labels) for phi in homs)
 
     counts_match = len(homs) == len(trees)
     monomials = hom_mons == parse_mons

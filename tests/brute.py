@@ -4,9 +4,13 @@ The hom references share no code with what they check: none calls the
 compiler or ``graphs.enumerate_homs``; they read a ``Graph`` only through
 its vertices, adjacency sets and edges, and ``distances`` runs its own
 BFS.  ``complete_assignment`` spells a gadget graph out as an assignment
-of every edge variable of a complete graph.  ``eval_symbolic`` expands a
-circuit through ``Circuit.eval`` over ``SymbolicRing``, the reference for
-parse trees and for compiled polynomials over the integers.
+of every edge variable of a complete graph.  ``circuit_eval`` evaluates a
+circuit over any ring, one gate at a time, from its arrays;
+``eval_symbolic`` expands a circuit through it over ``SymbolicRing``, the
+reference for parse trees and for compiled polynomials over the integers.
+``eval_definitional_in_field`` forms and adds every term of a family's
+defining sum in the instance field, the route that ``eval_definitional``'s
+count replaced.
 ``treewidth_dp_reference`` is the exact treewidth recurrence with one
 depth-first fill-degree search per (subset, vertex) pair.
 ``field_tables_reference`` multiplies and reduces polynomials pair by pair,
@@ -21,23 +25,30 @@ a vertex by whole breadth-first layers, and
 ``.ct`` format a line at a time, through f-strings and ``read_lines``.
 ``input_labels`` and ``counts_by_op`` read a circuit's arrays for tests,
 ``cnf_to_dimacs`` writes a CNF as DIMACS text and ``field_neg`` negates a
-field element.
+field element.  ``edge_label`` reads one gadget edge's label, and
+``gadget_decomp`` builds the structural, Join-free nice
+decompositions of path gadgets and cycles.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
 
-from homforge.circuit import ADD, CONST, INPUT, MUL, OP_INPUT, OPS, Circuit
+from homforge.circuit import (ADD, CONST, INPUT, MUL, OP_ADD, OP_CONST, OP_INPUT, OPS,
+                              Circuit)
 from homforge.formulas import CNF
 from homforge.gadgets import GadgetGraph
 from homforge.graphs import Graph, is_rigid
+from homforge.intermediates import FamilyInstance, _eval_def
 from homforge.labels import Monomial, mono_mul, read_lines, yedge, zvar
 from homforge.rings import Field
+from homforge.treedecomp import (NiceTreeDecomp, TreeDecompInput, _decomp_from_elimination,
+                                 _make_nice, make_nice)
 
 UNREACHABLE = 10**9  # the distance between vertices in different components
 
@@ -48,6 +59,15 @@ def is_homomorphism(G: Graph, H: Graph, phi) -> bool:
     if len(phi) != G.n or any(not 1 <= h <= H.n for h in phi):
         return False
     return all(phi[v - 1] in H.adj[phi[u - 1]] for u, v in G.edges)
+
+
+def edge_label(g: GadgetGraph, u: int, v: int) -> str | int:
+    """Label of an edge of the gadget: a variable name or constant 1; a pair
+    that is not an edge raises ValueError."""
+    e = (min(u, v), max(u, v))
+    if not g.graph.has_edge(u, v):
+        raise ValueError(f"no edge {e}")
+    return g.labels.get(e, 1)
 
 
 def distances(G: Graph) -> list[list[int]]:
@@ -378,10 +398,39 @@ def ct_from_text_reference(text: str) -> Circuit:
 Poly = dict[Monomial, int]  # monomial -> nonzero integer coefficient
 
 
+def circuit_eval(c: Circuit, assignment: dict, ring):
+    """Evaluate ``c`` over any ring, one gate at a time, from its ops, keys,
+    offsets and args; assignment maps input labels to ring values."""
+    ends, flat = c.offsets.tolist(), c.args.tolist()
+    vals: list = []
+    for gid, op in enumerate(c.ops.tolist()):
+        key = c.keys[gid]
+        if op == OP_CONST:
+            v = ring.from_int(key)
+        elif op == OP_INPUT:
+            if key not in assignment:
+                raise ValueError(f"unassigned input {key!r}")
+            v = assignment[key]
+            if isinstance(ring, Field):  # reduced or range-checked, as in eval_batch
+                v = ring.from_int(v) if ring.k == 1 else ring._check(v)
+        else:
+            combine = ring.add if op == OP_ADD else ring.mul
+            v = reduce(combine, map(vals.__getitem__, flat[ends[gid]:ends[gid + 1]]))
+        vals.append(v)
+    return vals[c.output]
+
+
 def eval_symbolic(c: Circuit, bound: int = 10**6) -> Poly:
     """Expand the circuit into an integer polynomial (terms capped by bound)."""
     ring = SymbolicRing(bound)
-    return c.eval({name: ring.var(name) for name in input_labels(c)}, ring)
+    return circuit_eval(c, {name: ring.var(name) for name in input_labels(c)}, ring)
+
+
+def eval_definitional_in_field(inst: FamilyInstance) -> int:
+    """The defining sum of ``inst`` multiplied and added in its field, term
+    by term, where ``eval_definitional`` counts the terms that are one."""
+    return _eval_def(inst.family, inst.n, inst.field.q, inst.field,
+                     dict(enumerate(inst.values)))
 
 
 class BoundExceeded(RuntimeError):
@@ -431,3 +480,79 @@ class SymbolicRing:
         for _ in range(e):
             acc = self.mul(acc, a)
         return acc
+
+
+def _cycle_order(G: Graph) -> list[int] | None:
+    """Vertices of G in cyclic order if G is a single cycle, else None."""
+    if G.n < 3 or G.m != G.n or not G.is_connected():
+        return None
+    if any(G.degree(v) != 2 for v in G.vertices()):
+        return None
+    start = 1
+    order = [start]
+    prev = None
+    cur = start
+    while True:
+        nxt = [w for w in sorted(G.adj[cur]) if w != prev]
+        step = nxt[0]
+        if step == start:
+            break
+        order.append(step)
+        prev, cur = cur, step
+    return order
+
+
+def gadget_decomp(g) -> NiceTreeDecomp:
+    """Structural nice decomposition for gadget graphs and cycles.
+
+    Accepts a gadget graph carrying block/path construction metadata, or a
+    plain cycle graph.  A cycle is decomposed through an elimination order
+    that starts at its second vertex, so its bags form a path.  Path-shaped
+    inputs (path gadgets, cycles) produce Join-free decompositions.
+    """
+    if isinstance(g, Graph):
+        order = _cycle_order(g)
+        if order is None:
+            raise ValueError(
+                "gadget_decomp needs construction metadata or a cycle graph")
+        return _make_nice(_decomp_from_elimination(g, order[1:] + order[:1]),
+                          root=order[0])
+
+    graph = getattr(g, "graph", None)
+    blocks = getattr(g, "blocks", None)
+    paths = getattr(g, "paths", None)
+    if graph is None or blocks is None or paths is None:
+        raise ValueError("gadget_decomp needs construction metadata or a cycle graph")
+    if getattr(g, "kind", "") == "parse":
+        raise ValueError(
+            "parse-structure gadgets may share blocks (DAG shape); "
+            "no tree decomposition is provided for them")
+
+    bags = {}
+    edges = []
+    bag_of_block: dict[str, int] = {}
+    nid = 0
+    for blk in blocks:
+        bags[nid] = frozenset(blk.vmap.values())
+        bag_of_block[blk.key] = nid
+        nid += 1
+    vertex_home = {}
+    for idx in bag_of_block.values():
+        for v in bags[idx]:
+            vertex_home[v] = idx
+    for pth in paths:
+        walk = [pth.src, *pth.interior, pth.dst]
+        prev_bag = vertex_home[pth.src]
+        for a, bv in zip(walk, walk[1:]):
+            bags[nid] = frozenset({a, bv})
+            edges.append((prev_bag, nid))
+            prev_bag = nid
+            nid += 1
+        # link the last pair bag {..., dst} to the destination block's bag
+        edges.append((prev_bag, vertex_home[pth.dst]))
+    td = TreeDecompInput(bags, edges)
+    if getattr(g, "kind", "") in ("path", "bp_gadget"):
+        root = bag_of_block[blocks[-1].key]
+    else:
+        root = bag_of_block[blocks[0].key]
+    return make_nice(td, graph, root=root)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from brute import complete_assignment, distances
+from brute import complete_assignment, distances, edge_label
 from homforge import gadgets
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
@@ -160,7 +160,7 @@ def test_embed_bp_cycle_mode():
     assert g.graph.n == bp.n_nodes()
     assert g.graph.m == len(bp.live_arcs()) + 1
     s, t = g.anchors["s"], g.anchors["t"]
-    assert g.edge_label(s, t) == "y"
+    assert edge_label(g, s, t) == "y"
     with pytest.raises(ValueError):
         embed_bp(LayeredBP((1, 1), (Arc(0, 0, 0, "w"),)), "cycle")  # even
 
@@ -308,7 +308,7 @@ def test_tree_gadgets_follow_the_template_rule(certified_triple):
         # the path into an input block carries the input's label
         for pth in J.paths:
             child = next(b for b in J.blocks if pth.dst in b.vmap.values())
-            assert J.edge_label(pth.interior[-1], pth.dst) == inputs.get(child.key, 1)
+            assert edge_label(J, pth.interior[-1], pth.dst) == inputs.get(child.key, 1)
 
 
 def test_build_Jn_rejects_non_normal(certified_triple):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import cnf_to_dimacs, counts_by_op, input_labels
+from brute import circuit_eval, cnf_to_dimacs, counts_by_op, input_labels
 from homforge import verify
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
@@ -416,7 +416,7 @@ def test_decomp_then_compile_round_trip(capsys, tmp_path, k4_file):
     assert "skew=True" in out and "gates=1 " in out
     # K4 has no homomorphism into K3: the live circuit is the constant 0
     c = Circuit.from_text(ct.read_text())
-    assert c.eval({}, Field(5)) == 0
+    assert circuit_eval(c, {}, Field(5)) == 0
     code, out, _ = run(capsys, "compile", "--graph", k4_file,
                        "--decomp", str(td), "--target-size", "4",
                        "--out", str(ct))
@@ -424,7 +424,7 @@ def test_decomp_then_compile_round_trip(capsys, tmp_path, k4_file):
     c = Circuit.from_text(ct.read_text())
     assert counts_by_op(c)["mul"] >= 1
     # with every variable 1 it counts the 4! homomorphisms K4 -> K4
-    assert c.eval({lab: 1 for lab in input_labels(c)}, Field(29)) == 24
+    assert circuit_eval(c, {lab: 1 for lab in input_labels(c)}, Field(29)) == 24
 
 
 def test_compile_rejects_invalid_decomposition(capsys, tmp_path, k4_file):

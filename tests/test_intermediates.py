@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from brute import SymbolicRing
+from brute import SymbolicRing, eval_definitional_in_field
 from homforge import intermediates
 from homforge.formulas import CNF
 from homforge.graphs import Graph, Hypergraph3
@@ -206,6 +206,34 @@ def test_fast_equals_definitional_random():
                 inst = FamilyInstance(family, n, F, assign)
                 assert eval_fast(inst) == eval_definitional(inst), \
                     (family, F.q, n, assign)
+
+
+# every n from 0 up to these, so the field route stays cheap
+COUNTED_CAPS = {"sat": 5, "vc": 8, "cis": 5, "clow": 6, "tdm": 2}
+COUNTED_FIELDS = (Field(2), Field(3), Field(2, 2), Field(5), Field(7), Field(2, 3),
+                  Field(3, 2), Field(2, 4), Field(5, 2), Field(2**61 - 1))
+
+
+def test_counted_sum_equals_the_field_sum():
+    # eval_definitional counts the terms whose (q-1)-th powers are all one;
+    # the reference forms every term in the field and adds it
+    rng = random.Random(2804)
+    for family in FAMILIES:
+        for n in range(COUNTED_CAPS[family] + 1):
+            for F in COUNTED_FIELDS:
+                for _ in range(3):
+                    assign = {lab: 0 if rng.random() < 0.2 else rng.randrange(F.q)
+                              for lab in registry(family, n)}
+                    inst = FamilyInstance(family, n, F, assign)
+                    assert eval_definitional(inst) == eval_definitional_in_field(inst), \
+                        (family, n, F.q, assign)
+
+
+def test_counted_sum_refuses_a_power_neither_zero_nor_one(monkeypatch):
+    inst = all_ones("vc", 2, Field(5))
+    monkeypatch.setattr(Field, "pow", lambda self, a, e: 2)
+    with pytest.raises(AssertionError, match="neither 0 nor 1"):
+        eval_definitional(inst)
 
 
 def test_definitional_budget_error_mentions_fast_path():

@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from brute import treewidth_dp_reference
+from brute import gadget_decomp, treewidth_dp_reference
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import Graph
 from homforge.randgen import random_layered_bp, random_partial_ktree
 from homforge.treedecomp import (DecompNode, NiceTreeDecomp, TreeDecompInput, _min_width_order,
-                                 gadget_decomp, heuristic_decomp, make_nice, treewidth_exact,
-                                 validate_decomp, validate_nice)
+                                 heuristic_decomp, make_nice, treewidth_exact, validate_decomp,
+                                 validate_nice)
 from test_graphs import small_graphs
 
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
 
+from brute import edge_label
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge import verify
-from homforge.gadgets import GadgetPair
+from homforge.gadgets import GadgetPair, embed_bp
 from homforge.graphs import MAX_SOURCE_VERTICES, Graph
 from homforge.labels import mono
 from homforge.verify import (
@@ -89,6 +91,26 @@ def test_cycle_identity_two_paths():
     assert rep.f == Counter({mono(("a", 1), ("c", 1), ("y", 1)): 6,
                              mono(("b", 1), ("d", 1), ("y", 1)): 6})
     assert rep.g == Counter([mono(("a", 1), ("c", 1)), mono(("b", 1), ("d", 1))])
+
+
+def test_hom_monomial_labels_agree_with_edge_label(certified_pair):
+    # the verifiers' label table answers every ordered vertex pair as the
+    # edge-at-a-time reference does, a non-edge (a self-pair included) by
+    # raising ValueError
+    edge = Graph.path(2)
+    bp = two_path_bp()
+    for B in (embed_bp(bp, "cycle"), embed_bp(bp, "gadget", certified_pair)):
+        labels = verify.edge_labels(B)
+        for a in B.graph.vertices():
+            for b in B.graph.vertices():
+                try:
+                    lab = edge_label(B, a, b)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        verify.hom_monomial(edge, (a, b), labels)
+                    continue
+                want = mono((lab, 1)) if lab != 1 else ()
+                assert verify.hom_monomial(edge, (a, b), labels) == want, (a, b)
 
 
 def test_cycle_identity_recovery_depends_on_ell():
