@@ -144,10 +144,15 @@ class Circuit:
         and at the end of the group if needed.  An F_q product also keeps a
         running maximum of its codes, q-1 exactly where a factor was 0,
         which, floored to 0 or q-1, overrides the reduced sum.  An F_q sum
-        gathers from the code add table at ``acc*q + arg``.  Inputs are
-        reduced mod p over F_p and must lie in range(q) over F_q before they
-        are narrowed (and, over F_q, mapped to codes), so every value is
-        exact.  Returns a new int64 array, not a view of the matrix.
+        folds its arguments into acc a chunk at a time: acc and up to j-1
+        more codes form the Horner index ``(acc*q + a_1)*q + ...``, and one
+        gather from the field's table T_j (``Field._code_sums``) turns it
+        into the code of their sum.  Inputs are read into int64, uint64 ones
+        reduced mod p first over F_p (2^63 and up would wrap).  One max
+        checks that all lie in range(q); if some do not, F_p reduces them
+        with ``_reduce`` and F_q refuses them.  So every value is exact once
+        narrowed (and, over F_q, mapped to codes).  Returns a new int64
+        array, not a view of the matrix.
         """
         width = np.shape(next(iter(assignment.values()))) if assignment else ()
         prime, p, q = field.k == 1, field.p, field.q
@@ -166,18 +171,21 @@ class Circuit:
             value = np.asarray(assignment[key])
             if value.dtype.kind not in "iub":
                 raise ValueError(f"input {key!r} has dtype {value.dtype}, not an integer dtype")
+            if prime and value.dtype == np.uint64:  # 2^63 and up would wrap in int64
+                value = value % np.uint64(p)
             leaf[rows] = value
-        if prime:
-            leaf %= p
-        elif leaf.size and (leaf.min() < 0 or leaf.max() >= q):
-            raise ValueError(f"inputs over F_{q} must lie in range({q})")
+        # one pass checks 0 <= x < q: a negative x read as uint64 is >= 2^63
+        if leaf.size and int(leaf.view(np.uint64).max()) >= q:
+            if not prime:
+                raise ValueError(f"inputs over F_{q} must lie in range({q})")
+            _reduce(leaf, np.int64(p), np.empty_like(leaf))
         vals = np.empty((n_rows, *width), dtype=dtype)
         vals[:len(leaf)] = leaf if prime else field._log[leaf]
         buf = np.empty((widest, *width), dtype)
         hi, m = (p - 1, p) if prime else (q - 1, q - 1)  # hi: the largest value of a row
         m_ = dtype(m)
         if not prime:
-            q_, code_add = dtype(q), field._code_add.ravel()
+            q_, sums = dtype(q), field._code_sums
             zbuf = np.empty_like(buf)
         for op, rows, args in groups:
             acc, arg = vals[rows], buf[:rows.stop - rows.start]
@@ -189,11 +197,14 @@ class Circuit:
             vals.take(args[0], axis=0, out=first, mode="clip")
             acc[...] = first
             if not prime and op == ADD:
-                for col in args[1:]:
-                    vals.take(col, axis=0, out=arg, mode="clip")
-                    acc *= q_
-                    acc += arg
-                    code_add.take(acc, out=acc, mode="clip")
+                # acc and up to len(sums) more codes: Horner index, one lookup
+                for lo in range(1, len(args), len(sums)):
+                    chunk = args[lo:lo + len(sums)]
+                    for col in chunk:
+                        vals.take(col, axis=0, out=arg, mode="clip")
+                        acc *= q_
+                        acc += arg
+                    sums[len(chunk) - 1].take(acc, out=acc, mode="clip")
                 continue
             # F_p products multiply; F_p sums and F_q products (of codes) add
             step, grow = ((np.multiply, operator.mul) if prime and op == MUL
@@ -545,7 +556,7 @@ def _narrowest(need: int) -> tuple[type, int]:
     return dtype, int(np.iinfo(dtype).max)
 
 
-def _reduce(acc: np.ndarray, p: np.unsignedinteger, scratch: np.ndarray) -> None:
+def _reduce(acc: np.ndarray, p: np.integer, scratch: np.ndarray) -> None:
     """Reduce ``acc`` mod p in place; ``scratch``, of acc's shape and dtype,
     is overwritten.
 
@@ -553,7 +564,9 @@ def _reduce(acc: np.ndarray, p: np.unsignedinteger, scratch: np.ndarray) -> None
     Montgomery, PLDI 1994) in ``floor_divide`` but not in ``remainder`` or
     ``fmod``, so acc - p*(acc // p) takes about a seventh of the time of
     ``np.remainder`` on a 3,750 x 512 uint8 matrix.  p*(acc // p) <= acc, so
-    nothing wraps.
+    nothing wraps in an unsigned acc.  In int64, p*(acc // p) can wrap below
+    -2^63, but the difference is exact mod 2^64 and lies in range(p), so
+    the result is exact there too.
     """
     np.floor_divide(acc, p, out=scratch)
     scratch *= p

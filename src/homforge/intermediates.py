@@ -187,16 +187,18 @@ def _budget_check(family: str, n: int) -> None:
 def eval_definitional(inst: FamilyInstance) -> int:
     """The defining sum over the instance field, counted.
 
-    Every value enters as its (q-1)-th power, computed in the field, so
-    every term is 0 or 1 and the sum is the number of terms that are 1,
-    mod p.  A power 0 is ``CountRing(0, 0)``'s dead term and a power 1 its
-    one; the sum then runs as ``count_via_coefficient``'s does.
+    Every value enters as its (q-1)-th power, computed in the field once
+    per distinct value (at most q calls), so every term is 0 or 1 and the
+    sum is the number of terms that are 1, mod p.  A power 0 is
+    ``CountRing(0, 0)``'s dead term and a power 1 its one; the sum then
+    runs as ``count_via_coefficient``'s does.
     """
     _budget_check(inst.family, inst.n)
     F, ring = inst.field, CountRing(0, 0)
+    powers = {v: F.pow(v, F.q - 1) for v in dict.fromkeys(inst.values)}
     vals = {}
     for i, v in enumerate(inst.values):
-        f = F.pow(v, F.q - 1)
+        f = powers[v]
         if f == 0:
             vals[i] = ring.dead
         elif f != 1:

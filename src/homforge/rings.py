@@ -9,8 +9,13 @@ Lidl and Niederreiter, ch. 2): for a primitive element g, g^i has code
 i < q-1 and 0 has code q-1, the largest.  ``_exp`` maps a code to its
 element, ``_log`` back, and ``_code_add`` is the add table in codes.  A
 product of nonzero elements is a sum of codes mod q-1, a power a multiple
-of a code mod q-1, and a sum one lookup in ``_code_add``; ints outside
-range(q) are refused.
+of a code mod q-1, and a sum of two elements one lookup in ``_code_add``;
+ints outside range(q) are refused.  ``_code_sums`` holds the tables T_2
+(a flat view of ``_code_add``), T_3, ..., T_j: T_i maps the Horner index
+c_1 q^(i-1) + ... + c_i of i codes to the code of their sum, so
+``eval_batch`` adds j codes with one lookup.  j is the largest for which
+q^j - 1 fits the table's dtype and, from T_3 on, q^j <= 2^16: 4 for F_4,
+3 for F_25 and F_27, 2 for every other field.
 
 The element add and mul tables exist only while a field is built.  They
 come from numpy broadcasts and gathers over element indices, and the
@@ -101,6 +106,7 @@ class Field:
                 raise ValueError("modulus must have degree exactly k")
             self.modulus = modulus
             self._exp, self._log, self._code_add = _tables(p, k, modulus)
+            self._code_sums = _code_sums(self._code_add)
             # plain-int copies for the scalar ops, which index one per call
             self._exps, self._logs = self._exp.tolist(), self._log.tolist()
 
@@ -223,6 +229,16 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     log[exp] = np.arange(q)
     # in the dtype of eval_batch's value matrix over F_q, which reads it uncopied
     return exp, log, log[add[exp[:, None], exp]].astype(np.min_scalar_type(q * q - 1))
+
+
+def _code_sums(code_add: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(T_2, ..., T_j) for the square code add table (see the module
+    docstring), all in its dtype; T_2 is a view of it, not a copy."""
+    q, sums = len(code_add), [code_add.ravel()]
+    limit = min(int(np.iinfo(code_add.dtype).max) + 1, 2**16)  # on q^i
+    while sums[-1].size * q <= limit:
+        sums.append(code_add[sums[-1]].ravel())  # T_i+1[x*q + c] = T_2[T_i[x]*q + c]
+    return tuple(sums)
 
 
 class TruncRing:

@@ -339,6 +339,47 @@ def test_eval_batch_reduces_code_sums_mid_group(q, n_prod):
     assert c.eval_batch(batch, F)[1:6].tolist() == [0] * 5
 
 
+# one code-sum lookup takes acc and 3 more codes over F_4, 2 more over F_25
+# and F_27, and 1 more over F_8 and F_49
+CODE_SUM_FIELDS = (Field(2, 2), Field(5, 2), Field(3, 3), Field(2, 3), Field(7, 2))
+
+
+@st.composite
+def _code_sum_case(draw):
+    """Over F_q, two sums of one arity in 1..13 over five inputs, a sum of
+    another arity reading the first, and a batch with zeros in it."""
+    F = draw(st.sampled_from(CODE_SUM_FIELDS))
+    gates = [Gate("input", label=f"x{i}") for i in range(5)]
+    arity = draw(st.integers(1, 13))
+    for _ in range(2):
+        gates.append(Gate("add", args=tuple(draw(st.lists(st.integers(0, 4), min_size=arity,
+                                                          max_size=arity)))))
+    rest = draw(st.lists(st.integers(0, 6), max_size=12))
+    gates.append(Gate("add", args=(5, *rest)))
+    values = st.lists(st.sampled_from([0, 1, F.q - 1]) | st.integers(0, F.q - 1),
+                      min_size=4, max_size=4)
+    return gates, F, {f"x{i}": np.array(draw(values)) for i in range(5)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_code_sum_case())
+def test_eval_batch_code_sums_cross_every_chunk_boundary(case):
+    gates, F, batch = case
+    assert_every_gate_matches_scalar(gates, F, batch)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 3037000493])
+def test_eval_batch_reduces_int64_and_uint64_extremes(p):
+    # an int64 input is reduced where p*(x // p) wraps; a uint64 input of 2^63
+    # or more is reduced before it is stored in int64, where it would wrap
+    c = Circuit([Gate("input", label="a")], 0)
+    for values in (np.array([-2**63, -2**63 + 1, -1, 2**63 - 1], dtype=np.int64),
+                   np.array([2**63, 2**64 - 1], dtype=np.uint64)):
+        assert c.eval_batch({"a": values}, Field(p)).tolist() == [int(v) % p for v in values]
+    with pytest.raises(ValueError, match="range"):
+        c.eval_batch({"a": np.array([2**63], dtype=np.uint64)}, Field(2, 2))
+
+
 @pytest.mark.parametrize("F", [Field(5), Field(2, 2)])
 def test_non_integer_inputs_refused(F):
     # numpy would cast [1.7, 2.2] and ["1", "2"] to [1, 2], and 1.7 % 5 is no

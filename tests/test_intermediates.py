@@ -229,6 +229,22 @@ def test_counted_sum_equals_the_field_sum():
                         (family, n, F.q, assign)
 
 
+def test_counted_sum_powers_each_distinct_value_once(monkeypatch):
+    # a sat n = 5 registry holds 1,005 values but at most q distinct ones;
+    # each is raised to q-1 once, in the instance field
+    rng = random.Random(55)
+    calls, field_pow = [], Field.pow
+    monkeypatch.setattr(Field, "pow", lambda F, a, e: calls.append((F, a, e)) or field_pow(F, a, e))
+    for F in (Field(5), Field(3, 2)):
+        assign = {lab: rng.randrange(F.q) for lab in registry("sat", 5)}
+        inst = FamilyInstance("sat", 5, F, assign)
+        want = eval_fast(inst)
+        calls.clear()
+        assert eval_definitional(inst) == want
+        assert len(inst.values) == 1005
+        assert sorted(calls) == sorted((F, v, F.q - 1) for v in set(assign.values()))
+
+
 def test_counted_sum_refuses_a_power_neither_zero_nor_one(monkeypatch):
     inst = all_ones("vc", 2, Field(5))
     monkeypatch.setattr(Field, "pow", lambda self, a, e: 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -209,6 +210,35 @@ def test_extension_field_keeps_one_square_table():
         assert square == ["_code_add"]
         assert F._code_add.dtype == _narrowest(F.q * F.q - 1)[0]
     assert big._code_add.nbytes == 16 * 2**20
+
+
+def test_code_sum_tables_fold_field_add():
+    # T_j maps the Horner index of j codes to the code of their sum; j is the
+    # largest with q^j - 1 in the dtype of _code_add and q^j <= 2^16
+    chunk = {4: 4, 8: 2, 9: 2, 16: 2, 25: 3, 27: 3, 49: 2}
+    for q, m in DEFAULT_MODULI.items():
+        k = len(m) - 1
+        F = Field(round(q ** (1 / k)), k, m)
+        sums = F._code_sums
+        assert len(sums) + 1 == chunk[q]
+        assert sums[0].base is F._code_add and np.array_equal(sums[0], F._code_add.ravel())
+        for j, table in enumerate(sums, start=2):
+            assert table.dtype == F._code_add.dtype and table.size == q**j
+            assert q**j - 1 <= np.iinfo(table.dtype).max
+            codes = np.stack(np.unravel_index(np.arange(q**j), (q,) * j), axis=1)
+            elements = F._exp[codes].tolist()
+            want = [F._logs[reduce(F.add, row)] for row in elements]
+            assert table.tolist() == want, (q, j)
+
+
+def test_wide_fields_build_no_code_sum_table_beyond_the_pairwise_one():
+    # q^3 > 2^16 for every q >= 41; over q >= 257 the value dtype is uint32,
+    # where q^3 - 1 would fit up to q = 1625, so only the cap keeps F_512
+    # from a 512^3-entry table
+    for F in (Field(17, 2, (3, 0, 1)), Field(2, 9, (1, 0, 0, 0, 1) + (0,) * 4 + (1,)),
+              Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))):
+        assert F.q >= 257 and F._code_add.dtype == np.uint32
+        assert len(F._code_sums) == 1 and F._code_sums[0].base is F._code_add
 
 
 def test_from_int_refuses_non_integers():
