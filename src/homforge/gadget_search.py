@@ -5,8 +5,9 @@ homomorphism between distinct blocks.  Such graphs are scarce.  No
 connected non-bipartite graph on at most 7 vertices is rigid: the tests
 walk every graph on up to 6 vertices, and every 7-vertex graph up to
 isomorphism.  The search draws seeded random graphs from 7 vertices up,
-with a budget per size; the 7-vertex draws only advance the stream.  The
-8-vertex blocks we return come from sampling, deterministic through the seed.
+with a budget per size; the 7-vertex draws only advance the stream, so
+their words are drawn and nothing is built or tested.  The 8-vertex
+blocks we return come from sampling, deterministic through the seed.
 
 A sample is G(n, 1/2) with one ``random.Random.random()`` draw per vertex
 pair, in lexicographic pair order, an edge where the draw is below 1/2.
@@ -35,6 +36,9 @@ from .graphs import Graph, are_incomparable, is_rigid, reach
 # triple of 8-vertex blocks in seconds; the n=7 budget only sets the stream
 SAMPLE_BUDGETS = {7: 1500, 8: 25000, 9: 25000, 10: 25000}
 
+# no block has fewer vertices: the tests walk every smaller graph
+SMALLEST_BLOCK = 8
+
 # samples per getrandbits call, and per pool check of search_gadgets
 BATCH = 500
 
@@ -46,17 +50,21 @@ def _prefilter(adj: np.ndarray) -> list[tuple[int, list[int]]]:
     ``adj`` is a (batch, n, n) 0/1 adjacency array over vertices 1..n; the
     masks are as in ``Graph.nbr_masks`` (entry 0 unused).  A degree-<=1
     vertex, or a vertex v whose neighbourhood is contained in that of a
-    non-neighbour w != v, always yields a nontrivial endomorphism; a block
-    must also be connected and not bipartite.
+    non-neighbour w != v, always yields a nontrivial endomorphism, and
+    closed twins, adjacent v and w with N[v] = N[w], a nontrivial
+    automorphism (swap them); a block must also be connected and not
+    bipartite.
     """
     n = adj.shape[1]
     if n < 3:  # too small for an odd cycle
         return []
     deg = adj.sum(axis=2)
-    # common[s, v, w] = |N(v) & N(w)|, which is deg(v) iff N(v) <= N(w)
+    # common[s, v, w] = |N(v) & N(w)|, which is deg(v) iff N(v) <= N(w);
+    # for adjacent v and w it is deg(v) - 1 iff N(v) - w <= N(w)
     common = adj @ adj.transpose(0, 2, 1)
     dominated = (common == deg[:, :, None]) & (adj == 0) & ~np.eye(n, dtype=bool)
-    keep = np.flatnonzero((deg >= 2).all(axis=1) & ~dominated.any(axis=(1, 2)))
+    twins = (adj == 1) & (common == deg[:, :, None] - 1) & (common == deg[:, None, :] - 1)
+    keep = np.flatnonzero((deg >= 2).all(axis=1) & ~(dominated | twins).any(axis=(1, 2)))
     rows = np.packbits(adj[keep], axis=2, bitorder="little")
     full = (1 << (n + 1)) - 2
     out = []
@@ -75,8 +83,13 @@ def sample_rigid_blocks(n: int, rng: random.Random, want: int,
     """Up to ``want`` rigid non-bipartite blocks among ``max_samples``
     draws of G(n, 1/2) from ``rng``, stopping after the sample that
     completes them (after the first block when ``want`` <= 0).  ``rng`` is
-    left as one ``random()`` call per vertex pair would leave it."""
+    left as one ``random()`` call per vertex pair would leave it.  Below
+    ``SMALLEST_BLOCK`` vertices the draws' words are drawn and nothing is
+    tested."""
     pairs = n * (n - 1) // 2
+    if n < SMALLEST_BLOCK:
+        rng.getrandbits(64 * pairs * max_samples)
+        return []
     upper = np.triu_indices(n, 1)  # the vertex pairs in lexicographic order
     found: list[Graph] = []
     for start in range(0, max_samples, BATCH):
@@ -121,10 +134,11 @@ def search_gadgets(max_n: int, need: str = "triple",
     """Find a certified incomparable pair or triple of rigid blocks.
 
     Draws seeded random graphs of each size from ``min(SAMPLE_BUDGETS)``
-    (7) up to ``max_n``, within per-size budgets; smaller graphs are never
-    built.  No block has fewer than 8 vertices (a test walks every graph
-    up to 7), so the 7-vertex draws only advance the stream.  Raises with
-    an honest account when no gadget is found within ``max_n``.
+    (7) up to ``max_n``, within per-size budgets.  No block has fewer than
+    ``SMALLEST_BLOCK`` (8) vertices (a test walks every graph up to 7), so
+    the 7-vertex draws only advance the stream and no graph below 8
+    vertices is built.  Raises with an honest account when no gadget is
+    found within ``max_n``.
     """
     if need not in ("pair", "triple"):
         raise ValueError("need must be 'pair' or 'triple'")

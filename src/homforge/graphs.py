@@ -9,10 +9,12 @@ of vertex i+1.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .labels import read_lines
 
@@ -95,7 +97,8 @@ def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int,
     carries the shadow, the layer's vertices with an earlier vertex on a
     shortest path back to v.  Once every vertex of a layer is earlier or
     shadowed, each vertex of the next layer lies next to one and is
-    shadowed too, so the BFS stops there."""
+    shadowed too, so the BFS stops there.  The cast is part of its layer,
+    so one walk over the layer yields the next layer and its shadow."""
     tests = []
     seen = layer = 1 << v
     shadow = d = 0
@@ -103,8 +106,16 @@ def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int,
         cast = shadow | (layer & earlier)
         if not layer & ~cast:
             break
-        layer = neighbourhood(nbr, layer) & ~seen
-        shadow = neighbourhood(nbr, cast) & layer
+        out = near = 0
+        while layer:
+            low = layer & -layer
+            nb = nbr[low.bit_length() - 1]
+            out |= nb
+            if low & cast:
+                near |= nb
+            layer ^= low
+        layer = out & ~seen
+        shadow = near & layer
         seen |= layer
         d += 1
         if d >= 2:
@@ -205,6 +216,24 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    # -- verdicts, kept like the masks: a graph never changes -----------------
+
+    @cached_property
+    def _rigid(self) -> bool:
+        """``is_rigid``'s verdict."""
+        try:
+            homs = enumerate_homs(self, self, cap=1)
+        except HomCapExceeded:
+            return False
+        assert homs == [tuple(self.vertices())]
+        return True
+
+    @cached_property
+    def _incomparable(self) -> weakref.WeakKeyDictionary:
+        """``are_incomparable``'s verdicts against other graphs, held by
+        weak keys, so that a graph keeps no other graph alive."""
+        return weakref.WeakKeyDictionary()
 
     # -- text format ----------------------------------------------------------
 
@@ -356,6 +385,28 @@ def enumerate_homs(
     balls around an image only out to the largest radius a test has asked
     of them (extend_rings).  A depth left with no candidate is never
     entered.  Candidates are tried in ascending order.
+
+    Sub-searches that recur are replayed, not searched again.  The
+    completions of depths s.. (the suffix) depend only on the images of
+    s's context: the vertices placed before s that some vertex placed from
+    s on is joined to.  A cache point is a depth s, with at least three
+    depths from s on, whose two previous vertices order[s - 2] and
+    order[s - 1] are outside its context.  (After one such vertex, or
+    before a shorter suffix, a lookup costs about what the search it can
+    save does.)  The cache is looked up each time depth s - 1 places a
+    vertex, before s's candidates are worked out.  The first search of s
+    under given context images is recorded as the range of results it
+    appends, empty if s has no candidate.  Reaching s again under the same
+    images, as the search does once per solution of an earlier sibling
+    sub-gadget, copies that range's suffix images into new results in the
+    same order, so a cap trips at the same count.  Ball tests stay out of
+    the key: every homomorphism passes them, so they never change the set
+    of completions, only how soon a dead end is left.  The contexts are
+    found in the pass that builds the earlier-vertex masks, and the loop
+    tests one flag per placement, set at the last depth and before each
+    cache point, in place of a test for the last depth; so a search that
+    finds no cache point does the same work per node as one without the
+    cache.
     """
     check_source_size(G.n)
     if order is None:
@@ -368,11 +419,27 @@ def enumerate_homs(
             raise HomCapExceeded(cap, 1)
         return [()]
     nbrG, nbr = G.nbr_masks, H.nbr_masks
-    # per depth i: the mask of the vertices placed before order[i], and
-    # which of them are its neighbours
+    # per depth s: the mask of the vertices placed before order[s], and
+    # which of them are its neighbours; at a cache point, the getter of its
+    # context images off image[] (whose entry 0 is never written, and gives
+    # the getter an argument even for an empty context) and the recorded
+    # completions by those images; stop[s]: s is the last depth, or s + 1
+    # a cache point
+    full = (1 << (n + 1)) - 2
     earlier = [0] * n
-    for i in range(1, n):
-        earlier[i] = earlier[i - 1] | 1 << order[i - 1]
+    points: list[tuple[itemgetter, dict] | None] = [None] * n
+    stop = [False] * n
+    last = n - 1
+    stop[last] = True
+    suffix = later = 0  # the vertices placed from depth s on, and their neighbours
+    for s in range(last, 0, -1):
+        v = order[s]
+        suffix |= 1 << v
+        later |= nbrG[v]
+        earlier[s] = full ^ suffix
+        if 1 < s < last - 1 and not later & (1 << order[s - 1] | 1 << order[s - 2]):
+            points[s] = itemgetter(0, *bits(later & earlier[s])), {}
+            stop[s - 1] = True
     earlier_nbrs = [bits(nbrG[v] & placed) for v, placed in zip(order, earlier)]
     tests_at: list[list[tuple[int, int]] | None] = [None] * n
     rings_of: list[list[int] | None] = [None] * (H.n + 1)
@@ -381,7 +448,9 @@ def enumerate_homs(
     image = [0] * (n + 1)  # image[v] for placed v
     cands = [0] * n  # cands[i]: the images of order[i] left to try
     cands[0] = every = (1 << (H.n + 1)) - 2  # bits 1..H.n
-    last, i = n - 1, 0
+    # (cache point, key, first result) of each suffix search under way
+    recording: list[tuple[int, object, int]] = []
+    i = 0
     while True:
         cand = cands[i]
         if not cand:  # depth i is done: back to the one before
@@ -392,11 +461,32 @@ def enumerate_homs(
         low = cand & -cand
         cands[i] = cand ^ low
         image[order[i]] = low.bit_length() - 1
-        if i == last:
-            results.append(tuple(image[1:]))
-            if cap is not None and len(results) > cap:
-                raise HomCapExceeded(cap, len(results))
-            continue
+        if stop[i]:
+            if i == last:
+                results.append(tuple(image[1:]))
+                if cap is not None and len(results) > cap:
+                    raise HomCapExceeded(cap, len(results))
+                continue
+            j = i + 1
+            # depth j is a cache point, so every suffix search begun at
+            # depth j or deeper has ended: keep the range it appended
+            while recording and recording[-1][0] >= j:
+                s, key, start = recording.pop()
+                points[s][1][key] = start, len(results)
+            keyer, done = points[j]
+            key = keyer(image)
+            span = done.get(key)
+            if span is not None:
+                tail = order[j:]
+                for k in range(*span):
+                    phi = results[k]
+                    for v in tail:
+                        image[v] = phi[v - 1]
+                    results.append(tuple(image[1:]))
+                    if cap is not None and len(results) > cap:
+                        raise HomCapExceeded(cap, len(results))
+                continue
+            recording.append((j, key, len(results)))
         j = i + 1
         cand = every
         for w in earlier_nbrs[j]:
@@ -430,15 +520,16 @@ def has_hom(G: Graph, H: Graph) -> bool:
 
 
 def is_rigid(G: Graph) -> bool:
-    """Exactly one homomorphism G -> G (necessarily the identity)."""
-    try:
-        homs = enumerate_homs(G, G, cap=1)
-    except HomCapExceeded:
-        return False
-    assert homs == [tuple(G.vertices())]
-    return True
+    """Exactly one homomorphism G -> G (necessarily the identity).  The
+    verdict is kept on G, so a repeat check costs nothing."""
+    return G._rigid
 
 
 def are_incomparable(G: Graph, H: Graph) -> bool:
-    """No homomorphism in either direction."""
-    return not has_hom(G, H) and not has_hom(H, G)
+    """No homomorphism in either direction.  The verdict is kept on both
+    graphs, so a repeat check costs nothing."""
+    verdict = G._incomparable.get(H)
+    if verdict is None:
+        verdict = not has_hom(G, H) and not has_hom(H, G)
+        G._incomparable[H] = H._incomparable[G] = verdict
+    return verdict

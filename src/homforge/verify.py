@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .bp import LayeredBP
 from .circuit import Circuit
-from .gadgets import (GadgetGraph, GadgetPair, GadgetTriple, build_Gk,
-                      build_Gm, build_Jn, embed_bp, gm_size)
+from .gadgets import (BlockInfo, GadgetGraph, GadgetPair, GadgetTriple, PathInfo,
+                      build_Gk, build_Gm, build_Jn, embed_bp, gm_size)
 from .graphs import Graph, check_source_size, enumerate_homs
 from .labels import Monomial, mono, mono_mul
 from .rings import Field
@@ -36,30 +36,53 @@ HOM_CAP = 10 ** 6  # the most homomorphisms any verifier enumerates
 RECOVERY_FIELDS = (2, 3, 5)  # where the cycle identity is divided by 2*ell
 
 
-def _blocks_first_order(g: GadgetGraph) -> list[int]:
+def _block_bfs(blk: BlockInfo) -> list[int]:
+    """A block's vertices in breadth-first order from its designated vertex."""
+    start = min(blk.vmap)
+    seen = {start}
+    queue = [start]
+    for x in queue:
+        for ynb in sorted(blk.template.adj[x]):
+            if ynb not in seen:
+                seen.add(ynb)
+                queue.append(ynb)
+    return [blk.vmap[x] for x in queue]
+
+
+def _subtree_order(g: GadgetGraph) -> list[int]:
     """Search order for hom enumeration out of a block gadget.
 
-    All block vertices come first (each block in breadth-first order from
-    its designated vertex), then the connecting-path interiors.  With
-    every path's two endpoints already pinned, distance pruning confines
-    path images to geodesics instead of letting them wander.  A path
+    The gadget is a tree of blocks joined by paths, rooted at its first
+    block; a path runs from a block to a child block.  The order walks
+    that tree depth first: the root block, then per child the child block,
+    the interior of the path between them and the child's subtree.  Each
+    block is placed in breadth-first order from its designated vertex.
+    With a path's two endpoints already pinned, distance pruning confines
+    its images to geodesics instead of letting them wander, and a path
     vertex keeps at most one ball test, around the pinned far end: its
     placed path neighbour lies on every shortest path back to the rest.
+
+    Once a subtree is placed, nothing after it is joined to it, so a
+    sibling subtree's completions depend only on the images of its
+    parent's marks, and ``enumerate_homs`` replays them for every solution
+    of the subtrees before it.  On the path gadget of ``build_Gk``, I_2
+    is I_1's one child, so the order is both blocks, then the path.
     """
-    order: list[int] = []
-    for blk in g.blocks:
-        start = min(blk.vmap)
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop(0)
-            order.append(blk.vmap[x])
-            for ynb in sorted(blk.template.adj[x]):
-                if ynb not in seen:
-                    seen.add(ynb)
-                    queue.append(ynb)
+    owner = {v: b for b, blk in enumerate(g.blocks) for v in blk.vmap.values()}
+    below: list[list[PathInfo]] = [[] for _ in g.blocks]
     for pth in g.paths:
-        order.extend(pth.interior)
+        below[owner[pth.src]].append(pth)
+    order = _block_bfs(g.blocks[0])
+    walk = [iter(below[0])]
+    while walk:
+        pth = next(walk[-1], None)
+        if pth is None:
+            walk.pop()
+            continue
+        child = owner[pth.dst]
+        order += _block_bfs(g.blocks[child])
+        order += pth.interior
+        walk.append(iter(below[child]))
     if len(order) != g.graph.n:
         raise ValueError("gadget metadata does not cover the graph")
     return order
@@ -198,7 +221,7 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair) -> GadgetBijectionR
     check_source_size(Gk.graph.n)  # the search would refuse Gk; spare building B
     B = embed_bp(bp, "gadget", pair)
 
-    order = _blocks_first_order(Gk)
+    order = _subtree_order(Gk)
     homs = enumerate_homs(Gk.graph, B.graph, cap=HOM_CAP,
                           order=order, distance_prune=True)
 
@@ -265,7 +288,7 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
         assert t.coeff == 1, "normal-form circuits are constant-free"
         parse_mons[t.monomial] += 1
 
-    order = _blocks_first_order(Gm)
+    order = _subtree_order(Gm)
     homs = enumerate_homs(Gm.graph, J.graph, cap=HOM_CAP,
                           order=order, distance_prune=True)
     labels = edge_labels(J)

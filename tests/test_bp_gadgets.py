@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from brute import complete_assignment, distances, edge_label
-from homforge import gadgets
+from homforge import gadgets, graphs
 from homforge.bp import Arc, LayeredBP
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import (ATTACH, L_MARK, P_MARK, R_MARK, GadgetPair,
@@ -100,6 +100,22 @@ def test_triple_pair_is_built_once(certified_triple, monkeypatch):
                         lambda blocks: certified.append(sorted(blocks)) or real(blocks))
     assert t.pair() is t.pair()
     assert certified == [["I1", "I2"]]
+
+
+def test_found_blocks_are_certified_once(certified_triple, monkeypatch):
+    # the verdicts of the search stay on its graphs, so a gadget built from
+    # them again searches nothing; graphs read from a file, new objects,
+    # are certified in full: three rigidity checks and both directions of
+    # three incomparability checks
+    t = certified_triple
+    calls = []
+    real = graphs.enumerate_homs
+    monkeypatch.setattr(graphs, "enumerate_homs",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    GadgetTriple(t.i0, t.i1, t.i2).pair()
+    assert calls == []
+    load_gadget(dump_gadget(t))
+    assert len(calls) == 3 + 3 * 2
 
 
 def test_certify_blocks_reports_failures():

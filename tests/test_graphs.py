@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import random
 import sys
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import ball_rings, distances, is_homomorphism, search_order_reference
+from brute import count_homs as count_homs_reference
 from homforge.circuit import Circuit, Gate
 from homforge.gadgets import build_Gk, build_Gm, build_Jn, embed_bp
 from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergraph3,
@@ -17,7 +20,7 @@ from homforge.graphs import (MAX_SOURCE_VERTICES, Graph, HomCapExceeded, Hypergr
                              _search_order, has_hom, is_rigid, reach,
                              unimplied_balls)
 from homforge.randgen import random_layered_bp
-from homforge.verify import _blocks_first_order
+from homforge.verify import _subtree_order
 
 
 def brute_homs(G: Graph, H: Graph) -> list[tuple[int, ...]]:
@@ -195,6 +198,67 @@ def test_enumerate_homs_matches_brute_force_hypothesis(G, H):
     check_against_brute_force(G, H)
 
 
+def blob_graph(rng: random.Random, blobs: int) -> Graph:
+    """Small dense blobs joined into a tree by paths of 0-2 interior
+    vertices, so that the graph has cut vertices and sibling sub-graphs
+    hanging off one vertex, and now and then a blob of its own: a second
+    component."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+
+    def blob() -> list[int]:
+        nonlocal n
+        vs = list(range(n + 1, n + rng.randint(1, 3) + 1))
+        n += len(vs)
+        edges.extend(e for e in combinations(vs, 2) if rng.random() < 0.8)
+        return vs
+
+    tree = [blob()]
+    for _ in range(blobs - 1):
+        walk = [rng.choice(rng.choice(tree)), *range(n + 1, n + rng.randint(0, 2) + 1)]
+        n = max(n, walk[-1])
+        tree.append(blob())
+        walk.append(rng.choice(tree[-1]))
+        edges.extend(zip(walk, walk[1:]))
+    if rng.random() < 0.3:
+        blob()
+    return Graph.from_edges(n, edges)
+
+
+def test_enumerate_homs_matches_brute_counts_on_blob_graphs():
+    # sources whose sub-searches recur: sibling blobs, and components, are
+    # searched once per solution of the ones before them, so the suffix
+    # cache replays them.  Every map returned is a homomorphism, the maps
+    # are distinct and as many as the brute-force count, so they are all
+    # of them; every order, cap and pruning gives the same maps
+    rng = random.Random(2000)
+    limit = 3000
+    checked = 0
+    while checked < 150:
+        G = blob_graph(rng, rng.randint(2, 4))
+        H = random_graph(rng.randint(2, 5), rng.choice((0.4, 0.6)), rng)
+        want = count_homs_reference(G, H, cap=limit + 1)
+        if want > limit:
+            continue
+        checked += 1
+        homs = enumerate_homs(G, H)
+        assert len(homs) == want and len(set(homs)) == want
+        assert all(is_homomorphism(G, H, phi) for phi in homs)
+        order = list(G.vertices())
+        rng.shuffle(order)
+        for kwargs in ({}, {"order": order}):
+            for prune in (False, True):
+                assert enumerate_homs(G, H, distance_prune=prune, **kwargs) == homs
+                for cap in (0, 1, rng.randint(0, want)):
+                    if want > cap:
+                        with pytest.raises(HomCapExceeded) as exc:
+                            enumerate_homs(G, H, cap, distance_prune=prune, **kwargs)
+                        assert (exc.value.cap, exc.value.partial) == (cap, cap + 1)
+                    else:
+                        assert enumerate_homs(G, H, cap, distance_prune=prune,
+                                              **kwargs) == homs
+
+
 def test_masks_and_balls_match_distances():
     rng = random.Random(9)
     for G in [g for g, _ in DISCONNECTED_CASES] + [random_graph(7, 0.3, rng)
@@ -281,12 +345,18 @@ def test_reduced_kernel_matches_all_pairs_kernel(certified_triple):
         cases.append((build_Gk(ell, pair), embed_bp(bp, "gadget", pair)))
     gates = [Gate("input", label=lab) for lab in "abca"]
     gates += [Gate("add", args=(0, 1)), Gate("add", args=(2, 3)), Gate("mul", args=(4, 5))]
-    c = Circuit(tuple(gates), 6)
-    for fault in (None, 1):
-        J = build_Jn(c, certified_triple, fault_swap_level=fault)
-        cases.append((build_Gm(J.meta["m"], certified_triple), J))
+    # a depth-2 circuit, a product of four sums: its tree gadget has sibling
+    # subtrees, whose searches enumerate_homs replays
+    deep = [Gate("input", label=lab) for lab in "abcadbcd"]
+    deep += [Gate("add", args=(2 * k, 2 * k + 1)) for k in range(4)]  # 8-11
+    deep += [Gate("mul", args=(8, 9)), Gate("mul", args=(10, 11))]  # 12, 13
+    deep += [Gate("add", args=(12,)), Gate("add", args=(13,)), Gate("mul", args=(14, 15))]
+    for c in (Circuit(tuple(gates), 6), Circuit(tuple(deep), 16)):
+        for fault in (None, 1):
+            J = build_Jn(c, certified_triple, fault_swap_level=fault)
+            cases.append((build_Gm(J.meta["m"], certified_triple), J))
     for g, target in cases:
-        order = _blocks_first_order(g)
+        order = _subtree_order(g)
         want = all_pairs_homs(g.graph, target.graph, order)
         assert enumerate_homs(g.graph, target.graph, order=order,
                               distance_prune=True) == want
@@ -384,6 +454,18 @@ def test_incomparability():
     assert not are_incomparable(Graph.cycle(4), Graph.complete(3))
     # K3 vs K3 trivially comparable
     assert not are_incomparable(Graph.complete(3), Graph.complete(3))
+
+
+def test_verdicts_are_kept_and_keep_no_graph_alive():
+    g, h = Graph.complete(3), Graph.cycle(5)
+    assert is_rigid(Graph.complete(1)) and not is_rigid(g)
+    assert not are_incomparable(g, h)  # C5 -> K3
+    assert not are_incomparable(h, g) and not are_incomparable(g, h)
+    assert g._incomparable[h] is h._incomparable[g] is False
+    gone = weakref.ref(h)
+    del h
+    gc.collect()
+    assert gone() is None and len(g._incomparable) == 0
 
 
 def test_graph_text_round_trip():

@@ -16,6 +16,7 @@ from homforge import gadget_search
 from homforge.gadget_search import (
     BATCH,
     SAMPLE_BUDGETS,
+    SMALLEST_BLOCK,
     sample_rigid_blocks,
     search_gadgets,
     _prefilter,
@@ -45,14 +46,20 @@ def test_prefilter_rejects_obvious_non_blocks():
     # dominated vertex: N(4) = {1} subset of N(2); folding 4 onto 2 is an endo
     g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3), (1, 4)])
     assert not passes(g)
+    # closed twins: N[v] = N[w] for adjacent v, w, so swapping them is an
+    # automorphism; both graphs pass every other filter.  Every pair of K4
+    # is one, and here only 4 and 5 are (N[4] = N[5] = {1, 3, 4, 5})
+    assert not passes(Graph.complete(4))
+    assert not passes(Graph.from_edges(6, [(1, 4), (1, 5), (1, 6), (2, 3), (2, 6),
+                                           (3, 4), (3, 5), (4, 5)]))
 
 
 def test_prefilter_is_necessary_not_sufficient():
-    # K4 passes every cheap filter but has 24 automorphisms
+    # C5 passes every cheap filter but has 10 automorphisms
     from homforge.graphs import is_rigid
-    k4 = Graph.complete(4)
-    assert _prefilter(adjacency([k4], 4)) == [(0, list(k4.nbr_masks))]
-    assert not is_rigid(k4)
+    c5 = Graph.cycle(5)
+    assert _prefilter(adjacency([c5], 5)) == [(0, list(c5.nbr_masks))]
+    assert not is_rigid(c5)
 
 
 def reference_prefilter(n: int, edges) -> bool:
@@ -66,6 +73,8 @@ def reference_prefilter(n: int, edges) -> bool:
     if any(w != v and w not in adj[v] and adj[v] <= adj[w]
            for v in adj for w in adj):
         return False
+    if any(w in adj[v] and adj[v] | {v} == adj[w] | {w} for v in adj for w in adj):
+        return False  # closed twins
     reached, stack = {1}, [1]
     while stack:
         for w in adj[stack.pop()] - reached:
@@ -107,7 +116,7 @@ def check_batch(graphs, n: int) -> int:
 def test_mask_prefilter_matches_set_reference():
     for n in range(1, 7):
         passed = check_batch(list(labelled_graphs(n)), n)
-    assert passed == 1048  # n = 6
+    assert passed == 672  # n = 6
     rng = random.Random(2024)
     by_size: dict[int, list[Graph]] = {7: [], 8: [], 9: []}
     for _ in range(2400):
@@ -217,17 +226,30 @@ def test_no_rigid_nonbipartite_block_has_seven_vertices(certified_triple):
     assert count_endomorphisms([m >> 1 for m in g.nbr_masks[1:]], cap=2) == 1
 
 
-def test_search_builds_no_graph_below_seven(monkeypatch):
+def test_search_tests_no_graph_below_eight(monkeypatch):
+    # the 7-vertex budget only advances the stream: the prefilter never sees
+    # a graph below 8 vertices, and the generator reaches the 8-vertex draws
+    # in the state that 1,500 draw-by-draw 7-vertex samples leave it in
     sizes = set()
-    real = gadget_search._prefilter
+    states = []
+    real_prefilter, real_sample = gadget_search._prefilter, gadget_search.sample_rigid_blocks
 
     def recording(adj):
         sizes.add(adj.shape[1])
-        return real(adj)
+        return real_prefilter(adj)
+
+    def sampling(n, rng, want, max_samples):
+        if n == SMALLEST_BLOCK and not states:
+            states.append(rng.getstate())
+        return real_sample(n, rng, want, max_samples)
 
     monkeypatch.setattr(gadget_search, "_prefilter", recording)
+    monkeypatch.setattr(gadget_search, "sample_rigid_blocks", sampling)
     search_gadgets(8, "pair", seed=0)
-    assert min(sizes) == min(SAMPLE_BUDGETS) == 7
+    assert min(sizes) == SMALLEST_BLOCK == min(SAMPLE_BUDGETS) + 1 == 8
+    ref = random.Random(0)
+    assert sample_rigid_blocks_reference(7, ref, 2, SAMPLE_BUDGETS[7]) == []
+    assert states == [ref.getstate()]
 
 
 def test_search_raises_honestly_when_max_n_too_small():
