@@ -96,21 +96,21 @@ class LayeredBP:
         fwd: dict[tuple[int, int], list[Arc]] = {}
         for a in sorted(self.live_arcs(), key=lambda a: (a.layer, a.src, a.dst)):
             fwd.setdefault((a.layer, a.src), []).append(a)
-        L = len(self.sizes)
+        last = len(self.sizes) - 1
         paths: list[tuple[Arc, ...]] = []
-        stack: list[Arc] = []
-
-        def walk(layer: int, idx: int) -> None:
-            if layer == L - 1:
-                if idx == self.sink:
-                    paths.append(tuple(stack))
-                return
-            for a in fwd.get((layer, idx), ()):
-                stack.append(a)
-                walk(layer + 1, a.dst)
-                stack.pop()
-
-        walk(0, self.source)
+        path: list[Arc] = []
+        # walk[k]: the arcs left to try out of the node path[:k] ends at
+        walk = [iter(fwd.get((0, self.source), ()))]
+        while walk:
+            a = next(walk[-1], None)
+            if a is None:
+                walk.pop()
+                del path[len(walk) - 1:]
+            elif a.layer + 1 < last:
+                path.append(a)
+                walk.append(iter(fwd.get((a.layer + 1, a.dst), ())))
+            elif a.dst == self.sink:
+                paths.append((*path, a))
         return paths
 
     def count_st_paths(self) -> int:

@@ -316,31 +316,29 @@ class Circuit:
         if total > bound:
             raise ValueError(f"{total} parse trees exceed bound {bound}")
 
+        # gates come after their arguments, so one pass in id order over the
+        # gates the output reaches fills the memo; none of them has more
+        # parse trees than the output, so bound caps each list
         ops, keys, args = self.per_gate
         memo: dict[int, list[ParseTree]] = {}
-
-        def rec(gid: int) -> list[ParseTree]:
-            if gid in memo:
-                return memo[gid]
+        for gid in self.reachable().nonzero()[0].tolist():
             op = ops[gid]
             if op == CONST:
                 res = [ParseTree(keys[gid], ())]
             elif op == INPUT:
                 res = [ParseTree(1, ((keys[gid], 1),))]
             elif op == ADD:
-                res = [t for a in args[gid] for t in rec(a)]
+                res = [t for a in args[gid] for t in memo[a]]
             else:
                 res = [ParseTree(1, ())]
                 for a in args[gid]:
                     res = [
                         ParseTree(t.coeff * s.coeff, mono_mul(t.monomial, s.monomial))
                         for t in res
-                        for s in rec(a)
+                        for s in memo[a]
                     ]
             memo[gid] = res
-            return res
-
-        return rec(self.output)
+        return memo[self.output]
 
     # -- text format ----------------------------------------------------------
 

@@ -113,19 +113,13 @@ def sample_rigid_blocks(n: int, rng: random.Random, want: int,
     return found
 
 
-def _find(pool: list[Graph], want: int,
-          inc: dict[tuple[int, int], bool]) -> GadgetPair | GadgetTriple | None:
+def _find(pool: list[Graph], want: int) -> GadgetPair | GadgetTriple | None:
     """The first ``want`` pool blocks, in index order, that are pairwise
-    incomparable.  ``inc`` memoizes ``are_incomparable`` by index pair
-    across the calls of one search."""
-    def incomparable(i: int, j: int) -> bool:
-        if (i, j) not in inc:
-            inc[i, j] = are_incomparable(pool[i], pool[j])
-        return inc[i, j]
-
-    for idx in combinations(range(len(pool)), want):
-        if all(incomparable(i, j) for i, j in combinations(idx, 2)):
-            return (GadgetPair if want == 2 else GadgetTriple)(*(pool[i] for i in idx))
+    incomparable.  ``are_incomparable`` keeps each verdict on the graphs,
+    so a pair is searched once across the calls of one search."""
+    for found in combinations(pool, want):
+        if all(are_incomparable(g, h) for g, h in combinations(found, 2)):
+            return (GadgetPair if want == 2 else GadgetTriple)(*found)
     return None
 
 
@@ -144,7 +138,6 @@ def search_gadgets(max_n: int, need: str = "triple",
         raise ValueError("need must be 'pair' or 'triple'")
     rng = random.Random(seed)
     pool: list[Graph] = []
-    inc: dict[tuple[int, int], bool] = {}
     want = 2 if need == "pair" else 3
     for n in range(min(SAMPLE_BUDGETS), max_n + 1):
         budget = SAMPLE_BUDGETS.get(n, SAMPLE_BUDGETS[max(SAMPLE_BUDGETS)])
@@ -152,7 +145,7 @@ def search_gadgets(max_n: int, need: str = "triple",
         # runs out or the pool supports the requested gadget
         for spent in range(0, budget, BATCH):
             pool.extend(sample_rigid_blocks(n, rng, want, min(BATCH, budget - spent)))
-            found = _find(pool, want, inc)
+            found = _find(pool, want)
             if found is not None:
                 return found
     raise ValueError(

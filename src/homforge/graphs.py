@@ -123,6 +123,40 @@ def unimplied_balls(nbr: Sequence[int], v: int, earlier: int) -> list[tuple[int,
     return tests
 
 
+def _read_records(text: str, header: str, record: str,
+                  noun: str) -> tuple[list[int], list[list[int]]]:
+    """The ints of the one ``header`` line and of every ``record`` line of
+    text, in line order.  Each is given by its template, the directive word
+    then one placeholder per int, such as ``'p <n> <m>'``; ``noun`` names a
+    record in the error for one before the header."""
+    head_word, head_len = header.split()[0], len(header.split())
+    rec_word, rec_len = record.split()[0], len(record.split())
+    head: list[int] | None = None
+    records: list[list[int]] = []
+
+    def line(toks):
+        nonlocal head
+        if toks[0] == head_word:
+            if head is not None:
+                raise ValueError("duplicate header")
+            if len(toks) != head_len:
+                raise ValueError(f"expected {header!r}")
+            head = [int(t) for t in toks[1:]]
+        elif toks[0] == rec_word:
+            if head is None:
+                raise ValueError(f"{noun} before header")
+            if len(toks) != rec_len:
+                raise ValueError(f"expected {record!r}")
+            records.append([int(t) for t in toks[1:]])
+        else:
+            raise ValueError(f"unrecognised directive {toks[0]!r}")
+
+    read_lines(text, line)
+    if head is None:
+        raise ValueError(f"missing {header!r} header")
+    return head, records
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -244,29 +278,7 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        n = m = None
-        edges = []
-
-        def line(toks):
-            nonlocal n, m
-            if toks[0] == "p":
-                if n is not None:
-                    raise ValueError("duplicate header")
-                if len(toks) != 3:
-                    raise ValueError("expected 'p <n> <m>'")
-                n, m = int(toks[1]), int(toks[2])
-            elif toks[0] == "e":
-                if n is None:
-                    raise ValueError("edge before header")
-                if len(toks) != 3:
-                    raise ValueError("expected 'e <u> <v>'")
-                edges.append((int(toks[1]), int(toks[2])))
-            else:
-                raise ValueError(f"unrecognised directive {toks[0]!r}")
-
-        read_lines(text, line)
-        if n is None:
-            raise ValueError("missing 'p <n> <m>' header")
+        (n, m), edges = _read_records(text, "p <n> <m>", "e <u> <v>", "edge")
         g = cls.from_edges(n, edges)
         if g.m != m:
             raise ValueError(f"header declares {m} edges, found {g.m}")
@@ -301,29 +313,7 @@ class Hypergraph3:
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph3":
-        n = None
-        edges = []
-
-        def line(toks):
-            nonlocal n
-            if toks[0] == "h":
-                if n is not None:
-                    raise ValueError("duplicate header")
-                if len(toks) != 2:
-                    raise ValueError("expected 'h <n>'")
-                n = int(toks[1])
-            elif toks[0] == "t":
-                if n is None:
-                    raise ValueError("hyperedge before header")
-                if len(toks) != 4:
-                    raise ValueError("expected 't <a> <b> <c>'")
-                edges.append(tuple(int(t) for t in toks[1:]))
-            else:
-                raise ValueError(f"unrecognised directive {toks[0]!r}")
-
-        read_lines(text, line)
-        if n is None:
-            raise ValueError("missing 'h <n>' header")
+        (n,), edges = _read_records(text, "h <n>", "t <a> <b> <c>", "hyperedge")
         return cls.from_edges(n, edges)
 
 

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .formulas import CNF
-from .graphs import Graph, Hypergraph3
+from .graphs import Graph, Hypergraph3, bits
 from .labels import xedge, xhyper, xvar, yclause, yvert
 from .rings import CountRing, Field
 
@@ -232,14 +232,6 @@ def _product(mul, factors):
     return acc
 
 
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _walk(ring, choices, touch: dict):
     """Sum over one option per item of the options' own factors times the
     factor of every bit the options touch, each bit counted once.
@@ -266,7 +258,7 @@ def _walk(ring, choices, touch: dict):
                 fresh = mask & ~s
                 f = memo.get(fresh, memo)  # memo itself marks a miss
                 if f is memo:
-                    f = memo[fresh] = _product(mul, (own, *map(touch.get, _bits(fresh))))
+                    f = memo[fresh] = _product(mul, (own, *map(touch.get, bits(fresh))))
                 next_terms.append(term if f is None else mul(term, f))
                 next_seen.append(s | mask)
         terms, seen = next_terms, next_seen

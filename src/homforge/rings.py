@@ -111,13 +111,13 @@ class Field:
             self._exps, self._logs = self._exp.tolist(), self._log.tolist()
 
     @classmethod
-    def from_spec(cls, spec: str, modulus: tuple[int, ...] | None = None) -> "Field":
+    def from_spec(cls, spec: str) -> "Field":
         """Parse 'p' or 'p^k' (e.g. '5', '2^2')."""
         spec = spec.strip()
         if "^" in spec:
             ptxt, _, ktxt = spec.partition("^")
-            return cls(int(ptxt), int(ktxt), modulus)
-        return cls(int(spec), 1, modulus)
+            return cls(int(ptxt), int(ktxt))
+        return cls(int(spec))
 
     # -- arithmetic on raw ints ----------------------------------------------
 

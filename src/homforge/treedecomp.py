@@ -436,10 +436,7 @@ def _min_width_order(G: Graph) -> tuple[int, list[int]]:
     with the components u touches merged into u's.
     """
     n = G.n
-    adj = [0] * n
-    for (u, v) in G.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
+    adj = [m >> 1 for m in G.nbr_masks[1:]]  # bit j of adj[i]: vertices i+1, j+1 adjacent
     full = (1 << n) - 1
     f = [0] * (full + 1)
     choice = [0] * (full + 1)

@@ -110,6 +110,16 @@ def hom_monomial(G: Graph, phi: tuple[int, ...], labels: dict) -> Monomial:
     return mono(*pairs)
 
 
+def _gadget_homs(source: GadgetGraph, target: GadgetGraph) -> tuple[list, Counter]:
+    """The homomorphisms from a block gadget into a target, searched in
+    ``_subtree_order`` with distance pruning, and the Counter of their
+    monomials."""
+    homs = enumerate_homs(source.graph, target.graph, cap=HOM_CAP,
+                          order=_subtree_order(source), distance_prune=True)
+    labels = edge_labels(target)
+    return homs, Counter(hom_monomial(source.graph, phi, labels) for phi in homs)
+
+
 @dataclass
 class CycleIdentityReport:
     ok: bool
@@ -147,14 +157,9 @@ def verify_cycle_identity(bp: LayeredBP) -> CycleIdentityReport:
     C = Graph.cycle(ell)
     homs = enumerate_homs(C, B.graph, cap=HOM_CAP)
 
-    y_once = True
-    f: Counter = Counter()
     labels = edge_labels(B)
-    for phi in homs:
-        m = hom_monomial(C, phi, labels)
-        if dict(m).get("y") != 1:
-            y_once = False
-        f[m] += 1
+    f = Counter(hom_monomial(C, phi, labels) for phi in homs)
+    y_once = all(dict(m).get("y") == 1 for m in f)
 
     g = bp.path_polynomial()
     factor = 2 * ell
@@ -221,9 +226,7 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair) -> GadgetBijectionR
     check_source_size(Gk.graph.n)  # the search would refuse Gk; spare building B
     B = embed_bp(bp, "gadget", pair)
 
-    order = _subtree_order(Gk)
-    homs = enumerate_homs(Gk.graph, B.graph, cap=HOM_CAP,
-                          order=order, distance_prune=True)
+    homs, f = _gadget_homs(Gk, B)
 
     g_i1, g_i2 = Gk.block(("I1",)), Gk.block(("I2",))
     b_i1, b_i2 = B.block(("I1",)), B.block(("I2",))
@@ -236,8 +239,6 @@ def verify_gadget_bijection(bp: LayeredBP, pair: GadgetPair) -> GadgetBijectionR
              for phi in homs for x in g_i2.vmap)
     endpoints = all(phi[a_v - 1] == s_v and phi[b_v - 1] == t_v for phi in homs)
 
-    labels = edge_labels(B)
-    f = Counter(hom_monomial(Gk.graph, phi, labels) for phi in homs)
     g = bp.path_polynomial()
     counts_match = len(homs) == bp.count_st_paths()
     monomials = f == g
@@ -288,11 +289,7 @@ def verify_parse_hom_bijection(c: Circuit, triple: GadgetTriple, *,
         assert t.coeff == 1, "normal-form circuits are constant-free"
         parse_mons[t.monomial] += 1
 
-    order = _subtree_order(Gm)
-    homs = enumerate_homs(Gm.graph, J.graph, cap=HOM_CAP,
-                          order=order, distance_prune=True)
-    labels = edge_labels(J)
-    hom_mons = Counter(hom_monomial(Gm.graph, phi, labels) for phi in homs)
+    homs, hom_mons = _gadget_homs(Gm, J)
 
     counts_match = len(homs) == len(trees)
     monomials = hom_mons == parse_mons

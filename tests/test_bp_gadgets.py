@@ -72,6 +72,23 @@ def test_bp_count_matches_enumeration_random():
         assert bp.count_st_paths() == len(bp.st_paths())
 
 
+def test_bp_paths_are_in_lexicographic_order():
+    rng = random.Random(56)
+    for _ in range(30):
+        bp = random_layered_bp(rng.randint(2, 6), rng.randint(1, 3), rng)
+        paths = bp.st_paths()
+        assert paths == sorted(paths, key=lambda p: [(a.layer, a.src, a.dst) for a in p])
+        assert len(set(paths)) == len(paths)
+
+
+def test_bp_paths_of_a_deep_program():
+    # 1,500 layers are deeper than the interpreter's recursion limit
+    bp = LayeredBP([1] * 1500, [Arc(i, 0, 0, f"x{i % 3}") for i in range(1499)])
+    [path] = bp.st_paths()
+    assert [a.layer for a in path] == list(range(1499))
+    assert bp.path_polynomial() == Counter([mono(("x0", 500), ("x1", 500), ("x2", 499))])
+
+
 def test_bp_text_round_trip():
     bp = two_path_bp()
     again = LayeredBP.from_text(bp.to_text())

@@ -598,6 +598,15 @@ def test_parse_trees_need_mult_disjointness():
         Circuit(tuple(shared), 3).parse_trees()
 
 
+def test_parse_trees_of_a_deep_chain():
+    # 1,500 nested add gates are deeper than the interpreter's recursion limit
+    text = "".join(f"gate {i} add {i - 1}\n" for i in range(1, 1500))
+    c = Circuit.from_text(f"gate 0 input x\n{text}output 1499\n")
+    assert c.count_parse_trees() == 1
+    [tree] = c.parse_trees()
+    assert (tree.coeff, tree.monomial) == (1, mono(("x", 1)))
+
+
 def random_formula(rng: random.Random, gates: list[Gate], depth: int) -> int:
     """Random formula (tree-shaped, no sharing), returning the root gate id."""
     if depth == 0 or rng.random() < 0.3:

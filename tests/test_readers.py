@@ -57,6 +57,36 @@ def test_repeated_single_value_line_is_refused(read, text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (Graph.from_text, "p 2 1\np 2 1\n", "line 2: duplicate header"),
+    (Graph.from_text, "p 2\n", "line 1: expected 'p <n> <m>'"),
+    (Graph.from_text, "p 2 1\ne 1\n", "line 2: expected 'e <u> <v>'"),
+    (Graph.from_text, "e 1 2\np 2 1\n", "line 1: edge before header"),
+    (Graph.from_text, "p 2 1\nt 1 2\n", "line 2: unrecognised directive 't'"),
+    (Graph.from_text, "# no header\ne", "line 2: edge before header"),
+    (Graph.from_text, "# no header\n", "missing 'p <n> <m>' header"),
+    (Graph.from_text, "p 2 2\ne 1 2\ne 2 1\n", "header declares 2 edges, found 1"),
+    (Graph.from_text, "p 2 x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    (Graph.from_text, "p 2 1\ne 1 1\n", "self-loop at 1"),
+    (Hypergraph3.from_text, "h 2\nh 3\n", "line 2: duplicate header"),
+    (Hypergraph3.from_text, "h 2 2\n", "line 1: expected 'h <n>'"),
+    (Hypergraph3.from_text, "h 2\nt 1 2\n", "line 2: expected 't <a> <b> <c>'"),
+    (Hypergraph3.from_text, "t 1 1 1\nh 2\n", "line 1: hyperedge before header"),
+    (Hypergraph3.from_text, "h 2\ne 1 2\n", "line 2: unrecognised directive 'e'"),
+    (Hypergraph3.from_text, "", "missing 'h <n>' header"),
+    (Hypergraph3.from_text, "h 2\nt 1 y 1\n",
+     "line 2: invalid literal for int() with base 10: 'y'"),
+    (Hypergraph3.from_text, "h 2\nt 1 3 1\n", "hyperedge (1, 3, 1) out of range"),
+], ids=["gr-dup", "gr-header-arity", "gr-edge-arity", "gr-edge-first", "gr-directive",
+        "gr-bare-edge", "gr-missing", "gr-count", "gr-int", "gr-loop",
+        "hg-dup", "hg-header-arity", "hg-edge-arity", "hg-edge-first", "hg-directive",
+        "hg-missing", "hg-int", "hg-range"])
+def test_graph_readers_messages(read, text, message):
+    with pytest.raises(ValueError) as exc:
+        read(text)
+    assert str(exc.value) == message
+
+
 def test_dimacs_cuts_hash_comments():
     cnf = CNF.from_dimacs("c a comment\np cnf 2 1  # header\n\n1 -2 0 # clause\n")
     assert cnf == CNF.from_dimacs("p cnf 2 1\n1 -2 0\n")
